@@ -18,9 +18,14 @@ import sys
 
 import numpy as np
 
-from .diagnostics import conservation_drift, divergence_time, failure_report, self_intersection
-from .exceptions import IntegrationError, UnknownPresetError
-from .integrate import IntegratorConfig, closed_orbit_check, estimate_period, integrate
+from .diagnostics import (
+    compare_with_reference,
+    conservation_drift,
+    divergence_time,
+    self_intersection,
+)
+from .exceptions import IntegrationError, PeriodNotFoundError, UnknownPresetError
+from .integrate import IntegratorConfig, closed_orbit_check, integrate, solve
 from .methods import MethodKind, method_series, methods_agree
 from .model import ModelParams, PopulationState
 from .output import (
@@ -47,6 +52,8 @@ _EQUIV_TOL_LOOSE = 1e-10
 _CONSERVATION_BOUND = 1e-8
 _DRIFT_RATIO_FLOOR = 1e3
 _CLOSURE_EPS = 1e-6
+# Closure grid length in periods; the one-period loop lies inside it.
+_CLOSURE_SPAN = 1.2
 
 _CUSTOM_FLAGS = ("a", "b", "c", "d", "x0", "y0")
 
@@ -172,12 +179,9 @@ def cmd_run(args) -> int:
     method = MethodKind(args.method)
     cfg = IntegratorConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
     ivp = InitialValueProblem(params, initial, t_end)
-    report = failure_report(
+    report, reference, approx = compare_with_reference(
         ivp, method, order, t_end=t_end, points=args.points, cfg=cfg, delta=args.delta
     )
-    grid = np.linspace(0.0, t_end, args.points)
-    reference = integrate(ivp, cfg, grid)
-    approx = sample_series(method_series(ivp, method, order), grid)
 
     os.makedirs(args.out, exist_ok=True)
     base = os.path.join(args.out, f"{label}_{method.value}_order{order}")
@@ -232,17 +236,16 @@ def _check_conservation(results, cfg):
 def _check_closure(results, cfg):
     case = preset("case-V")
     ivp = InitialValueProblem(case.params, case.initial, case.default_t_end)
-    period = estimate_period(ivp, cfg)
-    span = 1.2 * period
-    window = InitialValueProblem(case.params, case.initial, span)
-    closure = integrate(window, cfg, np.linspace(0.0, span, 2401))
+    solution = solve(ivp, cfg, period_span=_CLOSURE_SPAN)
+    period = solution.period
+    if period is None:
+        raise PeriodNotFoundError("case-V: no return to the start section")
+    closure = solution.sample(np.linspace(0.0, _CLOSURE_SPAN * period, 2401))
     closed = closed_orbit_check(closure, ivp, _CLOSURE_EPS, period=period)
     results.append(
         ("case-V: reference orbit returns within 1e-6", closed, f"period {period:.9f}")
     )
-    one_period = InitialValueProblem(case.params, case.initial, period)
-    traj = integrate(one_period, cfg, np.linspace(0.0, period, 2001))
-    crossing = self_intersection(traj)
+    crossing = self_intersection(solution.sample(np.linspace(0.0, period, 2001)))
     results.append(
         (
             "case-V: reference orbit stays simple over one period",

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import PeriodNotFoundError, PositivityError
-from .integrate import IntegratorConfig, closed_orbit_check, estimate_period, integrate
+from .exceptions import PositivityError
+from .integrate import IntegratorConfig, closed_orbit_check, solve
 from .methods import MethodKind, method_series
 from .model import ModelParams
 from .series import InitialValueProblem, sample_series
@@ -185,37 +185,45 @@ def failure_report(
     ``points`` samples over [0, t_end] (defaulting to the problem horizon).
     Orbit closure is judged on a separate period-aligned grid spanning 1.2
     estimated periods; when no period can be found (e.g. decoupled dynamics)
-    both closure flags are False.
+    both closure flags are False.  The reference is integrated once: the
+    period is an event on its steps and both grids sample the same pass.
     """
-    cfg = cfg or IntegratorConfig()
+    return compare_with_reference(ivp, method, order, t_end, points, cfg, delta)[0]
+
+
+def compare_with_reference(
+    ivp: InitialValueProblem,
+    method: MethodKind,
+    order: int,
+    t_end: float | None = None,
+    points: int = 2001,
+    cfg: IntegratorConfig | None = None,
+    delta: float = 1.0,
+) -> tuple[DiagnosticsReport, Trajectory, Trajectory]:
+    """``failure_report`` with the reference and approximant trajectories it compared."""
     horizon = ivp.t_end if t_end is None else float(t_end)
     if not horizon > 0.0:
         raise ValueError(f"t_end must be positive, got {horizon}")
     if points < 2:
         raise ValueError(f"need at least 2 grid points, got {points}")
     grid = np.linspace(0.0, horizon, points)
-    window = InitialValueProblem(ivp.params, ivp.initial, horizon)
-    reference = integrate(window, cfg, grid)
+    solution = solve(ivp, cfg, t_end=horizon, period_span=_CLOSURE_WINDOW_FACTOR)
+    reference = solution.sample(grid)
     series = method_series(ivp, method, order)
     approx = sample_series(series, grid)
     drift_ref = conservation_drift(reference, ivp.params)
     drift_approx = conservation_drift(approx, ivp.params)
-    try:
-        period = estimate_period(ivp, cfg)
-    except PeriodNotFoundError:
-        period = None
+    period = solution.period
     closed_ref = closed_approx = False
     if period is not None:
-        span = _CLOSURE_WINDOW_FACTOR * period
-        closure_grid = np.linspace(0.0, span, _CLOSURE_GRID_POINTS)
-        closure_window = InitialValueProblem(ivp.params, ivp.initial, span)
+        closure_grid = np.linspace(0.0, _CLOSURE_WINDOW_FACTOR * period, _CLOSURE_GRID_POINTS)
         closed_ref = closed_orbit_check(
-            integrate(closure_window, cfg, closure_grid), ivp, _CLOSED_ORBIT_EPS, period=period
+            solution.sample(closure_grid), ivp, _CLOSED_ORBIT_EPS, period=period
         )
         closed_approx = closed_orbit_check(
             sample_series(series, closure_grid), ivp, _CLOSED_ORBIT_EPS, period=period
         )
-    return DiagnosticsReport(
+    report = DiagnosticsReport(
         method=method,
         order=int(order),
         divergence_time=divergence_time(approx, reference, delta),
@@ -227,3 +235,4 @@ def failure_report(
         period_estimate=period,
         excluded_samples=_excluded_count(approx),
     )
+    return report, reference, approx

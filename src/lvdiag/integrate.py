@@ -3,9 +3,13 @@
 The stepper is the explicit embedded Runge-Kutta pair of Dormand & Prince
 (seven stages, FSAL): the fifth-order result propagates the state and the
 difference against the embedded fourth-order result drives a
-proportional-integral step controller.  Each accepted step also carries the
-quartic interpolation polynomial of Shampine, so trajectories can be sampled
-on arbitrary grids without constraining the step sequence.
+proportional-integral step controller.  The state is two floats and every
+stage is written out, so a step costs a few dozen float operations and six
+right-hand-side calls.  Each accepted step is kept in a ``DenseSolution``
+together with the quartic interpolation polynomial of Shampine, so one pass
+can be sampled on any number of grids without constraining the step sequence.
+The orbit period is found as an event on those same steps (Hairer, Norsett &
+Wanner, Solving ODEs I, section II.6).
 
 Interior trajectories are advanced in logarithmic population coordinates:
 with both populations strictly positive the transform is smooth, it makes
@@ -22,7 +26,8 @@ applied; whatever drift the scheme produces is left visible to diagnostics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import struct
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,20 +40,19 @@ from .model import _field
 from .series import InitialValueProblem, _validated_grid
 from .trajectory import Trajectory
 
-# Dormand-Prince 5(4) tableau.
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = (
-    np.array([], dtype=float),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+# Dormand-Prince 5(4) tableau (the nodes are unused: the system is autonomous).
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+# Fifth-order minus embedded fourth-order weights (error estimate; E2 = 0).
+_E1, _E3, _E4, _E5, _E6, _E7 = (
+    71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40,
 )
-_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
-# Fifth-order minus embedded fourth-order weights (error estimate).
-_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
-# Shampine's fourth-order interpolant: columns are the theta^1..theta^4 weights.
+# Shampine's fourth-order interpolant: rows are the stages, columns the
+# theta^1..theta^4 weights.
 _P = np.array(
     [
         [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
@@ -69,7 +73,12 @@ _ALPHA = 0.7 / 5.0
 _BETA = 0.4 / 5.0
 # Steps below this fraction of the horizon indicate stiffness or blow-up.
 _MIN_STEP_FRACTION = 1e-14
+# Budget of step attempts (accepted plus rejected) per pass.
 _MAX_STEPS = 1_000_000
+
+# One record per accepted step: t1, h, u1, v1 and the stage values
+# (k1..k7, u and v interleaved), packed so a long pass stays compact.
+_STEP_RECORD = struct.Struct("18d")
 
 # Horizon of the return search, in units of the linearised angular period.
 _PERIOD_SEARCH_FACTOR = 100.0
@@ -95,19 +104,62 @@ class IntegratorConfig:
 
 
 @dataclass(frozen=True)
-class _Step:
-    """One accepted step with its dense-output weights q (2x4)."""
+class IntegratorStats:
+    """Work done by one pass, after DOPRI5's NACCPT, NREJCT and NFCN counters."""
 
-    t0: float
-    t1: float
-    y0: np.ndarray
-    y1: np.ndarray
+    accepted: int
+    rejected: int
+    nonfinite_rejected: int
+    rhs_evals: int
+
+
+@dataclass(frozen=True)
+class DenseSolution:
+    """The accepted steps of one adaptive pass from t=0, with dense output.
+
+    ``t`` holds the step boundaries (n+1 values, t[0] = 0), ``w`` the states
+    there in integration coordinates (n+1 x 2), ``q`` each step's interpolant
+    weights (n x 2 x 4) and ``states`` the boundary populations, whose first
+    row is the initial state itself.  ``period`` is the located orbit period,
+    or None when none was searched for or found.
+    """
+
+    t: np.ndarray
+    w: np.ndarray
     q: np.ndarray
+    states: np.ndarray
+    log_coords: bool
+    period: float | None
+    stats: IntegratorStats
 
-    def interpolate(self, t):
-        theta = (t - self.t0) / (self.t1 - self.t0)
-        powers = np.array([theta, theta**2, theta**3, theta**4])
-        return self.y0 + self.q @ powers
+    def sample(self, t_grid) -> Trajectory:
+        """Populations on a strictly increasing grid inside [0, t[-1]], in one call.
+
+        A grid point equal to a step boundary returns that boundary's stored
+        state bit for bit; the others come from their step's interpolant.
+        """
+        grid = _validated_grid(t_grid)
+        if grid[-1] > self.t[-1]:
+            raise ValueError(
+                f"grid point t={grid[-1]!r} lies past the last step, which ends at t={self.t[-1]!r}"
+            )
+        end = np.searchsorted(self.t, grid)
+        exact = self.t[end] == grid
+        out = self.states[end]
+        inner = ~exact
+        if inner.any():
+            step = end[inner] - 1
+            t0 = self.t[step]
+            theta = (grid[inner] - t0) / (self.t[step + 1] - t0)
+            powers = np.stack([theta, theta**2, theta**3, theta**4], axis=1)
+            w = self.w[step] + np.einsum("scj,sj->sc", self.q[step], powers)
+            if self.log_coords:
+                with np.errstate(over="ignore"):
+                    w = np.exp(w)
+            out[inner] = w
+        if not np.all(np.isfinite(out)):
+            raise DivergenceError("a sampled state left the finite range (blow-up)")
+        return Trajectory(grid, out[:, 0], out[:, 1])
 
 
 def _exp(z):
@@ -120,41 +172,39 @@ def _exp(z):
 def _make_flow(p, x0, y0):
     """Pick integration coordinates for the initial state.
 
-    Returns the transformed initial vector, the right-hand side in those
-    coordinates, and the map back to populations.  Interior states run in
-    log populations; a state on an axis stays there, so it keeps the
-    original coordinates.
+    Returns the transformed initial pair, the right-hand side (u, v) -> (du,
+    dv) in those coordinates, and whether they are log populations.  Interior
+    states run in log populations; a state on an axis stays there, so it
+    keeps the original coordinates.
     """
     if x0 > 0.0 and y0 > 0.0:
+        a, b, c, d = p.a, p.b, p.c, p.d
 
-        def rhs(w):
-            return np.array([p.a - p.b * _exp(w[1]), -p.c + p.d * _exp(w[0])])
+        def rhs(u, v):
+            return a - b * _exp(v), -c + d * _exp(u)
 
-        def to_phys(w):
-            return np.array([_exp(w[0]), _exp(w[1])])
+        return (math.log(x0), math.log(y0)), rhs, True
 
-        return np.array([math.log(x0), math.log(y0)]), rhs, to_phys
+    def rhs(u, v):
+        return _field(p, u, v)
 
-    def rhs(w):
-        fx, fy = _field(p, w[0], w[1])
-        return np.array([fx, fy])
-
-    return np.array([x0, y0], dtype=float), rhs, lambda w: w
+    return (x0, y0), rhs, False
 
 
-def _error_norm(err, scale):
-    return math.sqrt(float(np.mean((err / scale) ** 2)))
+def _rms(a, b):
+    return math.sqrt(0.5 * (a * a + b * b))
 
 
-def _initial_step(rhs, y0, f0, horizon, cfg):
-    """Curvature-based starting step (two trial evaluations)."""
-    scale = cfg.abs_tol + cfg.rel_tol * np.abs(y0)
-    d0 = math.sqrt(float(np.mean((y0 / scale) ** 2)))
-    d1 = math.sqrt(float(np.mean((f0 / scale) ** 2)))
+def _initial_step(rhs, u, v, fu, fv, horizon, cfg):
+    """Curvature-based starting step (one trial evaluation)."""
+    su = cfg.abs_tol + cfg.rel_tol * abs(u)
+    sv = cfg.abs_tol + cfg.rel_tol * abs(v)
+    d0 = _rms(u / su, v / sv)
+    d1 = _rms(fu / su, fv / sv)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, horizon)
-    f1 = rhs(y0 + h0 * f0)
-    d2 = math.sqrt(float(np.mean(((f1 - f0) / scale) ** 2))) / h0
+    gu, gv = rhs(u + h0 * fu, v + h0 * fv)
+    d2 = _rms((gu - fu) / su, (gv - fv) / sv) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -162,60 +212,173 @@ def _initial_step(rhs, y0, f0, horizon, cfg):
     return min(100.0 * h0, h1, horizon, cfg.max_step)
 
 
-def _adaptive_steps(rhs, y0, horizon, cfg):
-    """Yield accepted steps from 0 to the horizon."""
-    y = np.asarray(y0, dtype=float)
-    f = rhs(y)
-    if not np.all(np.isfinite(f)):
-        raise DivergenceError(f"vector field not finite at the initial state {y!r}")
-    h = cfg.initial_step if cfg.initial_step is not None else _initial_step(rhs, y, f, horizon, cfg)
-    h = min(h, cfg.max_step, horizon)
-    floor = _MIN_STEP_FRACTION * horizon
-    t = 0.0
-    err_prev = 1.0
-    rejected_nonfinite = False
-    k = np.empty((7, 2))
-    for _ in range(_MAX_STEPS):
-        if t >= horizon:
-            return
-        clipped = horizon - t <= h
-        if clipped:
-            h = horizon - t
-        if h < floor:
-            if rejected_nonfinite:
-                raise DivergenceError(
-                    f"state left the finite range near t={t!r} (blow-up)"
+def _start_section(p, x0, y0):
+    """(component, level, direction) of the return section, None at an equilibrium.
+
+    The section is the line through the initial state normal to the faster
+    changing component (y when dy/dt is nonzero at t=0, x otherwise); a return
+    counts only when crossed in the same direction as at departure.
+    """
+    fx0, fy0 = _field(p, x0, y0)
+    if fx0 == 0.0 and fy0 == 0.0:
+        return None
+    if fy0 != 0.0:
+        return 1, y0, 1.0 if fy0 > 0.0 else -1.0
+    return 0, x0, 1.0 if fx0 > 0.0 else -1.0
+
+
+def _bisect_return(w0, qc, t0, t1, level, direction):
+    """Section crossing inside one step, polished by bisection on its interpolant."""
+    lo, hi = t0, t1
+    while hi - lo > _PERIOD_BISECT_TOL:
+        mid = 0.5 * (lo + hi)
+        theta = (mid - t0) / (t1 - t0)
+        w = w0 + qc @ np.array([theta, theta**2, theta**3, theta**4])
+        if direction * (_exp(w) - level) >= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def solve(
+    ivp: InitialValueProblem,
+    cfg: IntegratorConfig | None = None,
+    t_end: float | None = None,
+    period_span: float | None = None,
+) -> DenseSolution:
+    """One adaptive pass from t=0, kept as a dense solution.
+
+    Without ``period_span`` the pass ends at ``t_end`` (default: the problem
+    horizon).  With it, and a strictly positive start, the first directed
+    return to the start section is located as an event on the accepted steps
+    (see ``estimate_period``) and the pass ends at
+    max(t_end, period_span * period); when no return occurs within the search
+    horizon 100/sqrt(a*c), it ends at max(t_end, that horizon) and ``period``
+    is None.
+    """
+    cfg = cfg or IntegratorConfig()
+    t_end = ivp.t_end if t_end is None else float(t_end)
+    if not t_end >= 0.0:
+        raise ValueError(f"t_end must be non-negative, got {t_end}")
+    p = ivp.params
+    x0, y0 = ivp.initial.x, ivp.initial.y
+    start, rhs, log_coords = _make_flow(p, x0, y0)
+    u, v = start
+    section = None
+    if period_span is not None and log_coords:
+        section = _start_section(p, x0, y0)
+    search_end = _PERIOD_SEARCH_FACTOR / math.sqrt(p.a * p.c)
+    horizon = t_end if section is None else max(t_end, search_end)
+
+    records = bytearray()
+    accepted = rejected = nonfinite = nfev = 0
+    period = None
+    if horizon > 0.0:
+        fu, fv = rhs(u, v)
+        nfev = 1
+        if not (math.isfinite(fu) and math.isfinite(fv)):
+            raise DivergenceError(f"vector field not finite at the initial state {(u, v)!r}")
+        if cfg.initial_step is not None:
+            h = cfg.initial_step
+        else:
+            h = _initial_step(rhs, u, v, fu, fv, horizon, cfg)
+            nfev += 1
+        h = min(h, cfg.max_step, horizon)
+        floor = _MIN_STEP_FRACTION * horizon
+        rtol, atol = cfg.rel_tol, cfg.abs_tol
+        searching = section is not None
+        if searching:
+            comp, level, direction = section
+            g_prev = 0.0
+        t = 0.0
+        err_prev = 1.0
+        rejected_nonfinite = False
+        for _ in range(_MAX_STEPS):
+            if t >= horizon:
+                break
+            clipped = horizon - t <= h
+            if clipped:
+                h = horizon - t
+            if h < floor:
+                if rejected_nonfinite:
+                    raise DivergenceError(f"state left the finite range near t={t!r} (blow-up)")
+                raise StepSizeUnderflowError(
+                    f"step size {h!r} fell below {floor!r} at t={t!r}; problem too stiff at this tolerance"
                 )
-            raise StepSizeUnderflowError(
-                f"step size {h!r} fell below {floor!r} at t={t!r}; problem too stiff at this tolerance"
+            # Overflow in a trial stage is an expected, handled outcome: the
+            # stage turns non-finite and the step is rejected below.
+            k2u, k2v = rhs(u + h * (_A21 * fu), v + h * (_A21 * fv))
+            k3u, k3v = rhs(u + h * (_A31 * fu + _A32 * k2u), v + h * (_A31 * fv + _A32 * k2v))
+            k4u, k4v = rhs(
+                u + h * (_A41 * fu + _A42 * k2u + _A43 * k3u),
+                v + h * (_A41 * fv + _A42 * k2v + _A43 * k3v),
             )
-        # Overflow in a trial stage is an expected, handled outcome (the step
-        # is rejected below), so evaluate the stages without numpy warnings.
-        with np.errstate(over="ignore", invalid="ignore"):
-            k[0] = f
-            for i in range(1, 6):
-                k[i] = rhs(y + h * (_A[i] @ k[:i]))
-            y1 = y + h * (_B @ k[:6])
-            k[6] = rhs(y1)
-        finite = bool(np.all(np.isfinite(y1)) and np.all(np.isfinite(k)))
-        if finite:
-            scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y1))
-            err_norm = _error_norm(h * (_E @ k), scale)
-        else:
-            err_norm = math.inf
-        if finite and err_norm <= 1.0:
-            t1 = horizon if clipped else t + h
-            yield _Step(t, t1, y, y1, h * (k.T @ _P))
-            safe = max(err_norm, 1e-10)
-            factor = _SAFETY * safe**-_ALPHA * err_prev**_BETA
-            err_prev = safe
-            t, y, f = t1, y1, k[6].copy()
-            rejected_nonfinite = False
-        else:
-            rejected_nonfinite = not finite
-            factor = _MIN_FACTOR if not finite else min(1.0, _SAFETY * err_norm**-_ALPHA)
-        h = min(h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor)), cfg.max_step)
-    raise StepSizeUnderflowError(f"step budget of {_MAX_STEPS} exceeded before t={horizon!r}")
+            k5u, k5v = rhs(
+                u + h * (_A51 * fu + _A52 * k2u + _A53 * k3u + _A54 * k4u),
+                v + h * (_A51 * fv + _A52 * k2v + _A53 * k3v + _A54 * k4v),
+            )
+            k6u, k6v = rhs(
+                u + h * (_A61 * fu + _A62 * k2u + _A63 * k3u + _A64 * k4u + _A65 * k5u),
+                v + h * (_A61 * fv + _A62 * k2v + _A63 * k3v + _A64 * k4v + _A65 * k5v),
+            )
+            u1 = u + h * (_B1 * fu + _B3 * k3u + _B4 * k4u + _B5 * k5u + _B6 * k6u)
+            v1 = v + h * (_B1 * fv + _B3 * k3v + _B4 * k4v + _B5 * k5v + _B6 * k6v)
+            k7u, k7v = rhs(u1, v1)
+            nfev += 6
+            values = (u1, v1, fu, fv, k2u, k2v, k3u, k3v, k4u, k4v, k5u, k5v, k6u, k6v, k7u, k7v)
+            # A sum of finite floats is finite unless it overflows, so the
+            # exact test runs only when the cheap one fails.
+            finite = math.isfinite(sum(values)) or all(map(math.isfinite, values))
+            if finite:
+                eu = h * (_E1 * fu + _E3 * k3u + _E4 * k4u + _E5 * k5u + _E6 * k6u + _E7 * k7u)
+                ev = h * (_E1 * fv + _E3 * k3v + _E4 * k4v + _E5 * k5v + _E6 * k6v + _E7 * k7v)
+                su = atol + rtol * max(abs(u), abs(u1))
+                sv = atol + rtol * max(abs(v), abs(v1))
+                err_norm = _rms(eu / su, ev / sv)
+            else:
+                err_norm = math.inf
+            if err_norm <= 1.0:
+                t1 = horizon if clipped else t + h
+                records += _STEP_RECORD.pack(t1, h, *values)
+                accepted += 1
+                if searching:
+                    g = direction * (_exp(v1 if comp == 1 else u1) - level)
+                    if g_prev < 0.0 <= g:
+                        searching = False
+                        qc = h * (np.array(values[2 + comp :: 2]) @ _P)
+                        root = _bisect_return((u, v)[comp], qc, t, t1, level, direction)
+                        if root <= search_end:
+                            period = root
+                            horizon = max(t_end, period_span * root)
+                    g_prev = g
+                    searching = searching and t1 < search_end
+                safe = max(err_norm, 1e-10)
+                factor = _SAFETY * safe**-_ALPHA * err_prev**_BETA
+                err_prev = safe
+                t, u, v, fu, fv = t1, u1, v1, k7u, k7v
+                rejected_nonfinite = False
+            else:
+                rejected += 1
+                nonfinite += not finite
+                rejected_nonfinite = not finite
+                factor = _MIN_FACTOR if not finite else min(1.0, _SAFETY * err_norm**-_ALPHA)
+            h = min(h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor)), cfg.max_step)
+        if t < horizon:
+            raise StepSizeUnderflowError(f"step budget of {_MAX_STEPS} exceeded before t={horizon!r}")
+
+    steps = np.frombuffer(records).reshape(-1, 18)
+    t_arr = np.concatenate(([0.0], steps[:, 0]))
+    w_arr = np.concatenate(([start], steps[:, 2:4]))
+    q_arr = steps[:, 1, None, None] * (steps[:, 4:].reshape(-1, 7, 2).transpose(0, 2, 1) @ _P)
+    if log_coords:
+        with np.errstate(over="ignore"):
+            states = np.exp(w_arr)
+    else:
+        states = w_arr.copy()
+    states[0] = (x0, y0)
+    stats = IntegratorStats(accepted, rejected, nonfinite, nfev)
+    return DenseSolution(t_arr, w_arr, q_arr, states, log_coords, period, stats)
 
 
 def integrate(
@@ -234,56 +397,19 @@ def integrate(
     """
     from .model import _conserved
 
-    cfg = cfg or IntegratorConfig()
-    p = ivp.params
-    y0_phys = np.array([ivp.initial.x, ivp.initial.y])
-    w0, rhs, to_phys = _make_flow(p, ivp.initial.x, ivp.initial.y)
     if t_grid is None:
-        grid = None
-        horizon = ivp.t_end
+        solution = solve(ivp, cfg)
+        traj = solution.sample(solution.t)
     else:
         grid = _validated_grid(t_grid)
         if grid[-1] > ivp.t_end:
             raise ValueError(f"grid ends at {grid[-1]} beyond t_end={ivp.t_end}")
-        horizon = float(grid[-1])
-    times, states = [], []
-    idx = 0
-    if grid is None:
-        times.append(0.0)
-        states.append(y0_phys)
-    else:
-        while idx < grid.size and grid[idx] == 0.0:
-            times.append(0.0)
-            states.append(y0_phys)
-            idx += 1
-    if horizon > 0.0 and (grid is None or idx < grid.size):
-        for step in _adaptive_steps(rhs, w0, horizon, cfg):
-            if grid is None:
-                times.append(step.t1)
-                states.append(to_phys(step.y1))
-                continue
-            while idx < grid.size and grid[idx] <= step.t1:
-                tg = float(grid[idx])
-                w = step.y1 if tg == step.t1 else step.interpolate(tg)
-                states.append(to_phys(w))
-                times.append(tg)
-                idx += 1
-            if idx == grid.size:
-                break
-        # Rounding can leave the last grid point a hair past the final step.
-        while grid is not None and idx < grid.size:
-            times.append(float(grid[idx]))
-            states.append(states[-1])
-            idx += 1
-    xs = np.array([s[0] for s in states])
-    ys = np.array([s[1] for s in states])
-    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
-        raise DivergenceError("a sampled state left the finite range (blow-up)")
-    residuals = None
+        traj = solve(ivp, cfg, t_end=float(grid[-1])).sample(grid)
     if with_residuals:
-        anchor = _conserved(p, xs[0], ys[0])
-        residuals = np.array([_conserved(p, x, y) - anchor for x, y in zip(xs, ys)])
-    return Trajectory(np.array(times), xs, ys, residuals)
+        anchor = _conserved(ivp.params, traj.x[0], traj.y[0])
+        residuals = [_conserved(ivp.params, x, y) - anchor for x, y in zip(traj.x, traj.y)]
+        traj = replace(traj, residuals=residuals)
+    return traj
 
 
 def estimate_period(ivp: InitialValueProblem, cfg: IntegratorConfig | None = None) -> float:
@@ -295,37 +421,20 @@ def estimate_period(ivp: InitialValueProblem, cfg: IntegratorConfig | None = Non
     is polished by bisection on the dense output to 1e-10 in time.  The search
     gives up past 100/sqrt(a*c), i.e. about sixteen linearised revolutions.
     """
-    cfg = cfg or IntegratorConfig()
-    p = ivp.params
     x0, y0 = ivp.initial.x, ivp.initial.y
     if x0 <= 0.0 or y0 <= 0.0:
         raise ValueError(f"period estimation needs a strictly positive state, got ({x0}, {y0})")
-    fx0, fy0 = _field(p, x0, y0)
-    if fx0 == 0.0 and fy0 == 0.0:
+    if _start_section(ivp.params, x0, y0) is None:
         raise PeriodNotFoundError(
             f"initial state ({x0}, {y0}) is an equilibrium; the orbit is degenerate"
         )
-    comp = 1 if fy0 != 0.0 else 0
-    level = y0 if comp == 1 else x0
-    direction = 1.0 if (fy0 if comp == 1 else fx0) > 0.0 else -1.0
-    horizon = _PERIOD_SEARCH_FACTOR / math.sqrt(p.a * p.c)
-    w0, rhs, to_phys = _make_flow(p, x0, y0)
-    g_prev = 0.0
-    for step in _adaptive_steps(rhs, w0, horizon, cfg):
-        g_new = direction * (to_phys(step.y1)[comp] - level)
-        if g_prev < 0.0 <= g_new:
-            lo, hi = step.t0, step.t1
-            while hi - lo > _PERIOD_BISECT_TOL:
-                mid = 0.5 * (lo + hi)
-                if direction * (to_phys(step.interpolate(mid))[comp] - level) >= 0.0:
-                    hi = mid
-                else:
-                    lo = mid
-            return 0.5 * (lo + hi)
-        g_prev = g_new
-    raise PeriodNotFoundError(
-        f"no return to the start section within t={horizon!r}; the orbit may not be closed"
-    )
+    period = solve(ivp, cfg, t_end=0.0, period_span=1.0).period
+    if period is None:
+        horizon = _PERIOD_SEARCH_FACTOR / math.sqrt(ivp.params.a * ivp.params.c)
+        raise PeriodNotFoundError(
+            f"no return to the start section within t={horizon!r}; the orbit may not be closed"
+        )
+    return period
 
 
 def closed_orbit_check(

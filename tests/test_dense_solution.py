@@ -1,0 +1,114 @@
+"""Dense solution of one reference pass: sampling, period event, work counters."""
+
+import importlib
+import math
+
+import numpy as np
+import pytest
+
+from lvdiag import (
+    InitialValueProblem,
+    IntegratorConfig,
+    MethodKind,
+    estimate_period,
+    failure_report,
+    preset,
+)
+from lvdiag.integrate import solve
+
+integrate_module = importlib.import_module("lvdiag.integrate")
+
+CASE_V = preset("case-V")
+CASE_I = preset("case-I")
+
+
+def _ivp(case, t_end):
+    return InitialValueProblem(case.params, case.initial, t_end)
+
+
+class _FlowSpy:
+    """Counts stepping passes (one flow per pass) and right-hand-side calls."""
+
+    def __init__(self, monkeypatch):
+        self.passes = 0
+        self.rhs_calls = 0
+        real = integrate_module._make_flow
+
+        def make_flow(p, x0, y0):
+            self.passes += 1
+            start, rhs, log_coords = real(p, x0, y0)
+
+            def counted(u, v):
+                self.rhs_calls += 1
+                return rhs(u, v)
+
+            return start, counted, log_coords
+
+        monkeypatch.setattr(integrate_module, "_make_flow", make_flow)
+
+
+def test_sampling_past_the_last_step_raises():
+    solution = solve(_ivp(CASE_V, 5.0))
+    assert solution.t[-1] == 5.0
+    assert len(solution.sample([0.0, 5.0])) == 2
+    with pytest.raises(ValueError, match="past the last step"):
+        solution.sample([0.0, math.nextafter(5.0, math.inf)])
+    with pytest.raises(ValueError, match="past the last step"):
+        solution.sample(np.linspace(0.0, 6.0, 7))
+
+
+def test_step_boundaries_sample_their_stored_states_bitwise():
+    solution = solve(_ivp(CASE_V, 10.0))
+    picks = np.arange(0, solution.t.size, 7)
+    traj = solution.sample(solution.t[picks])
+    assert np.array_equal(traj.x, solution.states[picks, 0])
+    assert np.array_equal(traj.y, solution.states[picks, 1])
+    assert (traj.x[0], traj.y[0]) == (3.0, 2.0)
+
+
+def test_period_event_sets_the_end_of_the_pass():
+    period = estimate_period(_ivp(CASE_V, 10.0))
+    short = solve(_ivp(CASE_V, 10.0), t_end=1.0, period_span=1.2)
+    assert short.period == period
+    assert short.t[-1] == 1.2 * period
+    long = solve(_ivp(CASE_V, 10.0), t_end=10.0, period_span=1.2)
+    assert long.period == period and long.t[-1] == 10.0
+
+
+def test_pass_without_a_return_ends_at_the_search_horizon():
+    solution = solve(_ivp(CASE_I, 10.0), period_span=1.2)
+    assert solution.period is None
+    assert solution.t[-1] == 100.0 / math.sqrt(CASE_I.params.a * CASE_I.params.c)
+    assert solve(_ivp(CASE_I, 10.0)).period is None
+
+
+@pytest.mark.parametrize(
+    "case, cfg, trial_evals",
+    [
+        (CASE_V, IntegratorConfig(), 1),
+        (CASE_I, IntegratorConfig(), 1),
+        # A first step far too long overflows a trial stage.
+        (CASE_I, IntegratorConfig(initial_step=50.0), 0),
+    ],
+)
+def test_rhs_evaluations_match_step_attempts(monkeypatch, case, cfg, trial_evals):
+    spy = _FlowSpy(monkeypatch)
+    stats = solve(_ivp(case, 10.0), cfg).stats
+    attempts = stats.accepted + stats.rejected
+    assert spy.rhs_calls == stats.rhs_evals == 1 + trial_evals + 6 * attempts
+    assert 0 <= stats.nonfinite_rejected <= stats.rejected
+    if cfg.initial_step is not None:
+        assert stats.nonfinite_rejected >= 1
+
+
+def test_stats_count_the_accepted_steps():
+    solution = solve(_ivp(CASE_V, 10.0))
+    assert solution.stats.accepted == solution.t.size - 1 == solution.q.shape[0]
+
+
+@pytest.mark.parametrize("case", [CASE_V, CASE_I], ids=["case-V", "case-I"])
+def test_failure_report_makes_one_stepping_pass(monkeypatch, case):
+    spy = _FlowSpy(monkeypatch)
+    report = failure_report(_ivp(case, 10.0), MethodKind.TAYLOR, 5)
+    assert spy.passes == 1
+    assert (report.period_estimate is None) == (case is CASE_I)
