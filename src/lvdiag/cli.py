@@ -19,7 +19,9 @@ import sys
 import numpy as np
 
 from .diagnostics import (
-    compare_with_reference,
+    _CLOSURE_GRID_POINTS,
+    _CLOSURE_WINDOW_FACTOR,
+    _compare_with_reference,
     conservation_drift,
     divergence_time,
     self_intersection,
@@ -52,8 +54,6 @@ _EQUIV_TOL_LOOSE = 1e-10
 _CONSERVATION_BOUND = 1e-8
 _DRIFT_RATIO_FLOOR = 1e3
 _CLOSURE_EPS = 1e-6
-# Closure grid length in periods; the one-period loop lies inside it.
-_CLOSURE_SPAN = 1.2
 
 _CUSTOM_FLAGS = ("a", "b", "c", "d", "x0", "y0")
 
@@ -179,7 +179,7 @@ def cmd_run(args) -> int:
     method = MethodKind(args.method)
     cfg = IntegratorConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
     ivp = InitialValueProblem(params, initial, t_end)
-    report, reference, approx = compare_with_reference(
+    report, reference, approx = _compare_with_reference(
         ivp, method, order, t_end=t_end, points=args.points, cfg=cfg, delta=args.delta
     )
 
@@ -236,11 +236,13 @@ def _check_conservation(results, cfg):
 def _check_closure(results, cfg):
     case = preset("case-V")
     ivp = InitialValueProblem(case.params, case.initial, case.default_t_end)
-    solution = solve(ivp, cfg, period_span=_CLOSURE_SPAN)
+    solution = solve(ivp, cfg, period_span=_CLOSURE_WINDOW_FACTOR)
     period = solution.period
     if period is None:
         raise PeriodNotFoundError("case-V: no return to the start section")
-    closure = solution.sample(np.linspace(0.0, _CLOSURE_SPAN * period, 2401))
+    closure = solution.sample(
+        np.linspace(0.0, _CLOSURE_WINDOW_FACTOR * period, _CLOSURE_GRID_POINTS)
+    )
     closed = closed_orbit_check(closure, ivp, _CLOSURE_EPS, period=period)
     results.append(
         ("case-V: reference orbit returns within 1e-6", closed, f"period {period:.9f}")

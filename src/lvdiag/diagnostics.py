@@ -188,10 +188,10 @@ def failure_report(
     both closure flags are False.  The reference is integrated once: the
     period is an event on its steps and both grids sample the same pass.
     """
-    return compare_with_reference(ivp, method, order, t_end, points, cfg, delta)[0]
+    return _compare_with_reference(ivp, method, order, t_end, points, cfg, delta)[0]
 
 
-def compare_with_reference(
+def _compare_with_reference(
     ivp: InitialValueProblem,
     method: MethodKind,
     order: int,

@@ -27,7 +27,7 @@ from lvdiag import (
     sample_series,
     vector_field,
 )
-from lvdiag.diagnostics import compare_with_reference
+from lvdiag.diagnostics import _compare_with_reference
 
 T_END = 10.0
 # Values of the report's private constants, restated so that the standalone
@@ -92,7 +92,7 @@ def test_reference_and_period_match_an_independent_dop853(ivp):
 @given(problems(), st.sampled_from(list(MethodKind)), st.integers(2, 12))
 def test_one_pass_report_agrees_with_standalone_passes(ivp, method, order):
     points = 401
-    report, reference, approx = compare_with_reference(ivp, method, order, points=points)
+    report, reference, approx = _compare_with_reference(ivp, method, order, points=points)
     grid = np.linspace(0.0, T_END, points)
     standalone = integrate(ivp, t_grid=grid)
     np.testing.assert_allclose(reference.x, standalone.x, rtol=1e-8)
