@@ -28,7 +28,6 @@ from .exceptions import (
 from .integrate import IntegratorConfig, closed_orbit_check, estimate_period, integrate
 from .methods import (
     AgreementReport,
-    IterateSequence,
     MethodKind,
     adomian_components,
     adomian_series,
@@ -72,7 +71,6 @@ __all__ = [
     "InitialValueProblem",
     "IntegrationError",
     "IntegratorConfig",
-    "IterateSequence",
     "MethodKind",
     "ModelParams",
     "NonFiniteError",

@@ -19,6 +19,7 @@ import sys
 import numpy as np
 
 from .diagnostics import (
+    _CLOSED_ORBIT_EPS,
     _CLOSURE_GRID_POINTS,
     _CLOSURE_WINDOW_FACTOR,
     _compare_with_reference,
@@ -53,7 +54,6 @@ _EQUIV_TOL = 1e-12
 _EQUIV_TOL_LOOSE = 1e-10
 _CONSERVATION_BOUND = 1e-8
 _DRIFT_RATIO_FLOOR = 1e3
-_CLOSURE_EPS = 1e-6
 
 _CUSTOM_FLAGS = ("a", "b", "c", "d", "x0", "y0")
 
@@ -114,8 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--b", type=float, help="predation rate (>= 0)")
     group.add_argument("--c", type=_positive_float, help="predator decay rate")
     group.add_argument("--d", type=float, help="conversion rate (>= 0)")
-    group.add_argument("--x0", type=float, help="initial prey population (>= 0)")
-    group.add_argument("--y0", type=float, help="initial predator population (>= 0)")
+    group.add_argument("--x0", type=_positive_float, help="initial prey population (> 0)")
+    group.add_argument("--y0", type=_positive_float, help="initial predator population (> 0)")
     cmd.add_argument(
         "--method",
         choices=[m.value for m in MethodKind],
@@ -243,7 +243,7 @@ def _check_closure(results, cfg):
     closure = solution.sample(
         np.linspace(0.0, _CLOSURE_WINDOW_FACTOR * period, _CLOSURE_GRID_POINTS)
     )
-    closed = closed_orbit_check(closure, ivp, _CLOSURE_EPS, period=period)
+    closed = closed_orbit_check(closure, ivp, _CLOSED_ORBIT_EPS, period=period)
     results.append(
         ("case-V: reference orbit returns within 1e-6", closed, f"period {period:.9f}")
     )

@@ -16,7 +16,7 @@ import numpy as np
 from .exceptions import PositivityError
 from .integrate import IntegratorConfig, closed_orbit_check, solve
 from .methods import MethodKind, method_series
-from .model import ModelParams
+from .model import ModelParams, _first_integral
 from .series import InitialValueProblem, sample_series
 from .trajectory import Trajectory
 
@@ -160,9 +160,7 @@ def conservation_drift(traj: Trajectory, p: ModelParams) -> float:
         raise PositivityError(
             f"first sample ({traj.x[0]}, {traj.y[0]}) must have positive populations"
         )
-    x = traj.x[positive]
-    y = traj.y[positive]
-    values = p.c * np.log(x) + p.a * np.log(y) - p.d * x - p.b * y
+    values = _first_integral(p, traj.x[positive], traj.y[positive])
     return float(np.max(np.abs(values - values[0])))
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -215,16 +215,20 @@ def _initial_step(rhs, u, v, fu, fv, horizon, cfg):
 def _start_section(p, x0, y0):
     """(component, level, direction) of the return section, None at an equilibrium.
 
-    The section is the line through the initial state normal to the faster
-    changing component (y when dy/dt is nonzero at t=0, x otherwise); a return
-    counts only when crossed in the same direction as at departure.
+    The section is the line through the (positive) initial state normal to
+    the faster changing component, judged by the rate of its logarithm: y when
+    |d*x0 - c| >= |a - b*y0|, x otherwise.  A start next to an extremum of the
+    slower component would otherwise leave a return excursion narrower than a
+    step.  A return counts only when crossed in the same direction as at
+    departure.
     """
-    fx0, fy0 = _field(p, x0, y0)
-    if fx0 == 0.0 and fy0 == 0.0:
+    rate_x = p.a - p.b * y0
+    rate_y = p.d * x0 - p.c
+    if rate_x == 0.0 and rate_y == 0.0:
         return None
-    if fy0 != 0.0:
-        return 1, y0, 1.0 if fy0 > 0.0 else -1.0
-    return 0, x0, 1.0 if fx0 > 0.0 else -1.0
+    if abs(rate_y) >= abs(rate_x):
+        return 1, y0, 1.0 if rate_y > 0.0 else -1.0
+    return 0, x0, 1.0 if rate_x > 0.0 else -1.0
 
 
 def _bisect_return(w0, qc, t0, t1, level, direction):
@@ -385,39 +389,28 @@ def integrate(
     ivp: InitialValueProblem,
     cfg: IntegratorConfig | None = None,
     t_grid=None,
-    with_residuals: bool = False,
 ) -> Trajectory:
     """Integrate the problem and sample it on ``t_grid``.
 
     The grid must be strictly increasing and contained in [0, ivp.t_end];
     samples strictly inside a step come from the dense-output interpolant.
     With ``t_grid=None`` the accepted step boundaries themselves are returned.
-    When ``with_residuals`` is set the trajectory carries the drift of the
-    conserved quantity per sample, which requires positive populations.
     """
-    from .model import _conserved
-
     if t_grid is None:
         solution = solve(ivp, cfg)
-        traj = solution.sample(solution.t)
-    else:
-        grid = _validated_grid(t_grid)
-        if grid[-1] > ivp.t_end:
-            raise ValueError(f"grid ends at {grid[-1]} beyond t_end={ivp.t_end}")
-        traj = solve(ivp, cfg, t_end=float(grid[-1])).sample(grid)
-    if with_residuals:
-        anchor = _conserved(ivp.params, traj.x[0], traj.y[0])
-        residuals = [_conserved(ivp.params, x, y) - anchor for x, y in zip(traj.x, traj.y)]
-        traj = replace(traj, residuals=residuals)
-    return traj
+        return solution.sample(solution.t)
+    grid = _validated_grid(t_grid)
+    if grid[-1] > ivp.t_end:
+        raise ValueError(f"grid ends at {grid[-1]} beyond t_end={ivp.t_end}")
+    return solve(ivp, cfg, t_end=float(grid[-1])).sample(grid)
 
 
 def estimate_period(ivp: InitialValueProblem, cfg: IntegratorConfig | None = None) -> float:
     """Orbit period from the first directed return to the start section.
 
-    The section is the line through the initial state normal to the faster
-    changing component (y when dy/dt is nonzero at t=0, x otherwise); a return
-    counts only when crossed in the same direction as at departure.  The root
+    The section is the line through the initial state normal to the component
+    whose logarithm changes faster at t=0 (y on ties); a return counts only
+    when crossed in the same direction as at departure.  The root
     is polished by bisection on the dense output to 1e-10 in time.  The search
     gives up past 100/sqrt(a*c), i.e. about sixteen linearised revolutions.
     """

@@ -1,10 +1,12 @@
 """Adomian decomposition, homotopy perturbation and variational iteration.
 
-Each scheme is built from its own recursion over exact polynomial arithmetic
-(coefficients lowest degree first, as in numpy.polynomial).  Applied to the
-prey-predator equations with the constant initial state as starting guess,
-all of them reproduce the Taylor coefficients of the true solution;
-``methods_agree`` quantifies that coefficient-level agreement.
+The schemes are built over exact polynomial arithmetic (coefficients lowest
+degree first, as in numpy.polynomial).  Adomian decomposition and homotopy
+perturbation reduce to one cascade, coded once; variational iteration has its
+own recursion.  Applied to the prey-predator equations with the constant
+initial state as starting guess, all of them reproduce the Taylor
+coefficients of the true solution; ``methods_agree`` quantifies that
+coefficient-level agreement.
 """
 
 from __future__ import annotations
@@ -27,14 +29,6 @@ class MethodKind(enum.Enum):
     ADOMIAN = "adomian"
     HPM = "hpm"
     VIM = "vim"
-
-
-@dataclass(frozen=True)
-class IterateSequence:
-    """Successive polynomial approximant pairs produced by one scheme."""
-
-    method: MethodKind
-    iterates: tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
 def _check_order(order, name="order"):
@@ -68,13 +62,26 @@ def _adomian_polynomial(u, v, n):
 
 
 def adomian_components(ivp: InitialValueProblem, order: int):
-    """Decomposition components (u_n, v_n) for n = 0..order.
+    """Decomposition components (u_n, v_n) for n = 0..order; also the HPM terms.
 
-    u_0, v_0 are the initial populations and the update integrates the linear
-    part plus the Adomian polynomial of the coupling term:
+    Adomian decomposition: u_0, v_0 are the initial populations and each
+    update integrates the linear part plus the Adomian polynomial A_n of the
+    coupling term x*y:
 
         u_{n+1}(t) = integral_0^t (a*u_n - b*A_n) ds
         v_{n+1}(t) = integral_0^t (-c*v_n + d*A_n) ds
+
+    Homotopy perturbation: the deformation dx/dt = q*x*(a - b*y),
+    dy/dt = -q*y*(c - d*x) with embedding parameter q and constant starting
+    guess turns, after expanding both components in powers of q and
+    collecting like powers, into the cascade
+
+        x_n' =  a*x_{n-1} - b * sum_{k=0..n-1} x_k * y_{n-1-k},   x_n(0) = 0
+        y_n' = -c*y_{n-1} + d * sum_{k=0..n-1} x_k * y_{n-1-k},   y_n(0) = 0
+
+    for n >= 1, and setting q = 1 recovers the approximant.  For the bilinear
+    coupling A_n is exactly that Cauchy sum, so the two schemes build the same
+    polynomials term by term; ``hpm_terms`` is this function.
     """
     order = _check_order(order)
     p = ivp.params
@@ -88,7 +95,10 @@ def adomian_components(ivp: InitialValueProblem, order: int):
 
 
 def adomian_series(ivp: InitialValueProblem, order: int) -> SeriesSolution:
-    """Sum of the decomposition components, re-expressed as one polynomial pair."""
+    """Sum of the decomposition components, re-expressed as one polynomial pair.
+
+    This is also the homotopy approximant at q = 1 (``hpm_series``).
+    """
     components = adomian_components(ivp, order)
     x = np.zeros(order + 1)
     y = np.zeros(order + 1)
@@ -98,44 +108,12 @@ def adomian_series(ivp: InitialValueProblem, order: int) -> SeriesSolution:
     return SeriesSolution(order, x, y)
 
 
-def hpm_terms(ivp: InitialValueProblem, order: int):
-    """Homotopy expansion terms (x_n, y_n) for n = 0..order.
-
-    The deformation dx/dt = q*x*(a - b*y), dy/dt = -q*y*(c - d*x) with
-    embedding parameter q and constant starting guess turns, after expanding
-    both components in powers of q and collecting like powers, into the
-    cascade
-
-        x_n' =  a*x_{n-1} - b * sum_{k=0..n-1} x_k * y_{n-1-k},   x_n(0) = 0
-        y_n' = -c*y_{n-1} + d * sum_{k=0..n-1} x_k * y_{n-1-k},   y_n(0) = 0
-
-    for n >= 1; setting q = 1 recovers the approximant.
-    """
-    order = _check_order(order)
-    p = ivp.params
-    x_terms = [np.array([ivp.initial.x])]
-    y_terms = [np.array([ivp.initial.y])]
-    for n in range(1, order + 1):
-        coupling = np.zeros(1)
-        for k in range(n):
-            coupling = npoly.polyadd(coupling, npoly.polymul(x_terms[k], y_terms[n - 1 - k]))
-        x_terms.append(npoly.polyint(npoly.polysub(p.a * x_terms[n - 1], p.b * coupling)))
-        y_terms.append(npoly.polyint(npoly.polyadd(-p.c * y_terms[n - 1], p.d * coupling)))
-    return list(zip(x_terms, y_terms))
+# Homotopy perturbation builds the decomposition's cascade (see above).
+hpm_terms = adomian_components
+hpm_series = adomian_series
 
 
-def hpm_series(ivp: InitialValueProblem, order: int) -> SeriesSolution:
-    """Homotopy approximant at q = 1, summed into one polynomial pair."""
-    terms = hpm_terms(ivp, order)
-    x = np.zeros(order + 1)
-    y = np.zeros(order + 1)
-    for x_n, y_n in terms:
-        x[: x_n.size] += x_n
-        y[: y_n.size] += y_n
-    return SeriesSolution(order, x, y)
-
-
-def vim_iterates(ivp: InitialValueProblem, iterations: int) -> IterateSequence:
+def vim_iterates(ivp: InitialValueProblem, iterations: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Variational iterates with Lagrange multiplier -1.
 
     The correction functional
@@ -143,9 +121,10 @@ def vim_iterates(ivp: InitialValueProblem, iterations: int) -> IterateSequence:
         x_{k+1}(t) = x_k(t) - integral_0^t [x_k'(s) - x_k(s)*(a - b*y_k(s))] ds
         y_{k+1}(t) = y_k(t) - integral_0^t [y_k'(s) + y_k(s)*(c - d*x_k(s))] ds
 
-    is evaluated exactly on polynomials.  Iterate k agrees with the solution
-    series through order k; the polynomial itself is truncated to degree
-    min(2k, 64) to keep the doubling of degrees bounded.
+    is evaluated exactly on polynomials; the result lists the (x, y) pairs of
+    iterates 0..iterations.  Iterate k agrees with the solution series through
+    order k; the polynomial itself is truncated to degree min(2k, 64) to keep
+    the doubling of degrees bounded.
     """
     iterations = _check_order(iterations, "iterations")
     p = ivp.params
@@ -160,7 +139,7 @@ def vim_iterates(ivp: InitialValueProblem, iterations: int) -> IterateSequence:
         xp = _truncated(npoly.polysub(xp, npoly.polyint(residual_x)), cap)
         yp = _truncated(npoly.polysub(yp, npoly.polyint(residual_y)), cap)
         iterates.append((xp, yp))
-    return IterateSequence(MethodKind.VIM, tuple(iterates))
+    return iterates
 
 
 @dataclass(frozen=True)
@@ -194,12 +173,16 @@ def methods_agree(ivp: InitialValueProblem, order: int) -> AgreementReport:
     The deviation metric per coefficient is |candidate - taylor| / (1 + |taylor|);
     the variational iterate number ``order`` is truncated to that order before
     comparing, since that is as far as it is guaranteed to agree.
+
+    Adomian decomposition and homotopy perturbation share one cascade, so
+    their cascade is built once and ``adomian`` equals ``hpm``: comparing them
+    is not an independent check.  The variational iterates and the Taylor
+    recurrence are computed independently.
     """
     order = _check_order(order)
     reference = taylor_coefficients(ivp, order)
-    adomian = _max_relative_deviation(adomian_series(ivp, order), reference, order)
-    hpm = _max_relative_deviation(hpm_series(ivp, order), reference, order)
-    xp, yp = vim_iterates(ivp, order).iterates[-1]
+    adomian = hpm = _max_relative_deviation(adomian_series(ivp, order), reference, order)
+    xp, yp = vim_iterates(ivp, order)[-1]
     vim_solution = SeriesSolution(order, _padded(xp, order + 1), _padded(yp, order + 1))
     vim = _max_relative_deviation(vim_solution, reference, order)
     return AgreementReport(order, adomian, hpm, vim)
@@ -213,12 +196,10 @@ def method_series(ivp: InitialValueProblem, method: MethodKind, order: int) -> S
     """
     if method is MethodKind.TAYLOR:
         return taylor_coefficients(ivp, order)
-    if method is MethodKind.ADOMIAN:
+    if method in (MethodKind.ADOMIAN, MethodKind.HPM):
         return adomian_series(ivp, order)
-    if method is MethodKind.HPM:
-        return hpm_series(ivp, order)
     if method is MethodKind.VIM:
-        xp, yp = vim_iterates(ivp, order).iterates[-1]
+        xp, yp = vim_iterates(ivp, order)[-1]
         degree = max(xp.size, yp.size) - 1
         return SeriesSolution(degree, _padded(xp, degree + 1), _padded(yp, degree + 1))
     raise ValueError(f"unknown method {method!r}")

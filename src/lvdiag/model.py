@@ -156,13 +156,13 @@ def fixed_points(p: ModelParams) -> tuple[FixedPointReport, ...]:
     return tuple(reports)
 
 
-def _conserved(p, x, y):
-    """First integral on raw floats; positivity checked here."""
-    if x <= 0.0 or y <= 0.0:
-        raise PositivityError(
-            f"conserved quantity needs positive populations, got ({x}, {y})"
-        )
-    return p.c * math.log(x) + p.a * math.log(y) - p.d * x - p.b * y
+def _first_integral(p, x, y):
+    """C = c*ln(x) + a*ln(y) - d*x - b*y on floats or arrays, with no domain check.
+
+    The one evaluation of the invariant: the scalar functions below, the drift
+    diagnostic and the report tables all call it, so they agree bit for bit.
+    """
+    return p.c * np.log(x) + p.a * np.log(y) - p.d * x - p.b * y
 
 
 def conserved_quantity(p: ModelParams, s: PopulationState) -> float:
@@ -171,9 +171,13 @@ def conserved_quantity(p: ModelParams, s: PopulationState) -> float:
     The logarithms are kept as a sum rather than ln(x**c * y**a) so that large
     populations do not overflow the power.  Requires x > 0 and y > 0.
     """
-    return _conserved(p, s.x, s.y)
+    if s.x <= 0.0 or s.y <= 0.0:
+        raise PositivityError(
+            f"conserved quantity needs positive populations, got ({s.x}, {s.y})"
+        )
+    return float(_first_integral(p, s.x, s.y))
 
 
 def invariant_residual(p: ModelParams, s: PopulationState, s0: PopulationState) -> float:
     """Drift of the first integral at s relative to the anchor state s0."""
-    return _conserved(p, s.x, s.y) - _conserved(p, s0.x, s0.y)
+    return conserved_quantity(p, s) - conserved_quantity(p, s0)

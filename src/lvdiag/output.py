@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
 from .diagnostics import DiagnosticsReport, SegmentCrossing
-from .model import ModelParams
+from .model import ModelParams, _first_integral
 from .trajectory import Trajectory
 
 TIMESERIES_HEADER = "t,x_ref,y_ref,x_approx,y_approx,C_ref,C_approx"
@@ -23,44 +24,38 @@ def format_float(value: float) -> str:
     return "%.17g" % float(value)
 
 
-def _invariant_cell(p: ModelParams, x: float, y: float) -> str:
-    if x <= 0.0 or y <= 0.0:
-        return ""
-    return format_float(p.c * np.log(x) + p.a * np.log(y) - p.d * x - p.b * y)
+def _invariant_column(p: ModelParams, traj: Trajectory) -> np.ndarray:
+    """C per sample, NaN where a population is non-positive (outside its domain)."""
+    positive = (traj.x > 0.0) & (traj.y > 0.0)
+    values = np.full(len(traj), np.nan)
+    values[positive] = _first_integral(p, traj.x[positive], traj.y[positive])
+    return values
+
+
+def _write_csv(path, header: str, columns) -> None:
+    """Write equal-length float columns as CSV rows; NaN cells are left empty."""
+    lines = [header]
+    for row in zip(*(column.tolist() for column in columns)):
+        lines.append(",".join("" if math.isnan(v) else format_float(v) for v in row))
+    with open(path, "w", newline="\n") as handle:
+        handle.write("\n".join(lines) + "\n")
 
 
 def write_timeseries_csv(path, reference: Trajectory, approx: Trajectory, p: ModelParams) -> None:
-    lines = [TIMESERIES_HEADER]
-    for i in range(len(reference)):
-        cells = [
-            format_float(reference.t[i]),
-            format_float(reference.x[i]),
-            format_float(reference.y[i]),
-            format_float(approx.x[i]),
-            format_float(approx.y[i]),
-            _invariant_cell(p, reference.x[i], reference.y[i]),
-            _invariant_cell(p, approx.x[i], approx.y[i]),
-        ]
-        lines.append(",".join(cells))
-    with open(path, "w", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+    columns = (
+        reference.t,
+        reference.x,
+        reference.y,
+        approx.x,
+        approx.y,
+        _invariant_column(p, reference),
+        _invariant_column(p, approx),
+    )
+    _write_csv(path, TIMESERIES_HEADER, columns)
 
 
 def write_phase_csv(path, reference: Trajectory, approx: Trajectory) -> None:
-    lines = [PHASE_HEADER]
-    for i in range(len(reference)):
-        lines.append(
-            ",".join(
-                (
-                    format_float(reference.x[i]),
-                    format_float(reference.y[i]),
-                    format_float(approx.x[i]),
-                    format_float(approx.y[i]),
-                )
-            )
-        )
-    with open(path, "w", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+    _write_csv(path, PHASE_HEADER, (reference.x, reference.y, approx.x, approx.y))
 
 
 def report_payload(label: str, t_end: float, report: DiagnosticsReport) -> dict:

@@ -11,29 +11,20 @@ from .exceptions import NonFiniteError
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Samples (t, x, y) of a planar curve on a strictly increasing time grid.
-
-    ``residuals`` optionally carries the per-sample drift of the conserved
-    quantity relative to the first sample.
-    """
+    """Samples (t, x, y) of a planar curve on a strictly increasing time grid."""
 
     t: np.ndarray
     x: np.ndarray
     y: np.ndarray
-    residuals: np.ndarray | None = None
 
     def __post_init__(self):
         for name in ("t", "x", "y"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        if self.residuals is not None:
-            object.__setattr__(self, "residuals", np.asarray(self.residuals, dtype=float))
         n = self.t.size
         if n == 0:
             raise ValueError("trajectory needs at least one sample")
         if self.x.shape != (n,) or self.y.shape != (n,):
             raise ValueError("t, x and y must be 1-d arrays of equal length")
-        if self.residuals is not None and self.residuals.shape != (n,):
-            raise ValueError("residuals must match the sample count")
         if n > 1 and not np.all(np.diff(self.t) > 0.0):
             raise ValueError("sample times must be strictly increasing")
         for name in ("t", "x", "y"):

@@ -81,7 +81,7 @@ def test_criterion_2_method_equivalence_orders_1_to_20():
             if agreement.worst() > tol:
                 ok = False
             # The variational iterate must agree through its iteration order.
-            xk, yk = vim_iterates(ivp, order).iterates[-1]
+            xk, yk = vim_iterates(ivp, order)[-1]
             tay = taylor_coefficients(ivp, order)
             gap = max(
                 float(np.max(np.abs(xk[: order + 1] - tay.x_coeffs))),

@@ -140,6 +140,9 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert "missing" in capsys.readouterr().err
     assert _run(tmp_path, "--preset", "case-V", "--order", "-1") == 2
     assert "--order" in capsys.readouterr().err
+    custom = ("--a", "1", "--b", "1", "--c", "1", "--d", "1", "--y0", "2")
+    assert _run(tmp_path, *custom, "--x0", "0") == 2
+    assert "--x0" in capsys.readouterr().err
     assert main(["run"]) == 2
 
 

@@ -1,4 +1,5 @@
-"""Property tests over drawn problems: reference accuracy and one-pass consistency.
+"""Property tests over drawn problems: reference accuracy, one-pass consistency
+and the model's scaling symmetry.
 
 Problems are drawn like the benchmark's sweep: rates in [1/2, 2] and a start
 at 1/3 to 3 times the interior equilibrium in each coordinate.  Runs are
@@ -25,6 +26,7 @@ from lvdiag import (
     integrate,
     method_series,
     sample_series,
+    taylor_coefficients,
     vector_field,
 )
 from lvdiag.diagnostics import _compare_with_reference
@@ -74,11 +76,12 @@ def test_reference_and_period_match_an_independent_dop853(ivp):
     np.testing.assert_allclose(mine.x, np.exp(oracle.y[0]), rtol=1e-8)
     np.testing.assert_allclose(mine.y, np.exp(oracle.y[1]), rtol=1e-8)
     if period is not None:
-        # The oracle crosses the start section at the period, in the direction
-        # of departure: the section is the line through the start normal to
-        # the faster changing component.  The crossing is checked to 1e-8 in
-        # time or to the 1e-8 relative state agreement above, whichever is
-        # looser: small orbits cross slowly.
+        # At the period the oracle is back at the start, so it crosses any
+        # line through the start in the direction of departure; the one
+        # checked is normal to y (x when dy/dt vanishes), whichever section
+        # the search itself used.  The crossing is checked to 1e-8 in time or
+        # to the 1e-8 relative state agreement above, whichever is looser:
+        # small orbits cross slowly.
         fx0, fy0 = vector_field(p, ivp.initial)
         comp, level, departure = (1, y0, fy0) if fy0 != 0.0 else (0, x0, fx0)
         w = oracle.sol(period)
@@ -100,8 +103,7 @@ def test_one_pass_report_agrees_with_standalone_passes(ivp, method, order):
     assert report.divergence_time == divergence_time(approx, standalone)
 
     if report.period_estimate is None:
-        # A start next to an extremum of the section component can leave the
-        # return excursion narrower than a step; both searches then miss it.
+        # When the search finds no return, the standalone search misses it too.
         with pytest.raises(PeriodNotFoundError):
             estimate_period(ivp)
         assert not (report.closed_orbit_ref or report.closed_orbit)
@@ -117,3 +119,27 @@ def test_one_pass_report_agrees_with_standalone_passes(ivp, method, order):
     series = sample_series(method_series(ivp, method, order), closure_grid)
     closed_approx = closed_orbit_check(series, ivp, CLOSED_EPS, period=period)
     assert (report.closed_orbit_ref, report.closed_orbit) == (closed_ref, closed_approx)
+
+
+@PROPERTY_SETTINGS
+@given(problems())
+def test_taylor_coefficients_obey_the_scaling_symmetry(ivp):
+    """x = (c/d)*u, y = (a/b)*v, tau = a*t maps the model onto
+    u' = u*(1 - v), v' = -(c/a)*v*(1 - u), so X_n = (c/d)*a**n*U_n and
+    Y_n = (a/b)*a**n*V_n."""
+    order = 20
+    p = ivp.params
+    k = p.c / p.a
+    scaled = InitialValueProblem(
+        ModelParams(1.0, 1.0, k, k),
+        PopulationState(p.d * ivp.initial.x / p.c, p.b * ivp.initial.y / p.a),
+        T_END,
+    )
+    mine = taylor_coefficients(ivp, order)
+    unit = taylor_coefficients(scaled, order)
+    powers = p.a ** np.arange(order + 1)
+    for coeffs, expected in (
+        (mine.x_coeffs, (p.c / p.d) * powers * unit.x_coeffs),
+        (mine.y_coeffs, (p.a / p.b) * powers * unit.y_coeffs),
+    ):
+        assert np.max(np.abs(coeffs - expected) / (1.0 + np.abs(coeffs))) <= 1e-11
