@@ -218,12 +218,10 @@ def _check_equivalence(results):
         )
 
 
-def _check_conservation(results, cfg):
+def _check_conservation(results, passes):
     for name, horizon in (("case-I", 10.0), ("case-V", 50.0)):
-        case = preset(name)
-        window = InitialValueProblem(case.params, case.initial, horizon)
-        traj = integrate(window, cfg, np.linspace(0.0, horizon, 5001))
-        drift = conservation_drift(traj, case.params)
+        traj = passes[name].sample(np.linspace(0.0, horizon, 5001))
+        drift = conservation_drift(traj, preset(name).params)
         results.append(
             (
                 f"{name}: reference invariant drift on [0, {horizon:g}] below {_CONSERVATION_BOUND:g}",
@@ -233,10 +231,9 @@ def _check_conservation(results, cfg):
         )
 
 
-def _check_closure(results, cfg):
+def _check_closure(results, solution):
     case = preset("case-V")
     ivp = InitialValueProblem(case.params, case.initial, case.default_t_end)
-    solution = solve(ivp, cfg, period_span=_CLOSURE_WINDOW_FACTOR)
     period = solution.period
     if period is None:
         raise PeriodNotFoundError("case-V: no return to the start section")
@@ -257,12 +254,12 @@ def _check_closure(results, cfg):
     )
 
 
-def _check_divergence(results, cfg, orders):
+def _check_divergence(results, passes, orders):
     for name in ("case-I", "case-V"):
         case = preset(name)
         window = InitialValueProblem(case.params, case.initial, 10.0)
         grid = np.linspace(0.0, 10.0, 2001)
-        reference = integrate(window, cfg, grid)
+        reference = passes[name].sample(grid)
         ok = True
         details = []
         for order in orders:
@@ -312,11 +309,20 @@ def _check_self_crossing(results, cfg):
 def verification_results(orders=_DEFAULT_SWEEP):
     """All verification checks as (name, passed, detail) triples."""
     cfg = IntegratorConfig()
+    case_i, case_v = preset("case-I"), preset("case-V")
+    # One pass per preset serves its drift, closure and divergence checks:
+    # case-I's over [0, 10], case-V's over [0, 50] and on past 1.2 periods.
+    passes = {
+        "case-I": solve(InitialValueProblem(case_i.params, case_i.initial, 10.0), cfg),
+        "case-V": solve(
+            InitialValueProblem(case_v.params, case_v.initial, 10.0), cfg, t_end=50.0, period_span=_CLOSURE_WINDOW_FACTOR
+        ),
+    }
     results = []
     _check_equivalence(results)
-    _check_conservation(results, cfg)
-    _check_closure(results, cfg)
-    _check_divergence(results, cfg, orders)
+    _check_conservation(results, passes)
+    _check_closure(results, passes["case-V"])
+    _check_divergence(results, passes, orders)
     _check_self_crossing(results, cfg)
     return results
 

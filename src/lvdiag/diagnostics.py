@@ -27,6 +27,8 @@ _CLOSURE_REL_TOL = 1e-6
 _CLOSED_ORBIT_EPS = 1e-6
 _CLOSURE_WINDOW_FACTOR = 1.2
 _CLOSURE_GRID_POINTS = 2401
+# Block cap on segment pairs per scan step; bounds the scan's temporaries.
+_BLOCK_PAIRS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -73,78 +75,74 @@ def divergence_time(approx: Trajectory, reference: Trajectory, delta: float = 1.
     return float(approx.t[exceeded[0]])
 
 
-def _first_crossing_against(ax, ay, bx, by, i, js):
-    """Smallest j in js whose segment crosses segment i; returns (j, point) or None.
+def _straddles(ax, ay, bx, by, dx, dy, i, j):
+    """Whether segment j's endpoints lie on opposite sides of segment i's line, or on it.
 
-    Collinear overlap counts as a degenerate crossing; zero-length segments
-    cannot cross anything.
+    A side is the sign of the turn (p - a_i) x (b_i - a_i); a turn that
+    overflows reads as no crossing.
     """
-    rx = bx[i] - ax[i]
-    ry = by[i] - ay[i]
-    if rx == 0.0 and ry == 0.0:
-        return None
-    sx = bx[js] - ax[js]
-    sy = by[js] - ay[js]
-    qpx = ax[js] - ax[i]
-    qpy = ay[js] - ay[i]
-    denom = rx * sy - ry * sx
-    t_num = qpx * sy - qpy * sx
-    u_num = qpx * ry - qpy * rx
-    best_j = None
-    best_t = 0.0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        t = t_num / denom
-        u = u_num / denom
-    transversal = (denom != 0.0) & (t >= 0.0) & (t <= 1.0) & (u >= 0.0) & (u <= 1.0)
-    hits = np.nonzero(transversal)[0]
-    if hits.size:
-        best_j = int(js[hits[0]])
-        best_t = float(t[hits[0]])
-    collinear = np.nonzero((denom == 0.0) & (u_num == 0.0) & (sx * sx + sy * sy > 0.0))[0]
-    rr = rx * rx + ry * ry
-    for idx in collinear:
-        j = int(js[idx])
-        if best_j is not None and j >= best_j:
-            break
-        t0 = (qpx[idx] * rx + qpy[idx] * ry) / rr
-        t1 = t0 + (sx[idx] * rx + sy[idx] * ry) / rr
-        lo, hi = (t0, t1) if t0 <= t1 else (t1, t0)
-        if hi >= 0.0 and lo <= 1.0:
-            best_j = j
-            best_t = max(0.0, lo)
-            break
-    if best_j is None:
-        return None
-    return best_j, (float(ax[i] + best_t * rx), float(ay[i] + best_t * ry))
+    ta = (ax[j] - ax[i]) * dy[i] - (ay[j] - ay[i]) * dx[i]
+    tb = (bx[j] - ax[i]) * dy[i] - (by[j] - ay[i]) * dx[i]
+    return np.isfinite(ta) & np.isfinite(tb) & (np.sign(ta) * np.sign(tb) <= 0.0)
+
+
+def _crossing_point(ax, ay, dx, dy, i, j):
+    """Where segment j meets segment i, as a point of segment i.
+
+    A transversal pair meets at t = t_num/denom along i, a collinear pair at
+    the start of their overlap.
+    """
+    qpx, qpy = ax[j] - ax[i], ay[j] - ay[i]
+    denom = dx[i] * dy[j] - dy[i] * dx[j]
+    if denom != 0.0:
+        t = (qpx * dy[j] - qpy * dx[j]) / denom
+    else:
+        rr = dx[i] * dx[i] + dy[i] * dy[i]
+        t0 = (qpx * dx[i] + qpy * dy[i]) / rr
+        t = max(0.0, min(t0, t0 + (dx[j] * dx[i] + dy[j] * dy[i]) / rr))
+    return float(ax[i] + t * dx[i]), float(ay[i] + t * dy[i])
 
 
 def self_intersection(traj: Trajectory) -> SegmentCrossing | None:
     """First self-crossing of the phase polyline, scanning pairs lexicographically.
 
-    Consecutive segments are skipped, and so is the (first, last) pair when
-    the polyline closes on itself, so a simple closed orbit sampled over one
-    period does not read as self-crossing.
+    Two closed segments meet when their bounding boxes overlap and each has
+    the other's endpoints on opposite sides of its line, or on it (Cormen et
+    al., SEGMENTS-INTERSECT): collinear overlap counts, and a zero-length
+    segment meets nothing.  Consecutive segments are skipped, and so is the
+    (first, last) pair when the polyline closes on itself, so a simple closed
+    orbit sampled over one period does not read as self-crossing.
     """
     n = len(traj)
     if n < 4:
         raise ValueError(f"self-intersection needs at least 4 samples, got {n}")
     x, y = traj.x, traj.y
-    ax, ay = x[:-1], y[:-1]
-    bx, by = x[1:], y[1:]
+    ax, ay, bx, by = x[:-1], y[:-1], x[1:], y[1:]
+    dx, dy = bx - ax, by - ay
+    lox, hix, loy, hiy = np.minimum(ax, bx), np.maximum(ax, bx), np.minimum(ay, by), np.maximum(ay, by)
+    has_length = (dx != 0.0) | (dy != 0.0)
     segments = n - 1
     diag = math.hypot(float(np.ptp(x)), float(np.ptp(y)))
     closure_gap = math.hypot(float(x[-1] - x[0]), float(y[-1] - y[0]))
     closed = closure_gap <= _CLOSURE_REL_TOL * diag
-    for i in range(segments - 2):
-        js = np.arange(i + 2, segments)
-        if i == 0 and closed:
-            js = js[:-1]
-        if js.size == 0:
-            continue
-        hit = _first_crossing_against(ax, ay, bx, by, i, js)
-        if hit is not None:
-            j, point = hit
-            return SegmentCrossing(i, j, point)
+    rows = max(1, _BLOCK_PAIRS // segments)
+    for start in range(0, segments - 2, rows):
+        i = np.arange(start, min(start + rows, segments - 2))[:, None]
+        j = np.arange(start + 2, segments)
+        mask = (j >= i + 2) & has_length[i] & has_length[j] & (lox[i] <= hix[j]) & (lox[j] <= hix[i])
+        mask &= (loy[i] <= hiy[j]) & (loy[j] <= hiy[i])
+        if start == 0 and closed:
+            mask[0, -1] = False
+        ci, cj = np.nonzero(mask)
+        ci += start
+        cj += start + 2
+        with np.errstate(over="ignore", invalid="ignore"):
+            hits = np.flatnonzero(
+                _straddles(ax, ay, bx, by, dx, dy, ci, cj) & _straddles(ax, ay, bx, by, dx, dy, cj, ci)
+            )
+        if hits.size:
+            first_i, first_j = int(ci[hits[0]]), int(cj[hits[0]])
+            return SegmentCrossing(first_i, first_j, _crossing_point(ax, ay, dx, dy, first_i, first_j))
     return None
 
 

@@ -89,18 +89,12 @@ _PERIOD_BISECT_TOL = 1e-10
 class IntegratorConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_step: float = math.inf
-    initial_step: float | None = None
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol < 1.0) or not (0.0 < self.abs_tol < 1.0):
             raise ValueError(
                 f"tolerances must lie in (0, 1), got rel_tol={self.rel_tol}, abs_tol={self.abs_tol}"
             )
-        if not self.max_step > 0.0:
-            raise ValueError(f"max_step must be positive, got {self.max_step}")
-        if self.initial_step is not None and not 0.0 < self.initial_step < math.inf:
-            raise ValueError(f"initial_step must be positive and finite, got {self.initial_step}")
 
 
 @dataclass(frozen=True)
@@ -209,7 +203,7 @@ def _initial_step(rhs, u, v, fu, fv, horizon, cfg):
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100.0 * h0, h1, horizon, cfg.max_step)
+    return min(100.0 * h0, h1, horizon)
 
 
 def _start_section(p, x0, y0):
@@ -283,12 +277,8 @@ def solve(
         nfev = 1
         if not (math.isfinite(fu) and math.isfinite(fv)):
             raise DivergenceError(f"vector field not finite at the initial state {(u, v)!r}")
-        if cfg.initial_step is not None:
-            h = cfg.initial_step
-        else:
-            h = _initial_step(rhs, u, v, fu, fv, horizon, cfg)
-            nfev += 1
-        h = min(h, cfg.max_step, horizon)
+        h = _initial_step(rhs, u, v, fu, fv, horizon, cfg)
+        nfev += 1
         floor = _MIN_STEP_FRACTION * horizon
         rtol, atol = cfg.rel_tol, cfg.abs_tol
         searching = section is not None
@@ -367,7 +357,7 @@ def solve(
                 nonfinite += not finite
                 rejected_nonfinite = not finite
                 factor = _MIN_FACTOR if not finite else min(1.0, _SAFETY * err_norm**-_ALPHA)
-            h = min(h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor)), cfg.max_step)
+            h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
         if t < horizon:
             raise StepSizeUnderflowError(f"step budget of {_MAX_STEPS} exceeded before t={horizon!r}")
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .series import InitialValueProblem, SeriesSolution, taylor_coefficients
+from .series import InitialValueProblem, SeriesSolution, _check_order, taylor_coefficients
 
 # A variational iterate is only trustworthy through its iteration order, so
 # its polynomial is capped at twice that and never beyond this degree.
@@ -29,12 +29,6 @@ class MethodKind(enum.Enum):
     ADOMIAN = "adomian"
     HPM = "hpm"
     VIM = "vim"
-
-
-def _check_order(order, name="order"):
-    if order != int(order) or order < 0:
-        raise ValueError(f"{name} must be a non-negative integer, got {order!r}")
-    return int(order)
 
 
 def _padded(coeffs, length):
@@ -155,16 +149,11 @@ class AgreementReport:
         return max(self.adomian, self.hpm, self.vim)
 
 
-def _max_relative_deviation(candidate: SeriesSolution, reference: SeriesSolution, order: int) -> float:
-    worst = 0.0
-    for cand, ref in (
-        (candidate.x_coeffs, reference.x_coeffs),
-        (candidate.y_coeffs, reference.y_coeffs),
-    ):
-        cand = _padded(cand, order + 1)
-        for n in range(order + 1):
-            worst = max(worst, abs(cand[n] - ref[n]) / (1.0 + abs(ref[n])))
-    return worst
+def _max_relative_deviation(candidate: SeriesSolution, reference: SeriesSolution) -> float:
+    return max(
+        float(np.max(np.abs(c - r) / (1.0 + np.abs(r))))
+        for c, r in ((candidate.x_coeffs, reference.x_coeffs), (candidate.y_coeffs, reference.y_coeffs))
+    )
 
 
 def methods_agree(ivp: InitialValueProblem, order: int) -> AgreementReport:
@@ -181,10 +170,10 @@ def methods_agree(ivp: InitialValueProblem, order: int) -> AgreementReport:
     """
     order = _check_order(order)
     reference = taylor_coefficients(ivp, order)
-    adomian = hpm = _max_relative_deviation(adomian_series(ivp, order), reference, order)
+    adomian = hpm = _max_relative_deviation(adomian_series(ivp, order), reference)
     xp, yp = vim_iterates(ivp, order)[-1]
     vim_solution = SeriesSolution(order, _padded(xp, order + 1), _padded(yp, order + 1))
-    vim = _max_relative_deviation(vim_solution, reference, order)
+    vim = _max_relative_deviation(vim_solution, reference)
     return AgreementReport(order, adomian, hpm, vim)
 
 

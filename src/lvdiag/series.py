@@ -28,6 +28,12 @@ from .trajectory import Trajectory
 _GROWTH_FLOOR = 1e-300
 
 
+def _check_order(order, name="order"):
+    if order != int(order) or order < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {order!r}")
+    return int(order)
+
+
 @dataclass(frozen=True)
 class InitialValueProblem:
     params: ModelParams
@@ -49,9 +55,7 @@ class SeriesSolution:
     y_coeffs: np.ndarray
 
     def __post_init__(self):
-        if self.order != int(self.order) or self.order < 0:
-            raise ValueError(f"order must be a non-negative integer, got {self.order!r}")
-        object.__setattr__(self, "order", int(self.order))
+        object.__setattr__(self, "order", _check_order(self.order))
         for name in ("x_coeffs", "y_coeffs"):
             coeffs = np.asarray(getattr(self, name), dtype=float)
             if coeffs.shape != (self.order + 1,):
@@ -65,9 +69,7 @@ def taylor_coefficients(ivp: InitialValueProblem, order: int) -> SeriesSolution:
     The convolution in the recurrence is accumulated with math.fsum, so each
     coefficient is the correctly rounded value of its defining expression.
     """
-    if order != int(order) or order < 0:
-        raise ValueError(f"order must be a non-negative integer, got {order!r}")
-    order = int(order)
+    order = _check_order(order)
     p = ivp.params
     x0, y0 = ivp.initial.x, ivp.initial.y
     X = np.zeros(order + 1)

@@ -10,16 +10,21 @@ from lvdiag import (
     InitialValueProblem,
     IntegratorConfig,
     MethodKind,
+    ModelParams,
+    PopulationState,
     estimate_period,
     failure_report,
     preset,
 )
 from lvdiag.integrate import solve
+from lvdiag.presets import CasePreset
 
 integrate_module = importlib.import_module("lvdiag.integrate")
 
 CASE_V = preset("case-V")
 CASE_I = preset("case-I")
+# Populations far out on a unit-rate orbit: an early trial stage overflows.
+FAR_OUT = CasePreset("far-out", ModelParams(1.0, 1.0, 1.0, 1.0), PopulationState(1000.0, 10000.0), 5, 10.0)
 
 
 def _ivp(case, t_end):
@@ -87,8 +92,7 @@ def test_pass_without_a_return_ends_at_the_search_horizon():
     [
         (CASE_V, IntegratorConfig(), 1),
         (CASE_I, IntegratorConfig(), 1),
-        # A first step far too long overflows a trial stage.
-        (CASE_I, IntegratorConfig(initial_step=50.0), 0),
+        (FAR_OUT, IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8), 1),
     ],
 )
 def test_rhs_evaluations_match_step_attempts(monkeypatch, case, cfg, trial_evals):
@@ -97,7 +101,7 @@ def test_rhs_evaluations_match_step_attempts(monkeypatch, case, cfg, trial_evals
     attempts = stats.accepted + stats.rejected
     assert spy.rhs_calls == stats.rhs_evals == 1 + trial_evals + 6 * attempts
     assert 0 <= stats.nonfinite_rejected <= stats.rejected
-    if cfg.initial_step is not None:
+    if case is FAR_OUT:
         assert stats.nonfinite_rejected >= 1
 
 

@@ -16,6 +16,7 @@ from lvdiag import (
     estimate_period,
     failure_report,
     integrate,
+    method_series,
     preset,
     sample_series,
     self_intersection,
@@ -103,6 +104,22 @@ def test_self_intersection_collinear_backtrack_counts():
     crossing = self_intersection(hook)
     assert (crossing.i, crossing.j) == (0, 3)
     assert crossing.point == (1.0, 0.0)
+
+
+def test_self_intersection_collinear_gap_is_simple():
+    # A "C" whose two ends lie on one line with a gap between them, in all
+    # four orientations: the boxes of the ends are disjoint along the line.
+    xs, ys = [2.0, 3.0, 3.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0, 0.0, 0.0]
+    for x, y in ((xs, ys), (xs[::-1], ys[::-1]), (ys, xs), (ys[::-1], xs[::-1])):
+        assert self_intersection(Trajectory(np.arange(6.0), x, y)) is None
+
+
+def test_self_intersection_straight_line_is_simple():
+    # The order-1 decomposition draws a straight line; segments 0 and 15 are
+    # collinear but disjoint, and rounding must not make them meet.
+    ivp = _ivp(CASE_I, 20.0)
+    line = sample_series(method_series(ivp, MethodKind.ADOMIAN, 1), np.linspace(0.0, 20.0, 2001))
+    assert self_intersection(line) is None
 
 
 def test_self_intersection_invariant_under_similarity():

@@ -44,12 +44,6 @@ def test_config_validation():
         IntegratorConfig(rel_tol=0.0)
     with pytest.raises(ValueError):
         IntegratorConfig(abs_tol=2.0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(max_step=-1.0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(initial_step=0.0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(initial_step=math.inf)
 
 
 def test_decoupled_case_is_exact_exponentials():
@@ -148,14 +142,6 @@ def test_agrees_with_independent_integrator():
     mine = integrate(_ivp(CASE_V, 10.0), t_grid=grid)
     np.testing.assert_allclose(mine.x, np.exp(oracle.y[0]), rtol=1e-8)
     np.testing.assert_allclose(mine.y, np.exp(oracle.y[1]), rtol=1e-8)
-
-
-def test_initial_step_and_max_step_are_honored():
-    ivp = _ivp(CASE_V, 10.0)
-    first = integrate(ivp, IntegratorConfig(initial_step=1e-3))
-    assert first.t[1] == 1e-3
-    capped = integrate(ivp, IntegratorConfig(max_step=0.05))
-    assert float(np.max(np.diff(capped.t))) <= 0.05 + 1e-12
 
 
 def test_unbounded_growth_raises_divergence_error():

@@ -1,5 +1,5 @@
 """Property tests over drawn problems: reference accuracy, one-pass consistency
-and the model's scaling symmetry.
+and the model's scaling symmetry; and self-crossings against an exact oracle.
 
 Problems are drawn like the benchmark's sweep: rates in [1/2, 2] and a start
 at 1/3 to 3 times the interior equilibrium in each coordinate.  Runs are
@@ -7,6 +7,7 @@ derandomized, so every run checks the same examples.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,12 +21,14 @@ from lvdiag import (
     ModelParams,
     PeriodNotFoundError,
     PopulationState,
+    Trajectory,
     closed_orbit_check,
     divergence_time,
     estimate_period,
     integrate,
     method_series,
     sample_series,
+    self_intersection,
     taylor_coefficients,
     vector_field,
 )
@@ -143,3 +146,88 @@ def test_taylor_coefficients_obey_the_scaling_symmetry(ivp):
         (mine.y_coeffs, (p.a / p.b) * powers * unit.y_coeffs),
     ):
         assert np.max(np.abs(coeffs - expected) / (1.0 + np.abs(coeffs))) <= 1e-11
+
+
+def _cross(u, v):
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1]
+
+
+def _sub(u, v):
+    return (u[0] - v[0], u[1] - v[1])
+
+
+def _segments_meet(p1, p2, p3, p4):
+    """Cormen et al.'s SEGMENTS-INTERSECT: strict straddle, or an endpoint on the other segment."""
+
+    def direction(a, b, c):
+        return _cross(_sub(c, a), _sub(b, a))
+
+    def on_segment(a, b, c):
+        return min(a[0], b[0]) <= c[0] <= max(a[0], b[0]) and min(a[1], b[1]) <= c[1] <= max(a[1], b[1])
+
+    d1, d2 = direction(p3, p4, p1), direction(p3, p4, p2)
+    d3, d4 = direction(p1, p2, p3), direction(p1, p2, p4)
+    if d1 * d2 < 0 and d3 * d4 < 0:
+        return True
+    return (
+        (d1 == 0 and on_segment(p3, p4, p1))
+        or (d2 == 0 and on_segment(p3, p4, p2))
+        or (d3 == 0 and on_segment(p1, p2, p3))
+        or (d4 == 0 and on_segment(p1, p2, p4))
+    )
+
+
+def _exact_first_crossing(points, closed):
+    """(i, j, point) of the lexicographically first crossing, in exact arithmetic.
+
+    Same rules as ``self_intersection``: j >= i + 2, zero-length segments meet
+    nothing, the (first, last) pair is skipped on a closed polyline, and the
+    point lies on segment i, at the start of the overlap for a collinear pair.
+    """
+    pts = [(Fraction(x), Fraction(y)) for x, y in points]
+    segments = len(pts) - 1
+    for i in range(segments - 2):
+        for j in range(i + 2, segments):
+            a, b, c, d = pts[i], pts[i + 1], pts[j], pts[j + 1]
+            if a == b or c == d or (closed and (i, j) == (0, segments - 1)):
+                continue
+            if not _segments_meet(a, b, c, d):
+                continue
+            r, s, q = _sub(b, a), _sub(d, c), _sub(c, a)
+            if _cross(r, s) != 0:
+                t = _cross(q, s) / _cross(r, s)
+            else:
+                t0 = _dot(q, r) / _dot(r, r)
+                t = max(Fraction(0), min(t0, t0 + _dot(s, r) / _dot(r, r)))
+            return i, j, (float(a[0] + t * r[0]), float(a[1] + t * r[1]))
+    return None
+
+
+@st.composite
+def grid_polylines(draw):
+    """4 to 24 points on a grid of at most 5 x 5 nodes, thin grids included,
+    so that touching, collinear and zero-length segments are common."""
+    width, height = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    node = st.tuples(st.integers(0, width), st.integers(0, height))
+    points = draw(st.lists(node, min_size=4, max_size=24))
+    if draw(st.booleans()):
+        points[-1] = points[0]
+    return points
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(grid_polylines())
+def test_self_intersection_matches_an_exact_oracle(points):
+    xs, ys = (np.array(column, dtype=float) for column in zip(*points))
+    got = self_intersection(Trajectory(np.arange(len(points), dtype=float), xs, ys))
+    want = _exact_first_crossing(points, points[-1] == points[0])
+    if want is None:
+        assert got is None
+        return
+    i, j, point = want
+    assert got is not None and (got.i, got.j) == (i, j)
+    assert got.point == pytest.approx(point, abs=1e-12)
