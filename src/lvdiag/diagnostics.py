@@ -104,7 +104,7 @@ def _crossing_point(ax, ay, dx, dy, i, j):
 
 
 def self_intersection(traj: Trajectory) -> SegmentCrossing | None:
-    """First self-crossing of the phase polyline, scanning pairs lexicographically.
+    """First self-crossing of the phase polyline, in lexicographic (i, j) order.
 
     Two closed segments meet when their bounding boxes overlap and each has
     the other's endpoints on opposite sides of its line, or on it (Cormen et
@@ -112,6 +112,14 @@ def self_intersection(traj: Trajectory) -> SegmentCrossing | None:
     segment meets nothing.  Consecutive segments are skipped, and so is the
     (first, last) pair when the polyline closes on itself, so a simple closed
     orbit sampled over one period does not read as self-crossing.
+
+    Only pairs whose x-ranges overlap are tested: the segments are sorted by
+    their left end once, and each one is paired with the run of later
+    segments that start inside its own x-range, touching ends included
+    (the broad phase of Shamos & Hoey's sweep).  Every candidate is tested
+    and the smallest hit is kept, so there is no early exit; a curve whose
+    segments all overlap in x still costs O(n^2) tests, in blocks of at most
+    ``_BLOCK_PAIRS`` pairs.
     """
     n = len(traj)
     if n < 4:
@@ -125,25 +133,42 @@ def self_intersection(traj: Trajectory) -> SegmentCrossing | None:
     diag = math.hypot(float(np.ptp(x)), float(np.ptp(y)))
     closure_gap = math.hypot(float(x[-1] - x[0]), float(y[-1] - y[0]))
     closed = closure_gap <= _CLOSURE_REL_TOL * diag
-    rows = max(1, _BLOCK_PAIRS // segments)
-    for start in range(0, segments - 2, rows):
-        i = np.arange(start, min(start + rows, segments - 2))[:, None]
-        j = np.arange(start + 2, segments)
-        mask = (j >= i + 2) & has_length[i] & has_length[j] & (lox[i] <= hix[j]) & (lox[j] <= hix[i])
-        mask &= (loy[i] <= hiy[j]) & (loy[j] <= hiy[i])
-        if start == 0 and closed:
-            mask[0, -1] = False
-        ci, cj = np.nonzero(mask)
-        ci += start
-        cj += start + 2
+    order = np.argsort(lox, kind="stable")
+    # Sorted position p is paired with positions p+1 .. ends[p]-1; flat pair
+    # index first[p] + m is the pair (p, p+1+m).
+    ends = np.searchsorted(lox[order], hix[order], side="right")
+    next_position = np.arange(1, segments + 1)
+    counts = ends - next_position
+    first = np.cumsum(counts) - counts
+    shift = first - next_position
+    total = int(first[-1] + counts[-1])
+    loy_s, hiy_s = loy[order], hiy[order]
+    loy_s[~has_length[order]] = np.inf  # a zero-length segment overlaps no box
+    best = segments * segments  # above every pair's key i*segments + j
+    for k0 in range(0, total, _BLOCK_PAIRS):
+        k1 = min(k0 + _BLOCK_PAIRS, total)
+        p0 = int(np.searchsorted(first, k0, side="right")) - 1
+        p1 = int(np.searchsorted(first, k1 - 1, side="right"))
+        run = np.minimum(first[p0:p1] + counts[p0:p1], k1) - np.maximum(first[p0:p1], k0)
+        p = np.repeat(np.arange(p0, p1), run)
+        q = np.arange(k0, k1) - np.repeat(shift[p0:p1], run)
+        keep = (loy_s[p] <= hiy_s[q]) & (loy_s[q] <= hiy_s[p])
+        u, v = order[p[keep]], order[q[keep]]
+        i, j = np.minimum(u, v), np.maximum(u, v)
+        key = i * segments + j
+        # Pairs after the best hit so far cannot be the first crossing.
+        keep = (j >= i + 2) & (key < best)
+        if closed:
+            keep &= key != segments - 1  # the (first, last) pair
+        i, j, key = i[keep], j[keep], key[keep]
         with np.errstate(over="ignore", invalid="ignore"):
-            hits = np.flatnonzero(
-                _straddles(ax, ay, bx, by, dx, dy, ci, cj) & _straddles(ax, ay, bx, by, dx, dy, cj, ci)
-            )
-        if hits.size:
-            first_i, first_j = int(ci[hits[0]]), int(cj[hits[0]])
-            return SegmentCrossing(first_i, first_j, _crossing_point(ax, ay, dx, dy, first_i, first_j))
-    return None
+            hit = _straddles(ax, ay, bx, by, dx, dy, i, j) & _straddles(ax, ay, bx, by, dx, dy, j, i)
+        if hit.any():
+            best = int(np.min(key[hit]))
+    if best == segments * segments:
+        return None
+    first_i, first_j = divmod(best, segments)
+    return SegmentCrossing(first_i, first_j, _crossing_point(ax, ay, dx, dy, first_i, first_j))
 
 
 def conservation_drift(traj: Trajectory, p: ModelParams) -> float:

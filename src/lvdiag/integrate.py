@@ -126,6 +126,24 @@ class DenseSolution:
     period: float | None
     stats: IntegratorStats
 
+    @property
+    def h_min(self) -> float | None:
+        """Smallest accepted step, or None for a pass that took no step.
+
+        The last step may have been cut short to end the pass on its horizon.
+        """
+        return float(np.min(np.diff(self.t))) if len(self.t) > 1 else None
+
+    @property
+    def h_max(self) -> float | None:
+        """Largest accepted step, or None for a pass that took no step."""
+        return float(np.max(np.diff(self.t))) if len(self.t) > 1 else None
+
+    @property
+    def t_final(self) -> float:
+        """Where the pass ended: the last step boundary."""
+        return float(self.t[-1])
+
     def sample(self, t_grid) -> Trajectory:
         """Populations on a strictly increasing grid inside [0, t[-1]], in one call.
 

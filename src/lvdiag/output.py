@@ -75,6 +75,7 @@ def report_payload(label: str, t_end: float, report: DiagnosticsReport) -> dict:
         "closed_orbit_ref": report.closed_orbit_ref,
         "closed_orbit_approx": report.closed_orbit,
         "period_estimate": report.period_estimate,
+        "excluded_samples": report.excluded_samples,
     }
 
 

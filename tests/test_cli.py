@@ -22,6 +22,7 @@ JSON_FIELDS = [
     "closed_orbit_ref",
     "closed_orbit_approx",
     "period_estimate",
+    "excluded_samples",
 ]
 
 

@@ -110,6 +110,15 @@ def test_stats_count_the_accepted_steps():
     assert solution.stats.accepted == solution.t.size - 1 == solution.q.shape[0]
 
 
+def test_step_size_range_and_final_time():
+    solution = solve(_ivp(CASE_V, 10.0), period_span=1.2)
+    assert 0.0 < solution.h_min < solution.h_max <= solution.t[-1]
+    assert solution.t_final == solution.t[-1] >= 10.0
+    assert solution.t_final >= 1.2 * solution.period
+    empty = solve(_ivp(CASE_V, 10.0), t_end=0.0)
+    assert (empty.h_min, empty.h_max, empty.t_final) == (None, None, 0.0)
+
+
 @pytest.mark.parametrize("case", [CASE_V, CASE_I], ids=["case-V", "case-I"])
 def test_failure_report_makes_one_stepping_pass(monkeypatch, case):
     spy = _FlowSpy(monkeypatch)

@@ -1,5 +1,6 @@
 """Property tests over drawn problems: reference accuracy, one-pass consistency
-and the model's scaling symmetry; and self-crossings against an exact oracle.
+and the model's scaling symmetry; and self-crossings against an exact oracle
+and, bit for bit, against an all-pairs scan.
 
 Problems are drawn like the benchmark's sweep: rates in [1/2, 2] and a start
 at 1/3 to 3 times the interior equilibrium in each coordinate.  Runs are
@@ -7,6 +8,7 @@ derandomized, so every run checks the same examples.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +29,8 @@ from lvdiag import (
     estimate_period,
     integrate,
     method_series,
+    preset,
+    preset_names,
     sample_series,
     self_intersection,
     taylor_coefficients,
@@ -231,3 +235,130 @@ def test_self_intersection_matches_an_exact_oracle(points):
     i, j, point = want
     assert got is not None and (got.i, got.j) == (i, j)
     assert got.point == pytest.approx(point, abs=1e-12)
+
+
+# Relative closure tolerance of ``self_intersection``, restated for the reference below.
+CLOSURE_REL_TOL = 1e-6
+REFERENCE_ROWS = 64
+
+
+def _all_pairs_first_crossing(x, y):
+    """(i, j, point) of the lexicographically first crossing, box-testing every pair.
+
+    Rows of pairs (i, j >= i + 2) are scanned in order and the first row with
+    a hit gives the answer.  The pair test and the point use the same float
+    formulas as ``self_intersection``, so both results can be compared bit for
+    bit; on integer grids every orientation sign is exact.
+    """
+    ax, ay, bx, by = x[:-1], y[:-1], x[1:], y[1:]
+    dx, dy = bx - ax, by - ay
+    segments = len(x) - 1
+    lox, hix, loy, hiy = np.minimum(ax, bx), np.maximum(ax, bx), np.minimum(ay, by), np.maximum(ay, by)
+    has_length = (dx != 0.0) | (dy != 0.0)
+    diag = math.hypot(float(np.ptp(x)), float(np.ptp(y)))
+    closed = math.hypot(float(x[-1] - x[0]), float(y[-1] - y[0])) <= CLOSURE_REL_TOL * diag
+
+    def straddles(i, j):
+        ta = (ax[j] - ax[i]) * dy[i] - (ay[j] - ay[i]) * dx[i]
+        tb = (bx[j] - ax[i]) * dy[i] - (by[j] - ay[i]) * dx[i]
+        return np.isfinite(ta) & np.isfinite(tb) & (np.sign(ta) * np.sign(tb) <= 0.0)
+
+    for start in range(0, segments - 2, REFERENCE_ROWS):
+        i = np.arange(start, min(start + REFERENCE_ROWS, segments - 2))[:, None]
+        j = np.arange(start + 2, segments)[None, :]
+        boxes = (lox[i] <= hix[j]) & (lox[j] <= hix[i]) & (loy[i] <= hiy[j]) & (loy[j] <= hiy[i])
+        boxes &= (j >= i + 2) & has_length[i] & has_length[j]
+        if closed:
+            boxes &= (i != 0) | (j != segments - 1)
+        ci, cj = np.nonzero(boxes)
+        ci += start
+        cj += start + 2
+        with np.errstate(over="ignore", invalid="ignore"):
+            hits = np.flatnonzero(straddles(ci, cj) & straddles(cj, ci))
+        if hits.size:
+            fi, fj = int(ci[hits[0]]), int(cj[hits[0]])
+            qpx, qpy = ax[fj] - ax[fi], ay[fj] - ay[fi]
+            denom = dx[fi] * dy[fj] - dy[fi] * dx[fj]
+            if denom != 0.0:
+                t = (qpx * dy[fj] - qpy * dx[fj]) / denom
+            else:
+                rr = dx[fi] * dx[fi] + dy[fi] * dy[fi]
+                t0 = (qpx * dx[fi] + qpy * dy[fi]) / rr
+                t = max(0.0, min(t0, t0 + (dx[fj] * dx[fi] + dy[fj] * dy[fi]) / rr))
+            return fi, fj, (float(ax[fi] + t * dx[fi]), float(ay[fi] + t * dy[fi]))
+    return None
+
+
+def _scan(x, y):
+    got = self_intersection(Trajectory(np.arange(len(x), dtype=float), x, y))
+    return None if got is None else (got.i, got.j, got.point)
+
+
+def _assert_same_crossing(x, y):
+    # repr tells every pair of distinct floats apart, -0.0 and 0.0 included.
+    assert repr(_scan(x, y)) == repr(_all_pairs_first_crossing(x, y))
+
+
+@st.composite
+def grid_walks(draw):
+    """Walks of 4 to 200 points on an integer grid of at most 13 x 13 nodes.
+
+    Each move changes x only, y only, both, or neither, so horizontal and
+    vertical runs, repeated vertices, equal left ends and boxes that only
+    touch are common.  About half of the walks then close with a step back to
+    their start.
+    """
+    size = draw(st.integers(1, 12))
+    coordinate = st.integers(0, size)
+    moves = draw(st.integers(3, 199))
+    x, y = draw(coordinate), draw(coordinate)
+    points = [(x, y)]
+    for move in draw(st.lists(st.sampled_from("hvds"), min_size=moves, max_size=moves)):
+        if move in "hd":
+            x = draw(coordinate)
+        if move in "vd":
+            y = draw(coordinate)
+        points.append((x, y))
+    if draw(st.booleans()):
+        points.append(points[0])
+    return np.array(points, dtype=float)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(grid_walks())
+def test_self_intersection_matches_an_all_pairs_scan_bitwise(points):
+    _assert_same_crossing(points[:, 0], points[:, 1])
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_self_intersection_matches_an_all_pairs_scan_on_the_presets(name):
+    case = preset(name)
+    ivp = InitialValueProblem(case.params, case.initial, case.default_t_end)
+    grid = np.linspace(0.0, ivp.t_end, 2001)
+    for method in MethodKind:
+        for order in range(2, 21):
+            approx = sample_series(method_series(ivp, method, order), grid)
+            _assert_same_crossing(approx.x, approx.y)
+    if name == "case-V":
+        period = estimate_period(ivp)
+        orbit = integrate(ivp, None, np.linspace(0.0, period, 2001))
+        _assert_same_crossing(orbit.x, orbit.y)
+
+
+def test_self_intersection_bounds_its_work_when_every_pair_overlaps_in_x():
+    # A zigzag between x = 0 and x = 1 climbing in y, whose last segment cuts
+    # back down through it: every pair of segments overlaps in x.
+    n = 2001
+    x = np.where(np.arange(n) % 2 == 1, 1.0, 0.0)
+    y = np.arange(n) * 1e-3
+    x[-1], y[-1] = 0.5, -1.0
+    want = _all_pairs_first_crossing(x, y)
+    tracemalloc.start()
+    try:
+        got = _scan(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert want is not None and repr(got) == repr(want)
+    # Blocks of 2**16 pairs peak at about 2.3 MiB here; all 2 million pairs in one block, at 65 MiB.
+    assert peak < 8 * 2**20
