@@ -52,8 +52,6 @@ from .presets import CasePreset, preset, preset_names
 from .series import (
     InitialValueProblem,
     SeriesSolution,
-    coefficient_growth,
-    evaluate_series,
     sample_series,
     taylor_coefficients,
 )
@@ -85,12 +83,10 @@ __all__ = [
     "adomian_components",
     "adomian_series",
     "closed_orbit_check",
-    "coefficient_growth",
     "conservation_drift",
     "conserved_quantity",
     "divergence_time",
     "estimate_period",
-    "evaluate_series",
     "failure_report",
     "fixed_points",
     "hpm_series",

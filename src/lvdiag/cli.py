@@ -15,6 +15,7 @@ import argparse
 import math
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -306,8 +307,13 @@ def _check_self_crossing(results, cfg):
     )
 
 
-def verification_results(orders=_DEFAULT_SWEEP):
-    """All verification checks as (name, passed, detail) triples."""
+def _verification_groups(orders):
+    """Run the checks group by group; yield (group, elapsed seconds, result triples).
+
+    The first group, "reference", is the two integration passes that the
+    conservation, closure and divergence checks share; it has no results.
+    """
+    start = time.perf_counter()
     cfg = IntegratorConfig()
     case_i, case_v = preset("case-I"), preset("case-V")
     # One pass per preset serves its drift, closure and divergence checks:
@@ -318,17 +324,32 @@ def verification_results(orders=_DEFAULT_SWEEP):
             InitialValueProblem(case_v.params, case_v.initial, 10.0), cfg, t_end=50.0, period_span=_CLOSURE_WINDOW_FACTOR
         ),
     }
-    results = []
-    _check_equivalence(results)
-    _check_conservation(results, passes)
-    _check_closure(results, passes["case-V"])
-    _check_divergence(results, passes, orders)
-    _check_self_crossing(results, cfg)
-    return results
+    yield "reference", time.perf_counter() - start, []
+    groups = (
+        ("equivalence", _check_equivalence),
+        ("conservation", lambda results: _check_conservation(results, passes)),
+        ("closure", lambda results: _check_closure(results, passes["case-V"])),
+        ("divergence", lambda results: _check_divergence(results, passes, orders)),
+        ("self-crossing", lambda results: _check_self_crossing(results, cfg)),
+    )
+    for group, check in groups:
+        start = time.perf_counter()
+        results = []
+        check(results)
+        yield group, time.perf_counter() - start, results
+
+
+def verification_results(orders=_DEFAULT_SWEEP):
+    """All verification checks as (name, passed, detail) triples."""
+    return [triple for _, _, triples in _verification_groups(orders) for triple in triples]
 
 
 def cmd_verify(args) -> int:
-    results = verification_results(args.orders)
+    # Timings go to stderr, so stdout stays identical from run to run.
+    results = []
+    for group, seconds, triples in _verification_groups(args.orders):
+        print(f"verify: {group} {seconds * 1e3:.1f} ms", file=sys.stderr)
+        results.extend(triples)
     width = max(len(name) for name, _, _ in results)
     failed = 0
     for name, ok, detail in results:

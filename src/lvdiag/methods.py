@@ -1,7 +1,7 @@
 """Adomian decomposition, homotopy perturbation and variational iteration.
 
-The schemes are built over exact polynomial arithmetic (coefficients lowest
-degree first, as in numpy.polynomial).  Adomian decomposition and homotopy
+The schemes are built over exact polynomial arithmetic on plain float arrays,
+coefficients lowest degree first.  Adomian decomposition and homotopy
 perturbation reduce to one cascade, coded once; variational iteration has its
 own recursion.  Applied to the prey-predator equations with the constant
 initial state as starting guess, all of them reproduce the Taylor
@@ -15,7 +15,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .series import InitialValueProblem, SeriesSolution, _check_order, taylor_coefficients
 
@@ -29,6 +28,70 @@ class MethodKind(enum.Enum):
     ADOMIAN = "adomian"
     HPM = "hpm"
     VIM = "vim"
+
+
+# Polynomial kernels.  Each one does the arithmetic of its numpy.polynomial
+# counterpart (trimseq, polymul, polyadd, polysub, polyint, polyder) in the
+# same order, so on finite coefficients the results are equal bit for bit,
+# without that module's per-call conversion and checks.  Inputs are 1-d float
+# arrays.  Non-finite coefficients take the same elementwise arithmetic and are
+# never trimmed (NaN != 0); only ``_pint``'s constant term differs from numpy's.
+
+
+def _trim(c):
+    """c without its trailing zeros, but never shorter than one entry."""
+    if c[-1] != 0:
+        return c
+    nonzero = np.flatnonzero(c)
+    return c[: nonzero[-1] + 1] if nonzero.size else c[:1]
+
+
+def _pmul(c1, c2):
+    return _trim(np.convolve(_trim(c1), _trim(c2)))
+
+
+def _padd(c1, c2):
+    c1, c2 = _trim(c1), _trim(c2)
+    if c1.size > c2.size:
+        out = c1.copy()
+        out[: c2.size] += c2
+    else:
+        out = c2.copy()
+        out[: c1.size] += c1
+    return _trim(out)
+
+
+def _psub(c1, c2):
+    c1, c2 = _trim(c1), _trim(c2)
+    if c1.size > c2.size:
+        out = c1.copy()
+        out[: c2.size] -= c2
+    else:
+        out = -c2
+        out[: c1.size] += c1
+    return _trim(out)
+
+
+def _pint(c):
+    """Antiderivative vanishing at 0; the zero polynomial [0] stays [0.].
+
+    The constant term is +0.0 even when a coefficient is NaN or infinite,
+    where polyint, which subtracts the integral's value at 0, makes it NaN.
+    """
+    n = c.size
+    if n == 1 and c[0] == 0:
+        return np.zeros(1)
+    out = np.empty(n + 1)
+    out[0] = 0.0
+    out[1] = c[0]
+    out[2:] = c[1:] / np.arange(2, n + 1)
+    return out
+
+
+def _pder(c):
+    if c.size == 1:
+        return c * 0
+    return c[1:] * np.arange(1, c.size)
 
 
 def _padded(coeffs, length):
@@ -51,7 +114,7 @@ def _adomian_polynomial(u, v, n):
     """
     acc = np.zeros(1)
     for k in range(n + 1):
-        acc = npoly.polyadd(acc, npoly.polymul(u[k], v[n - k]))
+        acc = _padd(acc, _pmul(u[k], v[n - k]))
     return acc
 
 
@@ -83,8 +146,8 @@ def adomian_components(ivp: InitialValueProblem, order: int):
     v = [np.array([ivp.initial.y])]
     for n in range(order):
         a_n = _adomian_polynomial(u, v, n)
-        u.append(npoly.polyint(npoly.polysub(p.a * u[n], p.b * a_n)))
-        v.append(npoly.polyint(npoly.polyadd(-p.c * v[n], p.d * a_n)))
+        u.append(_pint(_psub(p.a * u[n], p.b * a_n)))
+        v.append(_pint(_padd(-p.c * v[n], p.d * a_n)))
     return list(zip(u, v))
 
 
@@ -127,11 +190,11 @@ def vim_iterates(ivp: InitialValueProblem, iterations: int) -> list[tuple[np.nda
     iterates = [(xp, yp)]
     for k in range(1, iterations + 1):
         cap = min(2 * k, _VIM_DEGREE_CAP)
-        xy = npoly.polymul(xp, yp)
-        residual_x = npoly.polysub(npoly.polyder(xp), npoly.polysub(p.a * xp, p.b * xy))
-        residual_y = npoly.polysub(npoly.polyder(yp), npoly.polyadd(-p.c * yp, p.d * xy))
-        xp = _truncated(npoly.polysub(xp, npoly.polyint(residual_x)), cap)
-        yp = _truncated(npoly.polysub(yp, npoly.polyint(residual_y)), cap)
+        xy = _pmul(xp, yp)
+        residual_x = _psub(_pder(xp), _psub(p.a * xp, p.b * xy))
+        residual_y = _psub(_pder(yp), _padd(-p.c * yp, p.d * xy))
+        xp = _truncated(_psub(xp, _pint(residual_x)), cap)
+        yp = _truncated(_psub(yp, _pint(residual_y)), cap)
         iterates.append((xp, yp))
     return iterates
 

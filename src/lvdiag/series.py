@@ -23,11 +23,6 @@ from .exceptions import NonFiniteError
 from .model import ModelParams, PopulationState, _as_finite_float
 from .trajectory import Trajectory
 
-# Coefficients below this magnitude carry no growth information; if the whole
-# sampled tail sits under it the series is treated as entire.
-_GROWTH_FLOOR = 1e-300
-
-
 def _check_order(order, name="order"):
     if order != int(order) or order < 0:
         raise ValueError(f"{name} must be a non-negative integer, got {order!r}")
@@ -66,8 +61,22 @@ class SeriesSolution:
 def taylor_coefficients(ivp: InitialValueProblem, order: int) -> SeriesSolution:
     """Series coefficients of the solution through the requested order.
 
-    The convolution in the recurrence is accumulated with math.fsum, so each
-    coefficient is the correctly rounded value of its defining expression.
+    Each new coefficient is computed from the already rounded lower ones.
+    The products X[k]*Y[n-k] are rounded and then summed with math.fsum,
+    and the linear term, the scaled sum, their difference and the division
+    are each rounded once more, so a coefficient is not the correctly
+    rounded value of its defining expression (cancellation in
+    a*X[n] - b*conv can leave it thousands of ulps away).  The error is
+    bounded relative to the magnitudes that enter it:
+
+        |X[n+1] - exact| <= 2*eps * (|lin| + |coef| * sum_k |X[k]*Y[n-k]|) / (n+1)
+
+    where exact is (lin + coef * sum_k X[k]*Y[n-k]) / (n+1) evaluated
+    exactly on the stored X[0..n], Y[0..n], lin is a*X[n] for X and
+    -c*Y[n] for Y, coef is -b for X and d for Y, and eps = 2**-52.  The
+    five roundings allow at most 2.5*eps to first order; on random
+    problems the error stays below 1.7*eps, and the tests check 2*eps
+    against a rational-arithmetic recurrence.
     """
     order = _check_order(order)
     p = ivp.params
@@ -83,14 +92,6 @@ def taylor_coefficients(ivp: InitialValueProblem, order: int) -> SeriesSolution:
         X[n + 1] = (p.a * X[n] - p.b * conv) / (n + 1)
         Y[n + 1] = (-p.c * Y[n] + p.d * conv) / (n + 1)
     return SeriesSolution(order, X, Y)
-
-
-def evaluate_series(s: SeriesSolution, t: float) -> tuple[float, float]:
-    """Horner evaluation of both polynomials at time t."""
-    t = float(t)
-    if not math.isfinite(t):
-        raise NonFiniteError(f"evaluation time must be finite, got {t!r}")
-    return float(npoly.polyval(t, s.x_coeffs)), float(npoly.polyval(t, s.y_coeffs))
 
 
 def _validated_grid(t_grid) -> np.ndarray:
@@ -110,25 +111,3 @@ def sample_series(s: SeriesSolution, t_grid) -> Trajectory:
     """Evaluate the series on a grid and wrap the samples as a trajectory."""
     grid = _validated_grid(t_grid)
     return Trajectory(grid, npoly.polyval(grid, s.x_coeffs), npoly.polyval(grid, s.y_coeffs))
-
-
-def coefficient_growth(s: SeriesSolution) -> float:
-    """Convergence-radius estimate from the root test on the coefficient tail.
-
-    Uses the reciprocal of the largest |coeff[n]|**(1/n) over the top half of
-    the available orders, both components pooled.  Returns math.inf when every
-    tail coefficient is too small to carry growth information (entire-looking
-    series).  Needs order >= 5 to have a meaningful tail.
-    """
-    if s.order < 5:
-        raise ValueError(f"growth estimate needs order >= 5, got {s.order}")
-    start = s.order // 2 + 1
-    largest_root = 0.0
-    for coeffs in (s.x_coeffs, s.y_coeffs):
-        for n in range(start, s.order + 1):
-            magnitude = abs(coeffs[n])
-            if magnitude >= _GROWTH_FLOOR:
-                largest_root = max(largest_root, magnitude ** (1.0 / n))
-    if largest_root == 0.0:
-        return math.inf
-    return 1.0 / largest_root

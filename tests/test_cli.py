@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from lvdiag import SeriesSolution
-from lvdiag.cli import main
+from lvdiag.cli import main, verification_results
 from lvdiag.output import PHASE_HEADER, TIMESERIES_HEADER, format_float
 
 JSON_FIELDS = [
@@ -171,6 +171,24 @@ def test_verify_passes(capsys):
     assert out.strip().endswith("checks passed")
     assert "FAIL" not in out
     assert out.count("PASS") == 10
+
+
+def test_verify_times_each_group_on_stderr_only(capsys):
+    runs = []
+    for _ in range(2):
+        assert main(["verify", "--orders", "4"]) == 0
+        runs.append(capsys.readouterr())
+    assert runs[0].out == runs[1].out
+    table = runs[0].out.splitlines()
+    results = verification_results((4,))
+    assert len(table) == len(results) + 1
+    for line, (name, ok, detail) in zip(table, results):
+        assert ok and line.startswith(name) and line.endswith(f"  PASS  {detail}")
+    for captured in runs:
+        lines = captured.err.splitlines()
+        groups = [line.split()[1] for line in lines]
+        assert groups == ["reference", "equivalence", "conservation", "closure", "divergence", "self-crossing"]
+        assert all(line.startswith("verify: ") and line.endswith(" ms") for line in lines)
 
 
 def test_verify_with_custom_orders(capsys):

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
+from numpy.polynomial import polyutils as pu
 
 from lvdiag import (
     InitialValueProblem,
@@ -16,9 +19,11 @@ from lvdiag import (
     method_series,
     methods_agree,
     preset,
+    preset_names,
     taylor_coefficients,
     vim_iterates,
 )
+from lvdiag.methods import _padd, _pder, _pint, _pmul, _psub, _trim
 
 CASE_V = preset("case-V")
 CASE_I = preset("case-I")
@@ -145,3 +150,46 @@ def test_methods_agree_validates_order():
 def test_method_series_rejects_unknown_method():
     with pytest.raises(ValueError):
         method_series(IVP_V, "taylor", 4)
+
+
+def test_methods_agree_on_every_preset_through_order_20():
+    for name in preset_names():
+        case = preset(name)
+        ivp = InitialValueProblem(case.params, case.initial, 1.0)
+        for order in range(21):
+            report = methods_agree(ivp, order)
+            assert report.adomian == report.hpm
+            assert report.worst() <= 1e-10, (name, order, report)
+
+
+# Finite coefficients small enough that no product overflows, with exact and
+# signed zeros drawn often so that trailing zeros and all-zero arrays occur.
+coefficient = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e100, 1e100))
+
+
+@st.composite
+def polynomials(draw):
+    body = draw(st.lists(coefficient, min_size=1, max_size=30))
+    zeros = draw(st.lists(st.sampled_from([0.0, -0.0]), max_size=30 - len(body)))
+    return np.array(body + zeros)
+
+
+KERNEL_EDGE_CASES = [np.array([-0.0]), np.array([0.0]), np.zeros(5), np.array([2.5]), np.array([1.0, 0.0, -0.0])]
+
+
+def _same_bytes(kernel_result, numpy_result):
+    assert kernel_result.dtype == numpy_result.dtype == np.float64
+    assert kernel_result.tobytes() == numpy_result.tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(polynomials(), st.sampled_from(KERNEL_EDGE_CASES)), st.one_of(polynomials(), st.sampled_from(KERNEL_EDGE_CASES)))
+def test_kernels_match_numpy_polynomial_bit_for_bit(c1, c2):
+    c1_before, c2_before = c1.tobytes(), c2.tobytes()
+    _same_bytes(_trim(c1), pu.trimseq(c1))
+    _same_bytes(_pmul(c1, c2), npoly.polymul(c1, c2))
+    _same_bytes(_padd(c1, c2), npoly.polyadd(c1, c2))
+    _same_bytes(_psub(c1, c2), npoly.polysub(c1, c2))
+    _same_bytes(_pint(c1), npoly.polyint(c1))
+    _same_bytes(_pder(c1), npoly.polyder(c1))
+    assert c1.tobytes() == c1_before and c2.tobytes() == c2_before

@@ -1,9 +1,12 @@
-"""Power-series engine: recurrence, evaluation, sampling, growth estimate."""
+"""Power-series engine: recurrence, its rounding bound, and sampling."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from lvdiag import (
@@ -12,8 +15,6 @@ from lvdiag import (
     NonFiniteError,
     PopulationState,
     SeriesSolution,
-    coefficient_growth,
-    evaluate_series,
     preset,
     sample_series,
     taylor_coefficients,
@@ -30,9 +31,7 @@ IVP_I = InitialValueProblem(CASE_I.params, CASE_I.initial, 10.0)
 X_EXACT_V = (3, -3, -9 / 2, 9 / 2, 71 / 8, -183 / 40, -4207 / 240, 947 / 1680, 427673 / 13440)
 Y_EXACT_V = (2, 4, 1, -19 / 3, -37 / 6, 91 / 12, 5581 / 360, -1664 / 315, -626777 / 20160)
 
-GROWTH_V_40 = 0.707745840409744
-GROWTH_V_200 = 0.7306021800937432
-GROWTH_I_40 = 0.08706443020781264
+EPS = Fraction(2) ** -52
 
 
 def test_order_zero_is_the_initial_state():
@@ -59,6 +58,36 @@ def test_unit_case_coefficients_match_exact_fractions():
     np.testing.assert_allclose(sol.y_coeffs, Y_EXACT_V, rtol=1e-13)
 
 
+@st.composite
+def problems(draw):
+    """Rates over more than two decades, the start 1/3 to 3 times the equilibrium."""
+    a, b, c, d = (draw(st.floats(0.05, 20.0)) for _ in range(4))
+    x0 = draw(st.floats(1.0 / 3.0, 3.0)) * c / d
+    y0 = draw(st.floats(1.0 / 3.0, 3.0)) * a / b
+    return InitialValueProblem(ModelParams(a, b, c, d), PopulationState(x0, y0), 1.0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(problems(), st.integers(1, 20))
+def test_coefficients_meet_their_rounding_bound(ivp, order):
+    """Each step of the recurrence, redone in rational arithmetic on the stored
+    lower coefficients, is within 2*eps of the float step, scaled by the
+    magnitudes that enter it (the bound the docstring states)."""
+    sol = taylor_coefficients(ivp, order)
+    X = [Fraction(v) for v in sol.x_coeffs.tolist()]
+    Y = [Fraction(v) for v in sol.y_coeffs.tolist()]
+    p = ivp.params
+    a, b, c, d = (Fraction(v) for v in (p.a, p.b, p.c, p.d))
+    for n in range(order):
+        products = [X[k] * Y[n - k] for k in range(n + 1)]
+        conv = sum(products)
+        magnitude = sum(abs(q) for q in products)
+        for coeffs, lin, coef in ((X, a * X[n], -b), (Y, -c * Y[n], d)):
+            exact = (lin + coef * conv) / (n + 1)
+            bound = 2 * EPS * (abs(lin) + abs(coef) * magnitude) / (n + 1)
+            assert abs(coeffs[n + 1] - exact) <= bound
+
+
 def test_decoupled_coefficients_are_exponential_series():
     p = ModelParams(0.7, 0.0, 1.3, 0.0)
     ivp = InitialValueProblem(p, PopulationState(2.0, 5.0), 1.0)
@@ -72,9 +101,9 @@ def test_decoupled_coefficients_are_exponential_series():
 
 def test_decoupled_partial_sums_of_the_exponential():
     ivp = InitialValueProblem(ModelParams(1.0, 0.0, 1.0, 0.0), PopulationState(1.0, 1.0), 1.0)
-    x, y = evaluate_series(taylor_coefficients(ivp, 4), 1.0)
-    assert x == pytest.approx(65.0 / 24.0, rel=1e-15)
-    assert y == pytest.approx(0.375, rel=1e-15)
+    traj = sample_series(taylor_coefficients(ivp, 4), [1.0])
+    assert traj.x[0] == pytest.approx(65.0 / 24.0, rel=1e-15)
+    assert traj.y[0] == pytest.approx(0.375, rel=1e-15)
 
 
 def test_series_satisfies_the_differential_equations():
@@ -114,12 +143,13 @@ def test_solution_shape_validation():
         SeriesSolution(-1, np.zeros(1), np.zeros(1))
 
 
-def test_evaluate_series_quadratic_truncation():
+def test_sample_series_quadratic_truncation():
     sol = taylor_coefficients(IVP_V, 2)
-    assert evaluate_series(sol, 1.0) == (-4.5, 7.0)
-    assert evaluate_series(sol, 0.0) == (3.0, 2.0)
+    traj = sample_series(sol, [0.0, 1.0])
+    assert traj.x.tolist() == [3.0, -4.5]
+    assert traj.y.tolist() == [2.0, 7.0]
     with pytest.raises(NonFiniteError):
-        evaluate_series(sol, math.nan)
+        sample_series(sol, [math.nan])
 
 
 def test_sample_series_matches_pointwise_evaluation():
@@ -128,8 +158,8 @@ def test_sample_series_matches_pointwise_evaluation():
     traj = sample_series(sol, grid)
     assert traj.t.tolist() == grid.tolist()
     for i, t in enumerate(grid):
-        x, y = evaluate_series(sol, t)
-        assert traj.x[i] == x and traj.y[i] == y
+        assert traj.x[i] == npoly.polyval(float(t), sol.x_coeffs)
+        assert traj.y[i] == npoly.polyval(float(t), sol.y_coeffs)
 
 
 def test_sample_series_single_point_grid():
@@ -151,32 +181,3 @@ def test_sample_series_grid_validation():
         sample_series(sol, [[0.0, 1.0]])
     with pytest.raises(NonFiniteError):
         sample_series(sol, [0.0, math.nan])
-
-
-def test_coefficient_growth_pins():
-    assert coefficient_growth(taylor_coefficients(IVP_V, 40)) == pytest.approx(
-        GROWTH_V_40, rel=1e-12
-    )
-    assert coefficient_growth(taylor_coefficients(IVP_V, 200)) == pytest.approx(
-        GROWTH_V_200, rel=1e-12
-    )
-    assert coefficient_growth(taylor_coefficients(IVP_I, 40)) == pytest.approx(
-        GROWTH_I_40, rel=1e-12
-    )
-
-
-def test_coefficient_growth_shrinks_with_orbit_size():
-    # The wider the orbit, the nearer the complex-time singularity.
-    assert GROWTH_I_40 < GROWTH_V_40
-
-
-def test_coefficient_growth_geometric_coefficients():
-    geometric = SeriesSolution(10, [2.0**n for n in range(11)], np.zeros(11))
-    assert coefficient_growth(geometric) == pytest.approx(0.5, rel=0.1)
-
-
-def test_coefficient_growth_degenerate_cases():
-    with pytest.raises(ValueError):
-        coefficient_growth(taylor_coefficients(IVP_V, 4))
-    at_origin = InitialValueProblem(CASE_V.params, PopulationState(0.0, 0.0), 1.0)
-    assert coefficient_growth(taylor_coefficients(at_origin, 10)) == math.inf
