@@ -32,13 +32,7 @@ from .exceptions import IntegrationError, PeriodNotFoundError, UnknownPresetErro
 from .integrate import IntegratorConfig, closed_orbit_check, integrate, solve
 from .methods import MethodKind, method_series, methods_agree
 from .model import ModelParams, PopulationState
-from .output import (
-    report_payload,
-    write_phase_csv,
-    write_phase_svg,
-    write_report_json,
-    write_timeseries_csv,
-)
+from .output import report_payload, write_csv_tables, write_phase_svg, write_report_json
 from .presets import preset, preset_names
 from .series import InitialValueProblem, sample_series
 
@@ -74,8 +68,8 @@ def _grid_points(text):
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"need at least 2 grid points, got {value}")
+    if value < 4:
+        raise argparse.ArgumentTypeError(f"need at least 4 grid points, got {value}")
     return value
 
 
@@ -188,10 +182,8 @@ def cmd_run(args) -> int:
     base = os.path.join(args.out, f"{label}_{method.value}_order{order}")
     written = []
     if args.format in ("csv", "all"):
-        write_timeseries_csv(base + "_timeseries.csv", reference, approx, params)
-        written.append(base + "_timeseries.csv")
-        write_phase_csv(base + "_phase.csv", reference, approx)
-        written.append(base + "_phase.csv")
+        write_csv_tables(base + "_timeseries.csv", base + "_phase.csv", reference, approx, params)
+        written += [base + "_timeseries.csv", base + "_phase.csv"]
     write_report_json(base + "_report.json", report_payload(label, t_end, report))
     written.append(base + "_report.json")
     if args.format in ("svg", "all"):

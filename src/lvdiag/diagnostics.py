@@ -225,8 +225,8 @@ def _compare_with_reference(
     horizon = ivp.t_end if t_end is None else float(t_end)
     if not horizon > 0.0:
         raise ValueError(f"t_end must be positive, got {horizon}")
-    if points < 2:
-        raise ValueError(f"need at least 2 grid points, got {points}")
+    if points < 4:
+        raise ValueError(f"need at least 4 grid points, got {points}")
     grid = np.linspace(0.0, horizon, points)
     solution = solve(ivp, cfg, t_end=horizon, period_span=_CLOSURE_WINDOW_FACTOR)
     reference = solution.sample(grid)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
 
@@ -18,10 +17,15 @@ _SVG_WIDTH = 800
 _SVG_HEIGHT = 600
 _SVG_MARGIN = 0.05
 
+# The one cell format of both CSV tables.
+_CELL_FORMAT = "%.17g"
+# Rows formatted per pass; bounds the strings a table holds at once.
+_BLOCK_ROWS = 512
+
 
 def format_float(value: float) -> str:
     """Fixed 17-significant-digit formatting; round-trips IEEE-754 doubles."""
-    return "%.17g" % float(value)
+    return _CELL_FORMAT % float(value)
 
 
 def _invariant_column(p: ModelParams, traj: Trajectory) -> np.ndarray:
@@ -32,30 +36,32 @@ def _invariant_column(p: ModelParams, traj: Trajectory) -> np.ndarray:
     return values
 
 
-def _write_csv(path, header: str, columns) -> None:
-    """Write equal-length float columns as CSV rows; NaN cells are left empty."""
-    lines = [header]
-    for row in zip(*(column.tolist() for column in columns)):
-        lines.append(",".join("" if math.isnan(v) else format_float(v) for v in row))
-    with open(path, "w", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+def _format_column(column: np.ndarray) -> list[str]:
+    """``format_float`` of every cell in one formatting pass; NaN cells come out empty."""
+    text = "\n".join([_CELL_FORMAT] * len(column)) % tuple(column.tolist())
+    return text.replace("nan", "").split("\n")
 
 
-def write_timeseries_csv(path, reference: Trajectory, approx: Trajectory, p: ModelParams) -> None:
-    columns = (
-        reference.t,
-        reference.x,
-        reference.y,
-        approx.x,
-        approx.y,
-        _invariant_column(p, reference),
-        _invariant_column(p, approx),
-    )
-    _write_csv(path, TIMESERIES_HEADER, columns)
+def write_csv_tables(
+    timeseries_path, phase_path, reference: Trajectory, approx: Trajectory, p: ModelParams
+) -> None:
+    """Write the time-series and phase tables, formatting one block of rows at a time.
 
-
-def write_phase_csv(path, reference: Trajectory, approx: Trajectory) -> None:
-    _write_csv(path, PHASE_HEADER, (reference.x, reference.y, approx.x, approx.y))
+    Each block's columns are formatted once; the phase rows reuse the
+    time-series cells of x_ref, y_ref, x_approx and y_approx.
+    """
+    phase = (reference.x, reference.y, approx.x, approx.y)
+    columns = (reference.t, *phase, _invariant_column(p, reference), _invariant_column(p, approx))
+    with (
+        open(timeseries_path, "w", newline="\n") as series_out,
+        open(phase_path, "w", newline="\n") as phase_out,
+    ):
+        series_out.write(TIMESERIES_HEADER + "\n")
+        phase_out.write(PHASE_HEADER + "\n")
+        for start in range(0, len(reference), _BLOCK_ROWS):
+            cells = [_format_column(column[start : start + _BLOCK_ROWS]) for column in columns]
+            series_out.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            phase_out.write("\n".join(map(",".join, zip(*cells[1 : 1 + len(phase)]))) + "\n")
 
 
 def report_payload(label: str, t_end: float, report: DiagnosticsReport) -> dict:
@@ -105,8 +111,8 @@ def _svg_transform(curves):
     return to_pixels
 
 
-def _polyline(points, style) -> str:
-    coords = " ".join("%.2f,%.2f" % pq for pq in points)
+def _polyline(px: np.ndarray, py: np.ndarray, style) -> str:
+    coords = " ".join(["%.2f,%.2f"] * len(px)) % tuple(np.column_stack((px, py)).ravel().tolist())
     return f'<polyline fill="none" {style} points="{coords}"/>'
 
 
@@ -115,15 +121,16 @@ def write_phase_svg(
 ) -> None:
     """Self-contained phase-plane picture: reference solid, approximant dashed."""
     to_pixels = _svg_transform(((reference.x, reference.y), (approx.x, approx.y)))
-    ref_points = [to_pixels(x, y) for x, y in zip(reference.x, reference.y)]
-    approx_points = [to_pixels(x, y) for x, y in zip(approx.x, approx.y)]
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" '
         f'viewBox="0 0 {_SVG_WIDTH} {_SVG_HEIGHT}">',
         f'<rect x="0" y="0" width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" fill="white" '
         'stroke="#cccccc"/>',
-        _polyline(ref_points, 'stroke="#1f5fa8" stroke-width="1.5"'),
-        _polyline(approx_points, 'stroke="#c0392b" stroke-width="1.2" stroke-dasharray="6 4"'),
+        _polyline(*to_pixels(reference.x, reference.y), 'stroke="#1f5fa8" stroke-width="1.5"'),
+        _polyline(
+            *to_pixels(approx.x, approx.y),
+            'stroke="#c0392b" stroke-width="1.2" stroke-dasharray="6 4"',
+        ),
     ]
     if crossing is not None:
         cx, cy = to_pixels(*crossing.point)

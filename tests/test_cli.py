@@ -147,6 +147,16 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["run"]) == 2
 
 
+def test_run_needs_four_grid_points(tmp_path, capsys):
+    """Fewer samples than a self-crossing needs are refused before any work."""
+    out = tmp_path / "out"
+    assert main(["run", "--preset", "case-V", "--points", "3", "--out", str(out)]) == 2
+    assert "need at least 4 grid points, got 3" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["run", "--preset", "case-V", "--points", "4", "--format", "all", "--out", str(out)]) == 0
+    assert len(list(out.iterdir())) == 4
+
+
 def test_io_errors_exit_4(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("in the way")

@@ -213,3 +213,5 @@ def test_failure_report_validation():
         failure_report(ivp, MethodKind.TAYLOR, 5, t_end=-1.0)
     with pytest.raises(ValueError):
         failure_report(ivp, MethodKind.TAYLOR, 5, points=1)
+    with pytest.raises(ValueError, match="need at least 4 grid points, got 3"):
+        failure_report(ivp, MethodKind.TAYLOR, 5, points=3)
