@@ -37,17 +37,7 @@ from .methods import (
     methods_agree,
     vim_iterates,
 )
-from .model import (
-    FixedPointKind,
-    FixedPointReport,
-    ModelParams,
-    PopulationState,
-    conserved_quantity,
-    fixed_points,
-    invariant_residual,
-    jacobian,
-    vector_field,
-)
+from .model import ModelParams, PopulationState
 from .presets import CasePreset, preset, preset_names
 from .series import (
     InitialValueProblem,
@@ -64,8 +54,6 @@ __all__ = [
     "CasePreset",
     "DiagnosticsReport",
     "DivergenceError",
-    "FixedPointKind",
-    "FixedPointReport",
     "InitialValueProblem",
     "IntegrationError",
     "IntegratorConfig",
@@ -84,16 +72,12 @@ __all__ = [
     "adomian_series",
     "closed_orbit_check",
     "conservation_drift",
-    "conserved_quantity",
     "divergence_time",
     "estimate_period",
     "failure_report",
-    "fixed_points",
     "hpm_series",
     "hpm_terms",
     "integrate",
-    "invariant_residual",
-    "jacobian",
     "method_series",
     "methods_agree",
     "preset",
@@ -101,6 +85,5 @@ __all__ = [
     "sample_series",
     "self_intersection",
     "taylor_coefficients",
-    "vector_field",
     "vim_iterates",
 ]

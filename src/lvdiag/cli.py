@@ -225,15 +225,13 @@ def _check_conservation(results, passes):
 
 
 def _check_closure(results, solution):
-    case = preset("case-V")
-    ivp = InitialValueProblem(case.params, case.initial, case.default_t_end)
     period = solution.period
     if period is None:
         raise PeriodNotFoundError("case-V: no return to the start section")
     closure = solution.sample(
         np.linspace(0.0, _CLOSURE_WINDOW_FACTOR * period, _CLOSURE_GRID_POINTS)
     )
-    closed = closed_orbit_check(closure, ivp, _CLOSED_ORBIT_EPS, period=period)
+    closed = closed_orbit_check(closure, _CLOSED_ORBIT_EPS, period)
     results.append(
         ("case-V: reference orbit returns within 1e-6", closed, f"period {period:.9f}")
     )

@@ -238,11 +238,9 @@ def _compare_with_reference(
     closed_ref = closed_approx = False
     if period is not None:
         closure_grid = np.linspace(0.0, _CLOSURE_WINDOW_FACTOR * period, _CLOSURE_GRID_POINTS)
-        closed_ref = closed_orbit_check(
-            solution.sample(closure_grid), ivp, _CLOSED_ORBIT_EPS, period=period
-        )
+        closed_ref = closed_orbit_check(solution.sample(closure_grid), _CLOSED_ORBIT_EPS, period)
         closed_approx = closed_orbit_check(
-            sample_series(series, closure_grid), ivp, _CLOSED_ORBIT_EPS, period=period
+            sample_series(series, closure_grid), _CLOSED_ORBIT_EPS, period
         )
     report = DiagnosticsReport(
         method=method,

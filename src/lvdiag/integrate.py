@@ -215,6 +215,10 @@ def _initial_step(rhs, u, v, fu, fv, horizon, cfg):
     d1 = _rms(fu / su, fv / sv)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, horizon)
+    if h0 == 0.0:
+        # The scaled field is too large to square (d1 = inf): no step can
+        # resolve it, and the caller's step floor reports that.
+        return 0.0
     gu, gv = rhs(u + h0 * fu, v + h0 * fv)
     d2 = _rms((gu - fu) / su, (gv - fv) / sv) / h0
     if max(d1, d2) <= 1e-15:
@@ -438,23 +442,16 @@ def estimate_period(ivp: InitialValueProblem, cfg: IntegratorConfig | None = Non
     return period
 
 
-def closed_orbit_check(
-    traj: Trajectory,
-    ivp: InitialValueProblem,
-    eps: float,
-    period: float | None = None,
-) -> bool:
+def closed_orbit_check(traj: Trajectory, eps: float, period: float) -> bool:
     """Whether the curve comes back to its initial point around one period.
 
     Measures the minimum distance from the first sample to the polyline
-    restricted to t in [0.5*T, 1.5*T], T being the estimated period (computed
-    from the problem unless supplied).  The trajectory must span at least one
+    restricted to t in [0.5*T, 1.5*T], T being the given period (say, the
+    ``period`` of a ``solve`` pass).  The trajectory must span at least one
     period.
     """
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
-    if period is None:
-        period = estimate_period(ivp)
     if traj.t[-1] < period:
         raise ValueError(
             f"trajectory ends at t={traj.t[-1]} but one period is {period}; span at least one period"

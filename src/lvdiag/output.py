@@ -91,15 +91,18 @@ def write_report_json(path, payload: dict) -> None:
         handle.write("\n")
 
 
+def _axis_range(values):
+    """(lo, hi) of one axis; a flat one widens by 1, or by one ulp where 1 rounds away."""
+    lo, hi = float(np.min(values)), float(np.max(values))
+    if hi == lo:
+        pad = max(1.0, float(np.spacing(abs(lo))))
+        return lo - pad, hi + pad
+    return lo, hi
+
+
 def _svg_transform(curves):
-    xs = np.concatenate([c[0] for c in curves])
-    ys = np.concatenate([c[1] for c in curves])
-    x_lo, x_hi = float(np.min(xs)), float(np.max(xs))
-    y_lo, y_hi = float(np.min(ys)), float(np.max(ys))
-    if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
-    if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
+    x_lo, x_hi = _axis_range(np.concatenate([c[0] for c in curves]))
+    y_lo, y_hi = _axis_range(np.concatenate([c[1] for c in curves]))
     inner_w = _SVG_WIDTH * (1.0 - 2.0 * _SVG_MARGIN)
     inner_h = _SVG_HEIGHT * (1.0 - 2.0 * _SVG_MARGIN)
 

@@ -115,7 +115,7 @@ def test_criterion_4_closed_orbit_and_pinned_period():
         InitialValueProblem(CASE_V.params, CASE_V.initial, span),
         t_grid=np.linspace(0.0, span, 2401),
     )
-    closes = closed_orbit_check(closure, ivp, 1e-6, period=period)
+    closes = closed_orbit_check(closure, 1e-6, period)
     one_period = integrate(
         InitialValueProblem(CASE_V.params, CASE_V.initial, period),
         t_grid=np.linspace(0.0, period, 2001),

@@ -166,13 +166,21 @@ def test_io_errors_exit_4(tmp_path, capsys):
 
 
 def test_numeric_failures_exit_3(tmp_path, capsys):
-    code = _run(
-        tmp_path,
-        "--a", "1", "--b", "0", "--c", "1", "--d", "0",
-        "--x0", "1", "--y0", "1", "--t-end", "800",
-    )
-    assert code == 3
-    assert "numeric failure" in capsys.readouterr().err
+    rates = ("--a", "1", "--b", "1", "--c", "1", "--d", "1")
+    cases = [
+        (
+            "--a", "1", "--b", "0", "--c", "1", "--d", "0",
+            "--x0", "1", "--y0", "1", "--t-end", "800",
+        ),
+        # Starts so large that the squared scaled field overflows the initial-step estimate.
+        (*rates, "--x0", "1e145", "--y0", "1"),
+        (*rates, "--x0", "1e300", "--y0", "1"),
+        (*rates, "--x0", "1", "--y0", "1e300"),
+    ]
+    for args in cases:
+        code = _run(tmp_path, *args)
+        assert code == 3, args
+        assert "numeric failure" in capsys.readouterr().err, args
 
 
 def test_verify_passes(capsys):

@@ -201,7 +201,7 @@ def test_closed_orbit_check_accepts_the_reference_orbit():
     span = 1.2 * period
     window = InitialValueProblem(CASE_V.params, CASE_V.initial, span)
     traj = integrate(window, t_grid=np.linspace(0.0, span, 2401))
-    assert closed_orbit_check(traj, ivp, 1e-6, period=period) is True
+    assert closed_orbit_check(traj, 1e-6, period) is True
 
 
 def test_closed_orbit_check_rejects_a_runaway_series():
@@ -209,7 +209,7 @@ def test_closed_orbit_check_rejects_a_runaway_series():
     period = estimate_period(ivp)
     span = 1.2 * period
     series = sample_series(taylor_coefficients(ivp, 5), np.linspace(0.0, span, 2401))
-    assert closed_orbit_check(series, ivp, 1e-6, period=period) is False
+    assert closed_orbit_check(series, 1e-6, period) is False
 
 
 def test_closed_orbit_check_validation():
@@ -217,7 +217,7 @@ def test_closed_orbit_check_validation():
     period = estimate_period(ivp)
     short = integrate(_ivp(CASE_V, 3.0), t_grid=np.linspace(0.0, 3.0, 301))
     with pytest.raises(ValueError):
-        closed_orbit_check(short, ivp, 1e-6, period=period)
+        closed_orbit_check(short, 1e-6, period)
     full = integrate(_ivp(CASE_V, 10.0), t_grid=np.linspace(0.0, 10.0, 1001))
     with pytest.raises(ValueError):
-        closed_orbit_check(full, ivp, 0.0, period=period)
+        closed_orbit_check(full, 0.0, period)

@@ -1,22 +1,17 @@
-"""Model layer: vector field, Jacobian, equilibria, first integral."""
+"""Model layer: parameter and state validation, and the two private kernels.
+
+``model._field`` is the vector field the integrator steps on an axis;
+``model._first_integral`` is the invariant C that ``conservation_drift`` and
+the CSV ``C_*`` columns evaluate.
+"""
 
 import math
 
 import numpy as np
 import pytest
 
-from lvdiag import (
-    FixedPointKind,
-    ModelParams,
-    NonFiniteError,
-    PopulationState,
-    PositivityError,
-    conserved_quantity,
-    fixed_points,
-    invariant_residual,
-    jacobian,
-    vector_field,
-)
+from lvdiag import ModelParams, NonFiniteError, PopulationState
+from lvdiag.model import _field, _first_integral
 
 CASE_I = ModelParams(1.0, 1.0, 0.1, 1.0)
 CASE_V = ModelParams(1.0, 1.0, 1.0, 1.0)
@@ -60,104 +55,44 @@ def test_state_rejects_negative_and_nonfinite():
 
 
 def test_vector_field_matches_closed_form_bitwise():
-    fx, fy = vector_field(CASE_I, PopulationState(14.0, 18.0))
+    fx, fy = _field(CASE_I, 14.0, 18.0)
     assert fx == 14.0 * (1.0 - 1.0 * 18.0)
     assert fy == -18.0 * (0.1 - 1.0 * 14.0)
     assert (fx, fy) == (-238.0, 250.20000000000002)
 
 
 def test_vector_field_vanishes_at_origin_and_centre():
-    assert vector_field(CASE_V, PopulationState(0.0, 0.0)) == (0.0, 0.0)
-    assert vector_field(CASE_V, PopulationState(1.0, 1.0)) == (0.0, 0.0)
-
-
-def test_jacobian_values():
-    np.testing.assert_array_equal(
-        jacobian(CASE_I, PopulationState(0.0, 0.0)), [[1.0, 0.0], [0.0, -0.1]]
-    )
-    np.testing.assert_array_equal(
-        jacobian(CASE_V, PopulationState(1.0, 1.0)), [[0.0, -1.0], [1.0, 0.0]]
-    )
-    np.testing.assert_allclose(
-        jacobian(CASE_I, PopulationState(0.1, 1.0)), [[0.0, -0.1], [1.0, 0.0]], atol=1e-16
-    )
-
-
-def test_fixed_points_case_i():
-    saddle, centre = fixed_points(CASE_I)
-    assert saddle.kind is FixedPointKind.SADDLE
-    assert saddle.location == PopulationState(0.0, 0.0)
-    assert saddle.eigenvalues == (1.0 + 0.0j, -0.1 + 0.0j)
-    assert centre.kind is FixedPointKind.CENTER
-    assert centre.location == PopulationState(0.1, 1.0)
-    lam1, lam2 = centre.eigenvalues
-    assert lam1.real == 0.0 and lam2.real == 0.0
-    assert lam1.imag == pytest.approx(math.sqrt(0.1), abs=1e-15)
-    assert lam2 == lam1.conjugate()
-
-
-def test_fixed_points_unit_and_scaled_cases():
-    saddle, centre = fixed_points(CASE_V)
-    assert saddle.eigenvalues == (1.0 + 0.0j, -1.0 + 0.0j)
-    assert centre.location == PopulationState(1.0, 1.0)
-    assert centre.eigenvalues == (1.0j, -1.0j)
-    centre2 = fixed_points(ModelParams(2.0, 1.0, 2.0, 1.0))[1]
-    assert centre2.location == PopulationState(2.0, 2.0)
-    assert centre2.eigenvalues == (2.0j, -2.0j)
-
-
-def test_fixed_points_decoupled_has_only_the_origin():
-    reports = fixed_points(ModelParams(1.0, 0.0, 1.0, 0.0))
-    assert len(reports) == 1
-    assert reports[0].kind is FixedPointKind.SADDLE
+    assert _field(CASE_V, 0.0, 0.0) == (0.0, 0.0)
+    assert _field(CASE_V, 1.0, 1.0) == (0.0, 0.0)
 
 
 def test_field_vanishes_at_reported_fixed_points():
+    """The equilibria of the closed form: the origin and the centre (c/d, a/b)."""
     rng = np.random.default_rng(20260814)
     for _ in range(50):
         a, b, c, d = rng.uniform(0.1, 3.0, size=4)
-        for report in fixed_points(ModelParams(a, b, c, d)):
-            fx, fy = vector_field(ModelParams(a, b, c, d), report.location)
-            assert abs(fx) <= 1e-14 and abs(fy) <= 1e-14
-
-
-def test_centre_eigenvalues_purely_imaginary_at_sqrt_ac():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        a, b, c, d = rng.uniform(0.05, 5.0, size=4)
-        centre = fixed_points(ModelParams(a, b, c, d))[1]
-        lam1, lam2 = centre.eigenvalues
-        assert lam1.real == 0.0 and lam2.real == 0.0
-        assert abs(lam1.imag - math.sqrt(a * c)) <= 1e-12 * math.sqrt(a * c)
+        p = ModelParams(a, b, c, d)
+        assert _field(p, 0.0, 0.0) == (0.0, 0.0)
+        fx, fy = _field(p, c / d, a / b)
+        assert abs(fx) <= 1e-14 and abs(fy) <= 1e-14
 
 
 def test_conserved_quantity_values():
-    assert conserved_quantity(CASE_V, PopulationState(3.0, 2.0)) == C_CASE_V_AT_3_2
+    assert _first_integral(CASE_V, 3.0, 2.0) == C_CASE_V_AT_3_2
     assert C_CASE_V_AT_3_2 == pytest.approx(math.log(6.0) - 5.0, abs=1e-15)
-    assert conserved_quantity(CASE_V, PopulationState(1.0, 1.0)) == -2.0
-    assert conserved_quantity(CASE_I, PopulationState(14.0, 18.0)) == C_CASE_I_AT_14_18
+    assert _first_integral(CASE_V, 1.0, 1.0) == -2.0
+    assert _first_integral(CASE_I, 14.0, 18.0) == C_CASE_I_AT_14_18
     direct = 0.1 * math.log(14.0) + math.log(18.0) - 14.0 - 18.0
     assert C_CASE_I_AT_14_18 == pytest.approx(direct, abs=1e-14)
-
-
-def test_conserved_quantity_requires_positive_populations():
-    with pytest.raises(PositivityError):
-        conserved_quantity(CASE_V, PopulationState(0.0, 1.0))
-    with pytest.raises(PositivityError):
-        conserved_quantity(CASE_V, PopulationState(1.0, 0.0))
+    # Arrays give the scalar values bit for bit.
+    values = _first_integral(CASE_V, np.array([3.0, 1.0]), np.array([2.0, 1.0]))
+    assert values.tolist() == [C_CASE_V_AT_3_2, -2.0]
 
 
 def test_invariant_residual_values():
-    s0 = PopulationState(3.0, 2.0)
-    assert invariant_residual(CASE_V, s0, s0) == 0.0
-    residual = invariant_residual(CASE_V, PopulationState(2.0, 1.0), s0)
+    residual = _first_integral(CASE_V, 2.0, 1.0) - _first_integral(CASE_V, 3.0, 2.0)
     assert residual == RESIDUAL_2_1_FROM_3_2
     assert residual == pytest.approx(2.0 - math.log(3.0), abs=1e-15)
-
-
-def test_invariant_residual_propagates_domain_errors():
-    with pytest.raises(PositivityError):
-        invariant_residual(CASE_V, PopulationState(0.0, 1.0), PopulationState(3.0, 2.0))
 
 
 def test_invariant_gradient_orthogonal_to_field():
@@ -167,6 +102,6 @@ def test_invariant_gradient_orthogonal_to_field():
         a, b, c, d = rng.uniform(0.05, 4.0, size=4)
         x, y = rng.uniform(0.05, 20.0, size=2)
         p = ModelParams(a, b, c, d)
-        fx, fy = vector_field(p, PopulationState(x, y))
+        fx, fy = _field(p, x, y)
         grad_dot_f = (c / x - d) * fx + (a / y - b) * fy
         assert abs(grad_dot_f) <= 1e-12 * (1.0 + math.hypot(fx, fy))

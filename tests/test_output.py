@@ -10,6 +10,7 @@ import math
 import os
 import tempfile
 import tracemalloc
+import warnings
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -29,7 +30,8 @@ from lvdiag.output import (
 # Samples the block formatter must reproduce: signed zeros, subnormals,
 # extremes, integers and non-positive populations (empty C cells).
 SPECIAL_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.2e-310, 1e300, -1e300, 1.0, 3.0, -7.0, 123456789.0)
-# A constant coordinate widens to value -/+ 1; past 2**53 that is no widening.
+# Constant coordinates the loop oracle widens to value -/+ 1, as the writer does
+# below 2**53; larger magnitudes are checked in test_flat_axis_beyond_2_53.
 FLAT_VALUES = (0.0, -0.0, 5e-324, 1.0, -7.0, 123456789.0)
 
 
@@ -172,3 +174,19 @@ def test_csv_tables_hold_one_block_of_strings(tmp_path):
     # About 4 MiB here, mostly the two invariant columns; a whole table of
     # strings at once peaked at 42.5 MiB.
     assert peak < 8 * 2**20
+
+
+def test_flat_axis_beyond_2_53_draws_finite_points(tmp_path):
+    # Widening such an axis by 1 rounds away; it widens by one ulp instead.
+    t = np.arange(4.0)
+    x = np.array([1.0, 2.0, 3.0, 4.0])
+    for flat in (2.0**53, -(2.0**53), 1e300):
+        curve = Trajectory(t, x, np.full(4, flat))
+        path = tmp_path / "flat.svg"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            write_phase_svg(path, curve, curve, None)
+        text = path.read_text()
+        assert "nan" not in text and "inf" not in text
+        # The flat coordinate lands mid-height.
+        assert 'points="40.00,300.00 ' in text

@@ -34,9 +34,9 @@ from lvdiag import (
     sample_series,
     self_intersection,
     taylor_coefficients,
-    vector_field,
 )
 from lvdiag.diagnostics import _compare_with_reference
+from lvdiag.model import _field
 
 T_END = 10.0
 # Values of the report's private constants, restated so that the standalone
@@ -89,7 +89,7 @@ def test_reference_and_period_match_an_independent_dop853(ivp):
         # the search itself used.  The crossing is checked to 1e-8 in time or
         # to the 1e-8 relative state agreement above, whichever is looser:
         # small orbits cross slowly.
-        fx0, fy0 = vector_field(p, ivp.initial)
+        fx0, fy0 = _field(p, x0, y0)
         comp, level, departure = (1, y0, fy0) if fy0 != 0.0 else (0, x0, fx0)
         w = oracle.sol(period)
         value = math.exp(w[comp])
@@ -120,11 +120,9 @@ def test_one_pass_report_agrees_with_standalone_passes(ivp, method, order):
     span = CLOSURE_SPAN * period
     closure_grid = np.linspace(0.0, span, CLOSURE_POINTS)
     window = InitialValueProblem(ivp.params, ivp.initial, span)
-    closed_ref = closed_orbit_check(
-        integrate(window, t_grid=closure_grid), ivp, CLOSED_EPS, period=period
-    )
+    closed_ref = closed_orbit_check(integrate(window, t_grid=closure_grid), CLOSED_EPS, period)
     series = sample_series(method_series(ivp, method, order), closure_grid)
-    closed_approx = closed_orbit_check(series, ivp, CLOSED_EPS, period=period)
+    closed_approx = closed_orbit_check(series, CLOSED_EPS, period)
     assert (report.closed_orbit_ref, report.closed_orbit) == (closed_ref, closed_approx)
 
 

@@ -1,0 +1,62 @@
+"""The public surface: the names ``lvdiag`` exports and the README's library example."""
+
+import pathlib
+import re
+
+import lvdiag
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+PUBLIC_NAMES = [
+    "AgreementReport",
+    "CasePreset",
+    "DiagnosticsReport",
+    "DivergenceError",
+    "InitialValueProblem",
+    "IntegrationError",
+    "IntegratorConfig",
+    "MethodKind",
+    "ModelParams",
+    "NonFiniteError",
+    "PeriodNotFoundError",
+    "PopulationState",
+    "PositivityError",
+    "SegmentCrossing",
+    "SeriesSolution",
+    "StepSizeUnderflowError",
+    "Trajectory",
+    "UnknownPresetError",
+    "adomian_components",
+    "adomian_series",
+    "closed_orbit_check",
+    "conservation_drift",
+    "divergence_time",
+    "estimate_period",
+    "failure_report",
+    "hpm_series",
+    "hpm_terms",
+    "integrate",
+    "method_series",
+    "methods_agree",
+    "preset",
+    "preset_names",
+    "sample_series",
+    "self_intersection",
+    "taylor_coefficients",
+    "vim_iterates",
+]
+
+
+def test_public_names_are_pinned_and_resolve():
+    assert sorted(lvdiag.__all__) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert getattr(lvdiag, name) is not None, name
+
+
+def test_readme_library_example_runs():
+    text = README.read_text()
+    section = text[text.index("\n## Library\n") :]
+    section = section[: section.index("\n## ", 1)]
+    block = re.search(r"```python\n(.*?)```", section, flags=re.S)
+    assert block is not None, "no python block under ## Library"
+    exec(compile(block.group(1), "README.md", "exec"), {})
