@@ -25,7 +25,7 @@ from .exceptions import (
     StepSizeUnderflowError,
     UnknownPresetError,
 )
-from .integrate import IntegratorConfig, closed_orbit_check, estimate_period, integrate
+from .integrate import IntegratorConfig, closed_orbit_check, integrate, solve
 from .methods import (
     AgreementReport,
     MethodKind,
@@ -73,7 +73,6 @@ __all__ = [
     "closed_orbit_check",
     "conservation_drift",
     "divergence_time",
-    "estimate_period",
     "failure_report",
     "hpm_series",
     "hpm_terms",
@@ -84,6 +83,7 @@ __all__ = [
     "preset_names",
     "sample_series",
     "self_intersection",
+    "solve",
     "taylor_coefficients",
     "vim_iterates",
 ]

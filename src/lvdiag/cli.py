@@ -20,16 +20,15 @@ import time
 import numpy as np
 
 from .diagnostics import (
-    _CLOSED_ORBIT_EPS,
-    _CLOSURE_GRID_POINTS,
-    _CLOSURE_WINDOW_FACTOR,
+    _closes,
     _compare_with_reference,
+    _reference,
     conservation_drift,
     divergence_time,
     self_intersection,
 )
 from .exceptions import IntegrationError, PeriodNotFoundError, UnknownPresetError
-from .integrate import IntegratorConfig, closed_orbit_check, integrate, solve
+from .integrate import IntegratorConfig, integrate, solve
 from .methods import MethodKind, method_series, methods_agree
 from .model import ModelParams, PopulationState
 from .output import report_payload, write_csv_tables, write_phase_svg, write_report_json
@@ -228,13 +227,8 @@ def _check_closure(results, solution):
     period = solution.period
     if period is None:
         raise PeriodNotFoundError("case-V: no return to the start section")
-    closure = solution.sample(
-        np.linspace(0.0, _CLOSURE_WINDOW_FACTOR * period, _CLOSURE_GRID_POINTS)
-    )
-    closed = closed_orbit_check(closure, _CLOSED_ORBIT_EPS, period)
-    results.append(
-        ("case-V: reference orbit returns within 1e-6", closed, f"period {period:.9f}")
-    )
+    closed = _closes(solution.sample, period)
+    results.append(("case-V: reference orbit returns within 1e-6", closed, f"period {period:.9f}"))
     crossing = self_intersection(solution.sample(np.linspace(0.0, period, 2001)))
     results.append(
         (
@@ -310,9 +304,7 @@ def _verification_groups(orders):
     # case-I's over [0, 10], case-V's over [0, 50] and on past 1.2 periods.
     passes = {
         "case-I": solve(InitialValueProblem(case_i.params, case_i.initial, 10.0), cfg),
-        "case-V": solve(
-            InitialValueProblem(case_v.params, case_v.initial, 10.0), cfg, t_end=50.0, period_span=_CLOSURE_WINDOW_FACTOR
-        ),
+        "case-V": _reference(InitialValueProblem(case_v.params, case_v.initial, 10.0), cfg, 50.0),
     }
     yield "reference", time.perf_counter() - start, []
     groups = (
@@ -327,11 +319,6 @@ def _verification_groups(orders):
         results = []
         check(results)
         yield group, time.perf_counter() - start, results
-
-
-def verification_results(orders=_DEFAULT_SWEEP):
-    """All verification checks as (name, passed, detail) triples."""
-    return [triple for _, _, triples in _verification_groups(orders) for triple in triples]
 
 
 def cmd_verify(args) -> int:

@@ -191,6 +191,17 @@ def _excluded_count(traj: Trajectory) -> int:
     return int(np.count_nonzero(~((traj.x > 0.0) & (traj.y > 0.0))))
 
 
+def _reference(ivp: InitialValueProblem, cfg: IntegratorConfig | None, t_end: float):
+    """The reference pass over [0, t_end] that runs on past the closure window."""
+    return solve(ivp, cfg, t_end=t_end, period_span=_CLOSURE_WINDOW_FACTOR)
+
+
+def _closes(sample, period: float) -> bool:
+    """Whether ``sample`` (time grid to trajectory) returns to its start around ``period``."""
+    grid = np.linspace(0.0, _CLOSURE_WINDOW_FACTOR * period, _CLOSURE_GRID_POINTS)
+    return closed_orbit_check(sample(grid), _CLOSED_ORBIT_EPS, period)
+
+
 def failure_report(
     ivp: InitialValueProblem,
     method: MethodKind,
@@ -228,7 +239,7 @@ def _compare_with_reference(
     if points < 4:
         raise ValueError(f"need at least 4 grid points, got {points}")
     grid = np.linspace(0.0, horizon, points)
-    solution = solve(ivp, cfg, t_end=horizon, period_span=_CLOSURE_WINDOW_FACTOR)
+    solution = _reference(ivp, cfg, horizon)
     reference = solution.sample(grid)
     series = method_series(ivp, method, order)
     approx = sample_series(series, grid)
@@ -237,11 +248,8 @@ def _compare_with_reference(
     period = solution.period
     closed_ref = closed_approx = False
     if period is not None:
-        closure_grid = np.linspace(0.0, _CLOSURE_WINDOW_FACTOR * period, _CLOSURE_GRID_POINTS)
-        closed_ref = closed_orbit_check(solution.sample(closure_grid), _CLOSED_ORBIT_EPS, period)
-        closed_approx = closed_orbit_check(
-            sample_series(series, closure_grid), _CLOSED_ORBIT_EPS, period
-        )
+        closed_ref = _closes(solution.sample, period)
+        closed_approx = _closes(lambda t_grid: sample_series(series, t_grid), period)
     report = DiagnosticsReport(
         method=method,
         order=int(order),

@@ -31,11 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import (
-    DivergenceError,
-    PeriodNotFoundError,
-    StepSizeUnderflowError,
-)
+from .exceptions import DivergenceError, StepSizeUnderflowError
 from .model import _field
 from .series import InitialValueProblem, _validated_grid
 from .trajectory import Trajectory
@@ -270,12 +266,16 @@ def solve(
     """One adaptive pass from t=0, kept as a dense solution.
 
     Without ``period_span`` the pass ends at ``t_end`` (default: the problem
-    horizon).  With it, and a strictly positive start, the first directed
-    return to the start section is located as an event on the accepted steps
-    (see ``estimate_period``) and the pass ends at
-    max(t_end, period_span * period); when no return occurs within the search
-    horizon 100/sqrt(a*c), it ends at max(t_end, that horizon) and ``period``
-    is None.
+    horizon).  With it, and a strictly positive start, ``period`` is the first
+    directed return to the start section, located as an event on the accepted
+    steps: the section is the line through the initial state normal to the
+    component whose logarithm changes faster at t=0 (y on ties), a return
+    counts only when crossed in the same direction as at departure, and the
+    root is polished by bisection on the dense output to 1e-10 in time.  The
+    pass then ends at max(t_end, period_span * period).  When no return occurs
+    within the search horizon 100/sqrt(a*c), about sixteen linearised
+    revolutions, it ends at max(t_end, that horizon); ``period`` is None then,
+    and also for an equilibrium or an on-axis start.
     """
     cfg = cfg or IntegratorConfig()
     t_end = ivp.t_end if t_end is None else float(t_end)
@@ -415,31 +415,6 @@ def integrate(
     if grid[-1] > ivp.t_end:
         raise ValueError(f"grid ends at {grid[-1]} beyond t_end={ivp.t_end}")
     return solve(ivp, cfg, t_end=float(grid[-1])).sample(grid)
-
-
-def estimate_period(ivp: InitialValueProblem, cfg: IntegratorConfig | None = None) -> float:
-    """Orbit period from the first directed return to the start section.
-
-    The section is the line through the initial state normal to the component
-    whose logarithm changes faster at t=0 (y on ties); a return counts only
-    when crossed in the same direction as at departure.  The root
-    is polished by bisection on the dense output to 1e-10 in time.  The search
-    gives up past 100/sqrt(a*c), i.e. about sixteen linearised revolutions.
-    """
-    x0, y0 = ivp.initial.x, ivp.initial.y
-    if x0 <= 0.0 or y0 <= 0.0:
-        raise ValueError(f"period estimation needs a strictly positive state, got ({x0}, {y0})")
-    if _start_section(ivp.params, x0, y0) is None:
-        raise PeriodNotFoundError(
-            f"initial state ({x0}, {y0}) is an equilibrium; the orbit is degenerate"
-        )
-    period = solve(ivp, cfg, t_end=0.0, period_span=1.0).period
-    if period is None:
-        horizon = _PERIOD_SEARCH_FACTOR / math.sqrt(ivp.params.a * ivp.params.c)
-        raise PeriodNotFoundError(
-            f"no return to the start section within t={horizon!r}; the orbit may not be closed"
-        )
-    return period
 
 
 def closed_orbit_check(traj: Trajectory, eps: float, period: float) -> bool:

@@ -101,11 +101,6 @@ def _padded(coeffs, length):
     return out
 
 
-def _truncated(coeffs, degree):
-    out = np.asarray(coeffs, dtype=float)[: degree + 1]
-    return out if out.size else np.zeros(1)
-
-
 def _adomian_polynomial(u, v, n):
     """n-th Adomian polynomial of the product nonlinearity x*y.
 
@@ -193,8 +188,8 @@ def vim_iterates(ivp: InitialValueProblem, iterations: int) -> list[tuple[np.nda
         xy = _pmul(xp, yp)
         residual_x = _psub(_pder(xp), _psub(p.a * xp, p.b * xy))
         residual_y = _psub(_pder(yp), _padd(-p.c * yp, p.d * xy))
-        xp = _truncated(_psub(xp, _pint(residual_x)), cap)
-        yp = _truncated(_psub(yp, _pint(residual_y)), cap)
+        xp = _psub(xp, _pint(residual_x))[: cap + 1]
+        yp = _psub(yp, _pint(residual_y))[: cap + 1]
         iterates.append((xp, yp))
     return iterates
 

@@ -17,15 +17,11 @@ _SVG_WIDTH = 800
 _SVG_HEIGHT = 600
 _SVG_MARGIN = 0.05
 
-# The one cell format of both CSV tables.
+# The one cell format of both CSV tables: 17 significant digits round-trip
+# every IEEE-754 double.
 _CELL_FORMAT = "%.17g"
 # Rows formatted per pass; bounds the strings a table holds at once.
 _BLOCK_ROWS = 512
-
-
-def format_float(value: float) -> str:
-    """Fixed 17-significant-digit formatting; round-trips IEEE-754 doubles."""
-    return _CELL_FORMAT % float(value)
 
 
 def _invariant_column(p: ModelParams, traj: Trajectory) -> np.ndarray:
@@ -37,7 +33,7 @@ def _invariant_column(p: ModelParams, traj: Trajectory) -> np.ndarray:
 
 
 def _format_column(column: np.ndarray) -> list[str]:
-    """``format_float`` of every cell in one formatting pass; NaN cells come out empty."""
+    """``_CELL_FORMAT`` of every cell in one formatting pass; NaN cells come out empty."""
     text = "\n".join([_CELL_FORMAT] * len(column)) % tuple(column.tolist())
     return text.replace("nan", "").split("\n")
 

@@ -12,20 +12,17 @@ import numpy as np
 
 from lvdiag import (
     InitialValueProblem,
-    IntegratorConfig,
-    MethodKind,
     ModelParams,
     PopulationState,
     closed_orbit_check,
     conservation_drift,
     divergence_time,
-    estimate_period,
     integrate,
     methods_agree,
-    method_series,
     preset,
     sample_series,
     self_intersection,
+    solve,
     taylor_coefficients,
     vim_iterates,
 )
@@ -109,7 +106,7 @@ def test_criterion_3_reference_conserves_the_invariant():
 
 def test_criterion_4_closed_orbit_and_pinned_period():
     ivp = _ivp(CASE_V, 10.0)
-    period = estimate_period(ivp)
+    period = solve(ivp, period_span=1.0).period
     span = 1.2 * period
     closure = integrate(
         InitialValueProblem(CASE_V.params, CASE_V.initial, span),
@@ -149,7 +146,7 @@ def test_criterion_6_series_phase_curve_crosses_itself():
     ivp = _ivp(CASE_V, 10.0)
     grid = np.linspace(0.0, 10.0, 2001)
     crossing = self_intersection(sample_series(taylor_coefficients(ivp, order), grid))
-    period = estimate_period(ivp)
+    period = solve(ivp, period_span=1.0).period
     reference_loop = integrate(
         InitialValueProblem(CASE_V.params, CASE_V.initial, period),
         t_grid=np.linspace(0.0, period, 2001),
@@ -179,7 +176,7 @@ def test_criterion_6_series_phase_curve_crosses_itself():
 def test_criterion_7_near_centre_period_is_2pi():
     p = ModelParams(1.0, 1.0, 1.0, 1.0)
     start = PopulationState(1.0 + 1e-4, 1.0)
-    period = estimate_period(InitialValueProblem(p, start, 10.0))
+    period = solve(InitialValueProblem(p, start, 10.0), period_span=1.0).period
     gap = abs(period - 2.0 * math.pi)
     _report(7, "linearised period 2*pi near the centre", gap <= 1e-3, f"|T - 2pi| = {gap:.3e}")
 

@@ -3,12 +3,14 @@
 import csv
 import json
 
-import numpy as np
 import pytest
 
-from lvdiag import SeriesSolution
-from lvdiag.cli import main, verification_results
-from lvdiag.output import PHASE_HEADER, TIMESERIES_HEADER, format_float
+from lvdiag import InitialValueProblem, MethodKind, SeriesSolution, failure_report, preset
+from lvdiag.cli import _verification_groups, main
+from lvdiag.output import PHASE_HEADER, TIMESERIES_HEADER
+
+# The CSV cell format, as lvdiag.output writes it.
+CELL_FORMAT = "%.17g"
 
 JSON_FIELDS = [
     "preset",
@@ -71,7 +73,7 @@ def test_csv_headers_and_roundtrip(tmp_path):
     # 17 significant digits round-trip doubles exactly.
     for cell in timeseries[5].split(","):
         value = float(cell)
-        assert format_float(value) == cell
+        assert CELL_FORMAT % value == cell
     phase = (tmp_path / "decoupled_taylor_order5_phase.csv").read_text().splitlines()
     assert phase[0] == PHASE_HEADER
     assert len(phase) == 12
@@ -198,7 +200,7 @@ def test_verify_times_each_group_on_stderr_only(capsys):
         runs.append(capsys.readouterr())
     assert runs[0].out == runs[1].out
     table = runs[0].out.splitlines()
-    results = verification_results((4,))
+    results = [triple for _, _, triples in _verification_groups((4,)) for triple in triples]
     assert len(table) == len(results) + 1
     for line, (name, ok, detail) in zip(table, results):
         assert ok and line.startswith(name) and line.endswith(f"  PASS  {detail}")
@@ -207,6 +209,17 @@ def test_verify_times_each_group_on_stderr_only(capsys):
         groups = [line.split()[1] for line in lines]
         assert groups == ["reference", "equivalence", "conservation", "closure", "divergence", "self-crossing"]
         assert all(line.startswith("verify: ") and line.endswith(" ms") for line in lines)
+
+
+def test_verify_closure_row_matches_failure_report():
+    groups = {group: triples for group, _, triples in _verification_groups((4,))}
+    (name, closed, detail), _ = groups["closure"]
+    assert name == "case-V: reference orbit returns within 1e-6"
+    case = preset("case-V")
+    ivp = InitialValueProblem(case.params, case.initial, case.default_t_end)
+    report = failure_report(ivp, MethodKind.TAYLOR, case.default_order)
+    assert detail == f"period {report.period_estimate:.9f}"
+    assert closed is report.closed_orbit_ref is True
 
 
 def test_verify_with_custom_orders(capsys):

@@ -12,11 +12,10 @@ from lvdiag import (
     MethodKind,
     ModelParams,
     PopulationState,
-    estimate_period,
     failure_report,
     preset,
+    solve,
 )
-from lvdiag.integrate import solve
 from lvdiag.presets import CasePreset
 
 integrate_module = importlib.import_module("lvdiag.integrate")
@@ -72,7 +71,7 @@ def test_step_boundaries_sample_their_stored_states_bitwise():
 
 
 def test_period_event_sets_the_end_of_the_pass():
-    period = estimate_period(_ivp(CASE_V, 10.0))
+    period = solve(_ivp(CASE_V, 10.0), period_span=1.0).period
     short = solve(_ivp(CASE_V, 10.0), t_end=1.0, period_span=1.2)
     assert short.period == period
     assert short.t[-1] == 1.2 * period

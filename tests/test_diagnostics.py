@@ -13,13 +13,13 @@ from lvdiag import (
     Trajectory,
     conservation_drift,
     divergence_time,
-    estimate_period,
     failure_report,
     integrate,
     method_series,
     preset,
     sample_series,
     self_intersection,
+    solve,
     taylor_coefficients,
 )
 
@@ -141,7 +141,7 @@ def test_self_intersection_pinned_crossing():
 
 def test_reference_orbit_is_simple_over_one_period():
     ivp = _ivp(CASE_V, 10.0)
-    period = estimate_period(ivp)
+    period = solve(ivp, period_span=1.0).period
     window = InitialValueProblem(CASE_V.params, CASE_V.initial, period)
     traj = integrate(window, t_grid=np.linspace(0.0, period, 2001))
     assert self_intersection(traj) is None

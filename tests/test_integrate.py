@@ -12,15 +12,14 @@ from lvdiag import (
     IntegratorConfig,
     MethodKind,
     ModelParams,
-    PeriodNotFoundError,
     PopulationState,
     closed_orbit_check,
     conservation_drift,
-    estimate_period,
     failure_report,
     integrate,
     preset,
     sample_series,
+    solve,
     taylor_coefficients,
 )
 
@@ -154,17 +153,17 @@ def test_unbounded_growth_raises_divergence_error():
         integrate(on_axis)
 
 
-def test_estimate_period_pinned_value():
-    period = estimate_period(_ivp(CASE_V, 10.0))
+def test_period_pinned_value():
+    period = solve(_ivp(CASE_V, 10.0), period_span=1.0).period
     assert abs(period - PERIOD_V) <= 1e-8
-    tight = estimate_period(_ivp(CASE_V, 10.0), IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14))
-    assert abs(tight - PERIOD_V) <= 1e-9
+    tight = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
+    assert abs(solve(_ivp(CASE_V, 10.0), tight, period_span=1.0).period - PERIOD_V) <= 1e-9
 
 
 def test_near_centre_period_approaches_the_linearised_value():
     p = ModelParams(1.0, 1.0, 1.0, 1.0)
     ivp = InitialValueProblem(p, PopulationState(1.0001, 1.0), 10.0)
-    assert abs(estimate_period(ivp) - 2.0 * math.pi) <= 1e-3
+    assert abs(solve(ivp, period_span=1.0).period - 2.0 * math.pi) <= 1e-3
 
 
 def test_period_found_from_a_start_next_to_an_extremum():
@@ -172,32 +171,31 @@ def test_period_found_from_a_start_next_to_an_extremum():
     so the return is searched on a section normal to x."""
     p = ModelParams(1.0, 1.0, 1.0, 1.0)
     near = InitialValueProblem(p, PopulationState(0.99999, 2.0), 10.0)
-    on_top = estimate_period(InitialValueProblem(p, PopulationState(1.0, 2.0), 10.0))
-    assert abs(estimate_period(near) - on_top) <= 1e-9
+    on_top = solve(InitialValueProblem(p, PopulationState(1.0, 2.0), 10.0), period_span=1.0).period
+    assert abs(solve(near, period_span=1.0).period - on_top) <= 1e-9
     report = failure_report(near, MethodKind.TAYLOR, 5)
     assert abs(report.period_estimate - on_top) <= 1e-9
     assert report.closed_orbit_ref
 
 
-def test_estimate_period_degenerate_inputs():
-    p = ModelParams(1.0, 1.0, 1.0, 1.0)
-    with pytest.raises(PeriodNotFoundError):
-        estimate_period(InitialValueProblem(p, PopulationState(1.0, 1.0), 10.0))
-    with pytest.raises(ValueError):
-        estimate_period(
-            InitialValueProblem(ModelParams(1.0, 0.0, 1.0, 0.0), PopulationState(0.0, 1.0), 10.0)
-        )
+def test_no_period_for_degenerate_starts():
+    # An equilibrium has no section to return to and an on-axis start is not
+    # searched; either pass ends at t_end.
+    at_rest = InitialValueProblem(ModelParams(1.0, 1.0, 1.0, 1.0), PopulationState(1.0, 1.0), 10.0)
+    on_axis = InitialValueProblem(ModelParams(1.0, 0.0, 1.0, 0.0), PopulationState(0.0, 1.0), 10.0)
+    for ivp in (at_rest, on_axis):
+        solution = solve(ivp, period_span=1.0)
+        assert solution.period is None and solution.t_final == 10.0
 
 
-def test_estimate_period_gives_up_when_the_return_is_too_far():
+def test_no_period_when_the_return_is_too_far():
     # This orbit's period exceeds the 100/sqrt(a*c) search horizon.
-    with pytest.raises(PeriodNotFoundError):
-        estimate_period(_ivp(CASE_I, 10.0))
+    assert solve(_ivp(CASE_I, 10.0), period_span=1.0).period is None
 
 
 def test_closed_orbit_check_accepts_the_reference_orbit():
     ivp = _ivp(CASE_V, 10.0)
-    period = estimate_period(ivp)
+    period = solve(ivp, period_span=1.0).period
     span = 1.2 * period
     window = InitialValueProblem(CASE_V.params, CASE_V.initial, span)
     traj = integrate(window, t_grid=np.linspace(0.0, span, 2401))
@@ -206,7 +204,7 @@ def test_closed_orbit_check_accepts_the_reference_orbit():
 
 def test_closed_orbit_check_rejects_a_runaway_series():
     ivp = _ivp(CASE_V, 10.0)
-    period = estimate_period(ivp)
+    period = solve(ivp, period_span=1.0).period
     span = 1.2 * period
     series = sample_series(taylor_coefficients(ivp, 5), np.linspace(0.0, span, 2401))
     assert closed_orbit_check(series, 1e-6, period) is False
@@ -214,7 +212,7 @@ def test_closed_orbit_check_rejects_a_runaway_series():
 
 def test_closed_orbit_check_validation():
     ivp = _ivp(CASE_V, 10.0)
-    period = estimate_period(ivp)
+    period = solve(ivp, period_span=1.0).period
     short = integrate(_ivp(CASE_V, 3.0), t_grid=np.linspace(0.0, 3.0, 301))
     with pytest.raises(ValueError):
         closed_orbit_check(short, 1e-6, period)

@@ -22,11 +22,13 @@ from lvdiag.output import (
     PHASE_HEADER,
     TIMESERIES_HEADER,
     _invariant_column,
-    format_float,
     write_csv_tables,
     write_phase_svg,
 )
 
+# The cell format the loop oracle applies one cell at a time: 17 significant
+# digits round-trip every double.
+CELL_FORMAT = "%.17g"
 # Samples the block formatter must reproduce: signed zeros, subnormals,
 # extremes, integers and non-positive populations (empty C cells).
 SPECIAL_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.2e-310, 1e300, -1e300, 1.0, 3.0, -7.0, 123456789.0)
@@ -38,7 +40,7 @@ FLAT_VALUES = (0.0, -0.0, 5e-324, 1.0, -7.0, 123456789.0)
 def _loop_csv(path, header, columns):
     lines = [header]
     for row in zip(*(column.tolist() for column in columns)):
-        lines.append(",".join("" if math.isnan(v) else format_float(v) for v in row))
+        lines.append(",".join("" if math.isnan(v) else CELL_FORMAT % v for v in row))
     with open(path, "w", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
 

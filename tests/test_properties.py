@@ -21,18 +21,17 @@ from lvdiag import (
     InitialValueProblem,
     MethodKind,
     ModelParams,
-    PeriodNotFoundError,
     PopulationState,
     Trajectory,
     closed_orbit_check,
     divergence_time,
-    estimate_period,
     integrate,
     method_series,
     preset,
     preset_names,
     sample_series,
     self_intersection,
+    solve,
     taylor_coefficients,
 )
 from lvdiag.diagnostics import _compare_with_reference
@@ -65,10 +64,8 @@ def test_reference_and_period_match_an_independent_dop853(ivp):
     p = ivp.params
     x0, y0 = ivp.initial.x, ivp.initial.y
     grid = np.linspace(0.0, T_END, 41)
-    try:
-        period = estimate_period(ivp)
-    except PeriodNotFoundError:
-        period = None  # see test_one_pass_report_agrees_with_standalone_passes
+    # None when no return is found: see test_one_pass_report_agrees_with_standalone_passes.
+    period = solve(ivp, period_span=1.0).period
 
     def rhs(t, w):
         return [p.a - p.b * math.exp(w[1]), -p.c + p.d * math.exp(w[0])]
@@ -109,13 +106,12 @@ def test_one_pass_report_agrees_with_standalone_passes(ivp, method, order):
     np.testing.assert_allclose(reference.y, standalone.y, rtol=1e-8)
     assert report.divergence_time == divergence_time(approx, standalone)
 
+    period = solve(ivp, period_span=1.0).period
     if report.period_estimate is None:
         # When the search finds no return, the standalone search misses it too.
-        with pytest.raises(PeriodNotFoundError):
-            estimate_period(ivp)
+        assert period is None
         assert not (report.closed_orbit_ref or report.closed_orbit)
         return
-    period = estimate_period(ivp)
     assert abs(report.period_estimate - period) <= 1e-9
     span = CLOSURE_SPAN * period
     closure_grid = np.linspace(0.0, span, CLOSURE_POINTS)
@@ -338,7 +334,7 @@ def test_self_intersection_matches_an_all_pairs_scan_on_the_presets(name):
             approx = sample_series(method_series(ivp, method, order), grid)
             _assert_same_crossing(approx.x, approx.y)
     if name == "case-V":
-        period = estimate_period(ivp)
+        period = solve(ivp, period_span=1.0).period
         orbit = integrate(ivp, None, np.linspace(0.0, period, 2001))
         _assert_same_crossing(orbit.x, orbit.y)
 

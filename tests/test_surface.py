@@ -31,7 +31,6 @@ PUBLIC_NAMES = [
     "closed_orbit_check",
     "conservation_drift",
     "divergence_time",
-    "estimate_period",
     "failure_report",
     "hpm_series",
     "hpm_terms",
@@ -42,6 +41,7 @@ PUBLIC_NAMES = [
     "preset_names",
     "sample_series",
     "self_intersection",
+    "solve",
     "taylor_coefficients",
     "vim_iterates",
 ]
