@@ -20,7 +20,6 @@ from .exceptions import (
     DivergenceError,
     IntegrationError,
     NonFiniteError,
-    PeriodNotFoundError,
     PositivityError,
     StepSizeUnderflowError,
     UnknownPresetError,
@@ -31,8 +30,6 @@ from .methods import (
     MethodKind,
     adomian_components,
     adomian_series,
-    hpm_series,
-    hpm_terms,
     method_series,
     methods_agree,
     vim_iterates,
@@ -60,7 +57,6 @@ __all__ = [
     "MethodKind",
     "ModelParams",
     "NonFiniteError",
-    "PeriodNotFoundError",
     "PopulationState",
     "PositivityError",
     "SegmentCrossing",
@@ -74,8 +70,6 @@ __all__ = [
     "conservation_drift",
     "divergence_time",
     "failure_report",
-    "hpm_series",
-    "hpm_terms",
     "integrate",
     "method_series",
     "methods_agree",

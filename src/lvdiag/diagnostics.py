@@ -171,6 +171,19 @@ def self_intersection(traj: Trajectory) -> SegmentCrossing | None:
     return SegmentCrossing(first_i, first_j, _crossing_point(ax, ay, dx, dy, first_i, first_j))
 
 
+def _in_domain(traj: Trajectory) -> np.ndarray:
+    """Mask of the samples inside the invariant's domain: both populations positive."""
+    return (traj.x > 0.0) & (traj.y > 0.0)
+
+
+def _invariant_column(p: ModelParams, traj: Trajectory) -> np.ndarray:
+    """C per sample, NaN where a population is non-positive (outside its domain)."""
+    inside = _in_domain(traj)
+    values = np.full(len(traj), np.nan)
+    values[inside] = _first_integral(p, traj.x[inside], traj.y[inside])
+    return values
+
+
 def conservation_drift(traj: Trajectory, p: ModelParams) -> float:
     """Largest drift of the first integral across the trajectory samples.
 
@@ -178,17 +191,13 @@ def conservation_drift(traj: Trajectory, p: ModelParams) -> float:
     invariant and are skipped (their count is surfaced by failure_report).
     The first sample anchors the comparison and must be positive.
     """
-    positive = (traj.x > 0.0) & (traj.y > 0.0)
-    if not positive[0]:
+    inside = _in_domain(traj)
+    if not inside[0]:
         raise PositivityError(
             f"first sample ({traj.x[0]}, {traj.y[0]}) must have positive populations"
         )
-    values = _first_integral(p, traj.x[positive], traj.y[positive])
+    values = _first_integral(p, traj.x[inside], traj.y[inside])
     return float(np.max(np.abs(values - values[0])))
-
-
-def _excluded_count(traj: Trajectory) -> int:
-    return int(np.count_nonzero(~((traj.x > 0.0) & (traj.y > 0.0))))
 
 
 def _reference(ivp: InitialValueProblem, cfg: IntegratorConfig | None, t_end: float):
@@ -260,6 +269,6 @@ def _compare_with_reference(
         closed_orbit=closed_approx,
         closed_orbit_ref=closed_ref,
         period_estimate=period,
-        excluded_samples=_excluded_count(approx),
+        excluded_samples=int(np.count_nonzero(~_in_domain(approx))),
     )
     return report, reference, approx

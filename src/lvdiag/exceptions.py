@@ -30,9 +30,5 @@ class DivergenceError(IntegrationError):
     """The integration state left the finite range (blow-up / overflow)."""
 
 
-class PeriodNotFoundError(IntegrationError):
-    """No return to the start section was detected within the search horizon."""
-
-
 class UnknownPresetError(KeyError):
     """Requested case preset does not exist; the message lists the known names."""

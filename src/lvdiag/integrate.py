@@ -438,14 +438,15 @@ def closed_orbit_check(traj: Trajectory, eps: float, period: float) -> bool:
     x = traj.x[mask]
     y = traj.y[mask]
     ax, ay = x[:-1], y[:-1]
-    dx, dy = np.diff(x), np.diff(y)
-    length_sq = dx * dx + dy * dy
-    with np.errstate(invalid="ignore", divide="ignore"):
+    # Huge but finite samples may overflow to non-finite distances, which are dropped.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        dx, dy = np.diff(x), np.diff(y)
+        length_sq = dx * dx + dy * dy
         s = np.clip(
             np.where(length_sq > 0.0, ((px - ax) * dx + (py - ay) * dy) / length_sq, 0.0),
             0.0,
             1.0,
         )
-    dist_sq = (ax + s * dx - px) ** 2 + (ay + s * dy - py) ** 2
+        dist_sq = (ax + s * dx - px) ** 2 + (ay + s * dy - py) ** 2
     best = float(np.min(dist_sq[np.isfinite(dist_sq)], initial=math.inf))
     return bool(best < eps * eps)

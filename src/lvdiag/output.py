@@ -6,8 +6,8 @@ import json
 
 import numpy as np
 
-from .diagnostics import DiagnosticsReport, SegmentCrossing
-from .model import ModelParams, _first_integral
+from .diagnostics import DiagnosticsReport, SegmentCrossing, _invariant_column
+from .model import ModelParams
 from .trajectory import Trajectory
 
 TIMESERIES_HEADER = "t,x_ref,y_ref,x_approx,y_approx,C_ref,C_approx"
@@ -22,14 +22,6 @@ _SVG_MARGIN = 0.05
 _CELL_FORMAT = "%.17g"
 # Rows formatted per pass; bounds the strings a table holds at once.
 _BLOCK_ROWS = 512
-
-
-def _invariant_column(p: ModelParams, traj: Trajectory) -> np.ndarray:
-    """C per sample, NaN where a population is non-positive (outside its domain)."""
-    positive = (traj.x > 0.0) & (traj.y > 0.0)
-    values = np.full(len(traj), np.nan)
-    values[positive] = _first_integral(p, traj.x[positive], traj.y[positive])
-    return values
 
 
 def _format_column(column: np.ndarray) -> list[str]:

@@ -88,7 +88,10 @@ def taylor_coefficients(ivp: InitialValueProblem, order: int) -> SeriesSolution:
         X[1] = x0 * (p.a - p.b * y0)
         Y[1] = y0 * (p.d * x0 - p.c)
     for n in range(1, order):
-        conv = math.fsum(X[k] * Y[n - k] for k in range(n + 1))
+        try:
+            conv = math.fsum(X[k] * Y[n - k] for k in range(n + 1))
+        except (OverflowError, ValueError):  # the sum overflows, or holds inf and -inf
+            raise NonFiniteError(f"series coefficient {n + 1} overflows") from None
         X[n + 1] = (p.a * X[n] - p.b * conv) / (n + 1)
         Y[n + 1] = (-p.c * Y[n] + p.d * conv) / (n + 1)
     return SeriesSolution(order, X, Y)
@@ -108,6 +111,8 @@ def _validated_grid(t_grid) -> np.ndarray:
 
 
 def sample_series(s: SeriesSolution, t_grid) -> Trajectory:
-    """Evaluate the series on a grid and wrap the samples as a trajectory."""
+    """Evaluate the series on a grid; samples that overflow are refused as non-finite."""
     grid = _validated_grid(t_grid)
-    return Trajectory(grid, npoly.polyval(grid, s.x_coeffs), npoly.polyval(grid, s.y_coeffs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, y = npoly.polyval(grid, s.x_coeffs), npoly.polyval(grid, s.y_coeffs)
+    return Trajectory(grid, x, y)

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from lvdiag import InitialValueProblem, MethodKind, SeriesSolution, failure_report, preset
+from lvdiag import InitialValueProblem, MethodKind, SeriesSolution, failure_report, preset, solve
 from lvdiag.cli import _verification_groups, main
 from lvdiag.output import PHASE_HEADER, TIMESERIES_HEADER
 
@@ -183,6 +183,31 @@ def test_numeric_failures_exit_3(tmp_path, capsys):
         code = _run(tmp_path, *args)
         assert code == 3, args
         assert "numeric failure" in capsys.readouterr().err, args
+
+
+def test_run_overflowing_series_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--preset", "case-I", "--order", "400", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: series coefficient 305 overflows\n"
+    assert not out.exists()
+
+
+def test_run_huge_adomian_approximant_raises_no_warning(tmp_path, capsys):
+    assert _run(tmp_path, "--preset", "case-V", "--method", "adomian", "--order", "200") == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_verify_overflowing_order_is_a_usage_error(capsys):
+    assert main(["verify", "--orders", "400"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == "error: series coefficient 305 overflows"
+
+
+def test_verify_without_a_reference_period_is_a_numeric_failure(monkeypatch, capsys):
+    import lvdiag.cli as cli
+
+    monkeypatch.setattr(cli, "_reference", lambda ivp, cfg, t_end: solve(ivp, cfg, t_end=t_end))
+    assert main(["verify", "--orders", "4"]) == 3
+    assert "numeric failure: case-V: no return to the start section" in capsys.readouterr().err
 
 
 def test_verify_passes(capsys):

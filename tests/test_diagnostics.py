@@ -8,6 +8,7 @@ import pytest
 from lvdiag import (
     InitialValueProblem,
     MethodKind,
+    NonFiniteError,
     PopulationState,
     PositivityError,
     Trajectory,
@@ -205,6 +206,15 @@ def test_failure_report_decoupled_high_order_is_clean():
     assert report.self_intersection is None
     assert report.excluded_samples == 0
     assert report.max_invariant_drift <= 1e-12
+
+
+def test_failure_report_on_huge_finite_approximants_raises_no_warning():
+    """Overflowing closure distances are dropped; overflowing samples are non-finite."""
+    report = failure_report(_ivp(CASE_V, 10.0), MethodKind.TAYLOR, 150)
+    assert report.closed_orbit_ref is True
+    assert report.closed_orbit is False
+    with pytest.raises(NonFiniteError):
+        failure_report(_ivp(CASE_I, 10.0), MethodKind.TAYLOR, 160)
 
 
 def test_failure_report_validation():

@@ -17,14 +17,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lvdiag import ModelParams, Trajectory
-from lvdiag.diagnostics import SegmentCrossing
-from lvdiag.output import (
-    PHASE_HEADER,
-    TIMESERIES_HEADER,
-    _invariant_column,
-    write_csv_tables,
-    write_phase_svg,
-)
+from lvdiag.diagnostics import SegmentCrossing, _invariant_column
+from lvdiag.output import PHASE_HEADER, TIMESERIES_HEADER, write_csv_tables, write_phase_svg
 
 # The cell format the loop oracle applies one cell at a time: 17 significant
 # digits round-trip every double.

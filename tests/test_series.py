@@ -129,6 +129,20 @@ def test_order_validation():
         taylor_coefficients(IVP_V, 2.5)
 
 
+def test_overflowing_coefficients_raise_nonfinite():
+    """A coefficient past the double range is refused, whichever way fsum fails."""
+    with pytest.raises(NonFiniteError, match="series coefficient 305 overflows"):
+        taylor_coefficients(IVP_I, 400)  # the partial sums overflow
+    huge = InitialValueProblem(CASE_V.params, PopulationState(1e200, 1e200), 1.0)
+    with pytest.raises(NonFiniteError, match="series coefficient 2 overflows"):
+        taylor_coefficients(huge, 3)  # the products are inf and -inf
+
+
+def test_sample_series_overflow_is_nonfinite_not_a_warning():
+    with pytest.raises(NonFiniteError):
+        sample_series(taylor_coefficients(IVP_I, 160), np.linspace(0.0, 10.0, 11))
+
+
 def test_problem_validation():
     with pytest.raises(ValueError):
         InitialValueProblem(CASE_V.params, CASE_V.initial, 0.0)

@@ -1,5 +1,6 @@
 """The public surface: the names ``lvdiag`` exports and the README's library example."""
 
+import dataclasses
 import pathlib
 import re
 
@@ -18,7 +19,6 @@ PUBLIC_NAMES = [
     "MethodKind",
     "ModelParams",
     "NonFiniteError",
-    "PeriodNotFoundError",
     "PopulationState",
     "PositivityError",
     "SegmentCrossing",
@@ -32,8 +32,6 @@ PUBLIC_NAMES = [
     "conservation_drift",
     "divergence_time",
     "failure_report",
-    "hpm_series",
-    "hpm_terms",
     "integrate",
     "method_series",
     "methods_agree",
@@ -51,6 +49,13 @@ def test_public_names_are_pinned_and_resolve():
     assert sorted(lvdiag.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(lvdiag, name) is not None, name
+    assert len(PUBLIC_NAMES) == 33
+
+
+def test_agreement_report_has_one_field_per_cascade():
+    """ADM and HPM build one cascade, so the report has one field for both."""
+    fields = [f.name for f in dataclasses.fields(lvdiag.AgreementReport)]
+    assert fields == ["order", "adomian", "vim"]
 
 
 def test_readme_library_example_runs():
