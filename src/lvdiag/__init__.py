@@ -24,7 +24,7 @@ from .exceptions import (
     StepSizeUnderflowError,
     UnknownPresetError,
 )
-from .integrate import IntegratorConfig, closed_orbit_check, integrate, solve
+from .integrate import IntegratorConfig, solve
 from .methods import (
     AgreementReport,
     MethodKind,
@@ -66,11 +66,9 @@ __all__ = [
     "UnknownPresetError",
     "adomian_components",
     "adomian_series",
-    "closed_orbit_check",
     "conservation_drift",
     "divergence_time",
     "failure_report",
-    "integrate",
     "method_series",
     "methods_agree",
     "preset",

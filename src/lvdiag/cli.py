@@ -28,7 +28,7 @@ from .diagnostics import (
     self_intersection,
 )
 from .exceptions import IntegrationError, UnknownPresetError
-from .integrate import IntegratorConfig, integrate, solve
+from .integrate import IntegratorConfig, solve
 from .methods import MethodKind, method_series, methods_agree
 from .model import ModelParams, PopulationState
 from .output import report_payload, write_csv_tables, write_phase_svg, write_report_json
@@ -267,7 +267,7 @@ def _check_self_crossing(results, cfg):
     )
     short = InitialValueProblem(case.params, case.initial, 3.0)
     grid3 = np.linspace(0.0, 3.0, 601)
-    ref3 = integrate(short, cfg, grid3)
+    ref3 = solve(short, cfg).sample(grid3)
     approx3 = sample_series(method_series(short, MethodKind.TAYLOR, case.default_order), grid3)
     ref_drift = conservation_drift(ref3, case.params)
     approx_drift = conservation_drift(approx3, case.params)

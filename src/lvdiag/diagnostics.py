@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import PositivityError
-from .integrate import IntegratorConfig, closed_orbit_check, solve
+from .exceptions import NonFiniteError, PositivityError
+from .integrate import IntegratorConfig, solve
 from .methods import MethodKind, method_series
 from .model import ModelParams, _first_integral
 from .series import InitialValueProblem, sample_series
@@ -206,9 +206,26 @@ def _reference(ivp: InitialValueProblem, cfg: IntegratorConfig | None, t_end: fl
 
 
 def _closes(sample, period: float) -> bool:
-    """Whether ``sample`` (time grid to trajectory) returns to its start around ``period``."""
+    """Whether ``sample`` (time grid to trajectory) returns to its start around ``period``.
+
+    The curve is sampled on a uniform grid over [0, 1.2*T] and closes when its
+    polyline over t >= 0.5*T passes within 1e-6 of the first sample.
+    """
     grid = np.linspace(0.0, _CLOSURE_WINDOW_FACTOR * period, _CLOSURE_GRID_POINTS)
-    return closed_orbit_check(sample(grid), _CLOSED_ORBIT_EPS, period)
+    traj = sample(grid)
+    window = grid >= 0.5 * period
+    px, py = traj.x[0], traj.y[0]
+    x, y = traj.x[window], traj.y[window]
+    ax, ay = x[:-1], y[:-1]
+    # Huge but finite samples may overflow to non-finite distances, which are dropped.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        dx, dy = np.diff(x), np.diff(y)
+        length_sq = dx * dx + dy * dy
+        s = np.where(length_sq > 0.0, ((px - ax) * dx + (py - ay) * dy) / length_sq, 0.0)
+        s = np.clip(s, 0.0, 1.0)
+        dist_sq = (ax + s * dx - px) ** 2 + (ay + s * dy - py) ** 2
+    best = float(np.min(dist_sq[np.isfinite(dist_sq)], initial=math.inf))
+    return best < _CLOSED_ORBIT_EPS * _CLOSED_ORBIT_EPS
 
 
 def failure_report(
@@ -251,14 +268,21 @@ def _compare_with_reference(
     solution = _reference(ivp, cfg, horizon)
     reference = solution.sample(grid)
     series = method_series(ivp, method, order)
-    approx = sample_series(series, grid)
+
+    def approximant(t_grid):
+        try:
+            return sample_series(series, t_grid)
+        except NonFiniteError as exc:
+            raise NonFiniteError(f"{method.value} order {order}: {exc}") from None
+
+    approx = approximant(grid)
     drift_ref = conservation_drift(reference, ivp.params)
     drift_approx = conservation_drift(approx, ivp.params)
     period = solution.period
     closed_ref = closed_approx = False
     if period is not None:
         closed_ref = _closes(solution.sample, period)
-        closed_approx = _closes(lambda t_grid: sample_series(series, t_grid), period)
+        closed_approx = _closes(approximant, period)
     report = DiagnosticsReport(
         method=method,
         order=int(order),

@@ -11,13 +11,11 @@ can be sampled on any number of grids without constraining the step sequence.
 The orbit period is found as an event on those same steps (Hairer, Norsett &
 Wanner, Solving ODEs I, section II.6).
 
-Interior trajectories are advanced in logarithmic population coordinates:
-with both populations strictly positive the transform is smooth, it makes
-positivity structural, and relative error control keeps the huge dynamic
-range of large-amplitude orbits resolved (populations dive far below any
-absolute tolerance while their logarithms stay moderate).  States starting
-on a coordinate axis stay in the original variables, as the axes are
-invariant lines of the flow.
+Trajectories are advanced in logarithmic population coordinates, so the
+start must have both populations strictly positive: the transform is then
+smooth, it makes positivity structural, and relative error control keeps the
+huge dynamic range of large-amplitude orbits resolved (populations dive far
+below any absolute tolerance while their logarithms stay moderate).
 
 No structural correction (e.g. projection onto the conserved level set) is
 applied; whatever drift the scheme produces is left visible to diagnostics.
@@ -31,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DivergenceError, StepSizeUnderflowError
-from .model import _field
+from .exceptions import DivergenceError, PositivityError, StepSizeUnderflowError
 from .series import InitialValueProblem, _validated_grid
 from .trajectory import Trajectory
 
@@ -108,7 +105,7 @@ class DenseSolution:
     """The accepted steps of one adaptive pass from t=0, with dense output.
 
     ``t`` holds the step boundaries (n+1 values, t[0] = 0), ``w`` the states
-    there in integration coordinates (n+1 x 2), ``q`` each step's interpolant
+    there in log populations (n+1 x 2), ``q`` each step's interpolant
     weights (n x 2 x 4) and ``states`` the boundary populations, whose first
     row is the initial state itself.  ``period`` is the located orbit period,
     or None when none was searched for or found.
@@ -118,7 +115,6 @@ class DenseSolution:
     w: np.ndarray
     q: np.ndarray
     states: np.ndarray
-    log_coords: bool
     period: float | None
     stats: IntegratorStats
 
@@ -161,10 +157,8 @@ class DenseSolution:
             theta = (grid[inner] - t0) / (self.t[step + 1] - t0)
             powers = np.stack([theta, theta**2, theta**3, theta**4], axis=1)
             w = self.w[step] + np.einsum("scj,sj->sc", self.q[step], powers)
-            if self.log_coords:
-                with np.errstate(over="ignore"):
-                    w = np.exp(w)
-            out[inner] = w
+            with np.errstate(over="ignore"):
+                out[inner] = np.exp(w)
         if not np.all(np.isfinite(out)):
             raise DivergenceError("a sampled state left the finite range (blow-up)")
         return Trajectory(grid, out[:, 0], out[:, 1])
@@ -178,25 +172,13 @@ def _exp(z):
 
 
 def _make_flow(p, x0, y0):
-    """Pick integration coordinates for the initial state.
-
-    Returns the transformed initial pair, the right-hand side (u, v) -> (du,
-    dv) in those coordinates, and whether they are log populations.  Interior
-    states run in log populations; a state on an axis stays there, so it
-    keeps the original coordinates.
-    """
-    if x0 > 0.0 and y0 > 0.0:
-        a, b, c, d = p.a, p.b, p.c, p.d
-
-        def rhs(u, v):
-            return a - b * _exp(v), -c + d * _exp(u)
-
-        return (math.log(x0), math.log(y0)), rhs, True
+    """Log-population start and right-hand side (u, v) -> (du, dv) for a positive state."""
+    a, b, c, d = p.a, p.b, p.c, p.d
 
     def rhs(u, v):
-        return _field(p, u, v)
+        return a - b * _exp(v), -c + d * _exp(u)
 
-    return (x0, y0), rhs, False
+    return (math.log(x0), math.log(y0)), rhs
 
 
 def _rms(a, b):
@@ -265,8 +247,9 @@ def solve(
 ) -> DenseSolution:
     """One adaptive pass from t=0, kept as a dense solution.
 
-    Without ``period_span`` the pass ends at ``t_end`` (default: the problem
-    horizon).  With it, and a strictly positive start, ``period`` is the first
+    The start must have both populations strictly positive (else
+    ``PositivityError``).  Without ``period_span`` the pass ends at ``t_end``
+    (default: the problem horizon).  With it, ``period`` is the first
     directed return to the start section, located as an event on the accepted
     steps: the section is the line through the initial state normal to the
     component whose logarithm changes faster at t=0 (y on ties), a return
@@ -275,7 +258,7 @@ def solve(
     pass then ends at max(t_end, period_span * period).  When no return occurs
     within the search horizon 100/sqrt(a*c), about sixteen linearised
     revolutions, it ends at max(t_end, that horizon); ``period`` is None then,
-    and also for an equilibrium or an on-axis start.
+    and also for an equilibrium.
     """
     cfg = cfg or IntegratorConfig()
     t_end = ivp.t_end if t_end is None else float(t_end)
@@ -283,11 +266,11 @@ def solve(
         raise ValueError(f"t_end must be non-negative, got {t_end}")
     p = ivp.params
     x0, y0 = ivp.initial.x, ivp.initial.y
-    start, rhs, log_coords = _make_flow(p, x0, y0)
+    if not (x0 > 0.0 and y0 > 0.0):
+        raise PositivityError(f"the start ({x0}, {y0}) must have positive populations")
+    start, rhs = _make_flow(p, x0, y0)
     u, v = start
-    section = None
-    if period_span is not None and log_coords:
-        section = _start_section(p, x0, y0)
+    section = None if period_span is None else _start_section(p, x0, y0)
     search_end = _PERIOD_SEARCH_FACTOR / math.sqrt(p.a * p.c)
     horizon = t_end if section is None else max(t_end, search_end)
 
@@ -387,66 +370,9 @@ def solve(
     t_arr = np.concatenate(([0.0], steps[:, 0]))
     w_arr = np.concatenate(([start], steps[:, 2:4]))
     q_arr = steps[:, 1, None, None] * (steps[:, 4:].reshape(-1, 7, 2).transpose(0, 2, 1) @ _P)
-    if log_coords:
-        with np.errstate(over="ignore"):
-            states = np.exp(w_arr)
-    else:
-        states = w_arr.copy()
+    with np.errstate(over="ignore"):
+        states = np.exp(w_arr)
     states[0] = (x0, y0)
     stats = IntegratorStats(accepted, rejected, nonfinite, nfev)
-    return DenseSolution(t_arr, w_arr, q_arr, states, log_coords, period, stats)
+    return DenseSolution(t_arr, w_arr, q_arr, states, period, stats)
 
-
-def integrate(
-    ivp: InitialValueProblem,
-    cfg: IntegratorConfig | None = None,
-    t_grid=None,
-) -> Trajectory:
-    """Integrate the problem and sample it on ``t_grid``.
-
-    The grid must be strictly increasing and contained in [0, ivp.t_end];
-    samples strictly inside a step come from the dense-output interpolant.
-    With ``t_grid=None`` the accepted step boundaries themselves are returned.
-    """
-    if t_grid is None:
-        solution = solve(ivp, cfg)
-        return solution.sample(solution.t)
-    grid = _validated_grid(t_grid)
-    if grid[-1] > ivp.t_end:
-        raise ValueError(f"grid ends at {grid[-1]} beyond t_end={ivp.t_end}")
-    return solve(ivp, cfg, t_end=float(grid[-1])).sample(grid)
-
-
-def closed_orbit_check(traj: Trajectory, eps: float, period: float) -> bool:
-    """Whether the curve comes back to its initial point around one period.
-
-    Measures the minimum distance from the first sample to the polyline
-    restricted to t in [0.5*T, 1.5*T], T being the given period (say, the
-    ``period`` of a ``solve`` pass).  The trajectory must span at least one
-    period.
-    """
-    if not eps > 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if traj.t[-1] < period:
-        raise ValueError(
-            f"trajectory ends at t={traj.t[-1]} but one period is {period}; span at least one period"
-        )
-    mask = (traj.t >= 0.5 * period) & (traj.t <= 1.5 * period)
-    if int(np.count_nonzero(mask)) < 2:
-        raise ValueError("fewer than two samples fall in the return window [0.5*T, 1.5*T]")
-    px, py = traj.x[0], traj.y[0]
-    x = traj.x[mask]
-    y = traj.y[mask]
-    ax, ay = x[:-1], y[:-1]
-    # Huge but finite samples may overflow to non-finite distances, which are dropped.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        dx, dy = np.diff(x), np.diff(y)
-        length_sq = dx * dx + dy * dy
-        s = np.clip(
-            np.where(length_sq > 0.0, ((px - ax) * dx + (py - ay) * dy) / length_sq, 0.0),
-            0.0,
-            1.0,
-        )
-        dist_sq = (ax + s * dx - px) ** 2 + (ay + s * dy - py) ** 2
-    best = float(np.min(dist_sq[np.isfinite(dist_sq)], initial=math.inf))
-    return bool(best < eps * eps)

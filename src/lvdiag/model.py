@@ -6,10 +6,9 @@ The populations x (prey) and y (predator) evolve under
     dy/dt = -y * (c - d*x)
 
 with growth rate a, predation rate b, predator decay c and conversion rate d.
-The module holds the validated parameters and states, and two private
-kernels that skip validation: the vector field, which the reference
-integrator steps for a start on an axis, and the first integral that closed
-orbits conserve, which the drift diagnostic and the report tables evaluate.
+The module holds the validated parameters and states, and a private kernel
+that skips validation: the first integral that closed orbits conserve, which
+the drift diagnostic and the report tables evaluate.
 """
 
 from __future__ import annotations
@@ -64,11 +63,6 @@ class PopulationState:
         object.__setattr__(self, "y", _as_finite_float(self.y, "y"))
         if self.x < 0.0 or self.y < 0.0:
             raise ValueError(f"populations must be non-negative, got ({self.x}, {self.y})")
-
-
-def _field(p, x, y):
-    """Vector field on raw floats; no state validation (integrator hot path)."""
-    return x * (p.a - p.b * y), -y * (p.c - p.d * x)
 
 
 def _first_integral(p, x, y):

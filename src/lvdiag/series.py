@@ -111,8 +111,11 @@ def _validated_grid(t_grid) -> np.ndarray:
 
 
 def sample_series(s: SeriesSolution, t_grid) -> Trajectory:
-    """Evaluate the series on a grid; samples that overflow are refused as non-finite."""
+    """Evaluate the series on a grid; ``NonFiniteError`` names the first time that overflows."""
     grid = _validated_grid(t_grid)
     with np.errstate(over="ignore", invalid="ignore"):
         x, y = npoly.polyval(grid, s.x_coeffs), npoly.polyval(grid, s.y_coeffs)
+    overflow = ~(np.isfinite(x) & np.isfinite(y))
+    if overflow.any():
+        raise NonFiniteError(f"series overflows at t={float(grid[overflow.argmax()])!r}")
     return Trajectory(grid, x, y)

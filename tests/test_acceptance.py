@@ -14,10 +14,8 @@ from lvdiag import (
     InitialValueProblem,
     ModelParams,
     PopulationState,
-    closed_orbit_check,
     conservation_drift,
     divergence_time,
-    integrate,
     methods_agree,
     preset,
     sample_series,
@@ -27,6 +25,7 @@ from lvdiag import (
     vim_iterates,
 )
 from lvdiag.cli import main as cli_main
+from lvdiag.diagnostics import _closes
 
 CASE_V = preset("case-V")
 CASE_I = preset("case-I")
@@ -93,7 +92,7 @@ def test_criterion_3_reference_conserves_the_invariant():
     drifts = {}
     for case, horizon in ((CASE_V, 50.0), (CASE_I, 10.0)):
         window = _ivp(case, horizon)
-        traj = integrate(window, t_grid=np.linspace(0.0, horizon, 5001))
+        traj = solve(window).sample(np.linspace(0.0, horizon, 5001))
         drifts[case.name] = conservation_drift(traj, case.params)
     ok = all(d <= 1e-8 for d in drifts.values())
     _report(
@@ -107,16 +106,8 @@ def test_criterion_3_reference_conserves_the_invariant():
 def test_criterion_4_closed_orbit_and_pinned_period():
     ivp = _ivp(CASE_V, 10.0)
     period = solve(ivp, period_span=1.0).period
-    span = 1.2 * period
-    closure = integrate(
-        InitialValueProblem(CASE_V.params, CASE_V.initial, span),
-        t_grid=np.linspace(0.0, span, 2401),
-    )
-    closes = closed_orbit_check(closure, 1e-6, period)
-    one_period = integrate(
-        InitialValueProblem(CASE_V.params, CASE_V.initial, period),
-        t_grid=np.linspace(0.0, period, 2001),
-    )
+    closes = _closes(solve(ivp, t_end=1.2 * period).sample, period)
+    one_period = solve(ivp, t_end=period).sample(np.linspace(0.0, period, 2001))
     crossing = self_intersection(one_period)
     ok = closes and crossing is None and abs(period - PERIOD_V) <= 1e-8
     _report(
@@ -131,7 +122,7 @@ def test_criterion_4_closed_orbit_and_pinned_period():
 def test_criterion_5_series_diverges_on_the_large_orbit():
     ivp = _ivp(CASE_I, 10.0)
     grid = np.linspace(0.0, 10.0, 2001)
-    reference = integrate(ivp, t_grid=grid)
+    reference = solve(ivp).sample(grid)
     times = {}
     for order in SWEEP_ORDERS:
         approx = sample_series(taylor_coefficients(ivp, order), grid)
@@ -147,14 +138,11 @@ def test_criterion_6_series_phase_curve_crosses_itself():
     grid = np.linspace(0.0, 10.0, 2001)
     crossing = self_intersection(sample_series(taylor_coefficients(ivp, order), grid))
     period = solve(ivp, period_span=1.0).period
-    reference_loop = integrate(
-        InitialValueProblem(CASE_V.params, CASE_V.initial, period),
-        t_grid=np.linspace(0.0, period, 2001),
-    )
+    reference_loop = solve(ivp, t_end=period).sample(np.linspace(0.0, period, 2001))
     ref_crossing = self_intersection(reference_loop)
     short = _ivp(CASE_V, 3.0)
     grid3 = np.linspace(0.0, 3.0, 601)
-    ref_drift = conservation_drift(integrate(short, t_grid=grid3), CASE_V.params)
+    ref_drift = conservation_drift(solve(short).sample(grid3), CASE_V.params)
     series_drift = conservation_drift(
         sample_series(taylor_coefficients(short, order), grid3), CASE_V.params
     )
@@ -184,7 +172,7 @@ def test_criterion_7_near_centre_period_is_2pi():
 def test_criterion_8_decoupled_case_is_exact():
     dec = preset("decoupled")
     ivp = InitialValueProblem(dec.params, dec.initial, 1.0)
-    traj = integrate(ivp, t_grid=np.array([0.0, 1.0]))
+    traj = solve(ivp).sample(np.array([0.0, 1.0]))
     end_gap = max(abs(traj.x[-1] - math.e), abs(traj.y[-1] - math.exp(-1.0)))
     sol = taylor_coefficients(ivp, 20)
     coeff_gap = 0.0

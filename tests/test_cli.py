@@ -192,6 +192,22 @@ def test_run_overflowing_series_is_a_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "method, order, first_overflow",
+    # ADM coefficients from 305 on are inf, so even the sample at t=0 is not finite.
+    [("adomian", "400", 0.0), ("taylor", "300", 1.055)],
+)
+def test_run_overflowing_approximant_names_scheme_order_and_time(
+    tmp_path, capsys, method, order, first_overflow
+):
+    out = tmp_path / "out"
+    args = ["run", "--preset", "case-I", "--method", method, "--order", order, "--out", str(out)]
+    assert main(args) == 2
+    want = f"error: {method} order {order}: series overflows at t={first_overflow!r}\n"
+    assert capsys.readouterr().err == want
+    assert not out.exists()
+
+
 def test_run_huge_adomian_approximant_raises_no_warning(tmp_path, capsys):
     assert _run(tmp_path, "--preset", "case-V", "--method", "adomian", "--order", "200") == 0
     assert capsys.readouterr().err == ""

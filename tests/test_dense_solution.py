@@ -1,7 +1,7 @@
 """Dense solution of one reference pass: sampling, period event, work counters."""
 
-import importlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,13 +12,13 @@ from lvdiag import (
     MethodKind,
     ModelParams,
     PopulationState,
+    PositivityError,
     failure_report,
     preset,
     solve,
 )
+import lvdiag.integrate as integrate_module
 from lvdiag.presets import CasePreset
-
-integrate_module = importlib.import_module("lvdiag.integrate")
 
 CASE_V = preset("case-V")
 CASE_I = preset("case-I")
@@ -40,15 +40,41 @@ class _FlowSpy:
 
         def make_flow(p, x0, y0):
             self.passes += 1
-            start, rhs, log_coords = real(p, x0, y0)
+            start, rhs = real(p, x0, y0)
 
             def counted(u, v):
                 self.rhs_calls += 1
                 return rhs(u, v)
 
-            return start, counted, log_coords
+            return start, counted
 
         monkeypatch.setattr(integrate_module, "_make_flow", make_flow)
+
+
+def test_lvdiag_integrate_is_the_module_that_solve_runs_in(monkeypatch):
+    import lvdiag.integrate as m
+
+    assert m is sys.modules["lvdiag.integrate"]
+    flows = []
+    real = m._make_flow
+
+    def make_flow(p, x0, y0):
+        flows.append((x0, y0))
+        return real(p, x0, y0)
+
+    monkeypatch.setattr(m, "_make_flow", make_flow)
+    solve(_ivp(CASE_V, 1.0))
+    assert flows == [(3.0, 2.0)]
+
+
+@pytest.mark.parametrize("x0, y0", [(0.0, 1.0), (1.0, 0.0), (0.0, 0.0)])
+def test_a_start_on_an_axis_raises_before_any_rhs_evaluation(monkeypatch, x0, y0):
+    spy = _FlowSpy(monkeypatch)
+    ivp = InitialValueProblem(ModelParams(1.0, 0.0, 1.0, 0.0), PopulationState(x0, y0), 800.0)
+    for period_span in (None, 1.0):
+        with pytest.raises(PositivityError, match="positive populations"):
+            solve(ivp, period_span=period_span)
+    assert spy.rhs_calls == 0
 
 
 def test_sampling_past_the_last_step_raises():

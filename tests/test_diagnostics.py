@@ -15,7 +15,6 @@ from lvdiag import (
     conservation_drift,
     divergence_time,
     failure_report,
-    integrate,
     method_series,
     preset,
     sample_series,
@@ -47,29 +46,29 @@ def _series_trajectory(case, order, grid=GRID_10):
 
 def test_divergence_time_none_for_identical_trajectories():
     ivp = _ivp(CASE_V, 10.0)
-    ref = integrate(ivp, t_grid=GRID_10)
+    ref = solve(ivp).sample(GRID_10)
     assert divergence_time(ref, ref) is None
 
 
 def test_divergence_time_pinned_values():
     for case, expected in ((CASE_I, T_DIV_I_ORDER_10), (CASE_V, T_DIV_V_ORDER_10)):
         ivp, approx = _series_trajectory(case, 10)
-        ref = integrate(ivp, t_grid=GRID_10)
+        ref = solve(ivp).sample(GRID_10)
         assert divergence_time(approx, ref) == expected
 
 
 def test_divergence_time_monotone_in_delta():
     ivp, approx = _series_trajectory(CASE_V, 8)
-    ref = integrate(ivp, t_grid=GRID_10)
+    ref = solve(ivp).sample(GRID_10)
     times = [divergence_time(approx, ref, delta) for delta in (0.25, 1.0, 4.0)]
     assert None not in times
     assert times[0] <= times[1] <= times[2]
 
 
 def test_divergence_time_validation():
-    ivp = _ivp(CASE_V, 10.0)
-    ref = integrate(ivp, t_grid=GRID_10)
-    other = integrate(ivp, t_grid=np.linspace(0.0, 10.0, 1001))
+    solution = solve(_ivp(CASE_V, 10.0))
+    ref = solution.sample(GRID_10)
+    other = solution.sample(np.linspace(0.0, 10.0, 1001))
     with pytest.raises(ValueError):
         divergence_time(other, ref)
     with pytest.raises(ValueError):
@@ -144,7 +143,7 @@ def test_reference_orbit_is_simple_over_one_period():
     ivp = _ivp(CASE_V, 10.0)
     period = solve(ivp, period_span=1.0).period
     window = InitialValueProblem(CASE_V.params, CASE_V.initial, period)
-    traj = integrate(window, t_grid=np.linspace(0.0, period, 2001))
+    traj = solve(window).sample(np.linspace(0.0, period, 2001))
     assert self_intersection(traj) is None
 
 
@@ -167,7 +166,7 @@ def test_conservation_drift_requires_positive_anchor():
 def test_series_drift_dwarfs_the_reference_drift():
     short = _ivp(CASE_V, 3.0)
     grid = np.linspace(0.0, 3.0, 601)
-    ref_drift = conservation_drift(integrate(short, t_grid=grid), CASE_V.params)
+    ref_drift = conservation_drift(solve(short).sample(grid), CASE_V.params)
     series_drift = conservation_drift(
         sample_series(taylor_coefficients(short, 10), grid), CASE_V.params
     )

@@ -13,15 +13,14 @@ from lvdiag import (
     MethodKind,
     ModelParams,
     PopulationState,
-    closed_orbit_check,
     conservation_drift,
     failure_report,
-    integrate,
     preset,
     sample_series,
     solve,
     taylor_coefficients,
 )
+from lvdiag.diagnostics import _closes
 
 CASE_V = preset("case-V")
 CASE_I = preset("case-I")
@@ -47,7 +46,7 @@ def test_config_validation():
 
 def test_decoupled_case_is_exact_exponentials():
     ivp = _ivp(preset("decoupled"), 1.0)
-    traj = integrate(ivp, t_grid=np.linspace(0.0, 1.0, 11))
+    traj = solve(ivp).sample(np.linspace(0.0, 1.0, 11))
     assert abs(traj.x[-1] - math.e) <= 1e-9
     assert abs(traj.y[-1] - 1.0 / math.e) <= 1e-9
     np.testing.assert_allclose(traj.x, np.exp(traj.t), rtol=1e-10)
@@ -55,37 +54,37 @@ def test_decoupled_case_is_exact_exponentials():
 
 
 def test_initial_sample_is_bitwise_the_initial_state():
-    traj = integrate(_ivp(CASE_V, 10.0), t_grid=np.linspace(0.0, 10.0, 21))
+    traj = solve(_ivp(CASE_V, 10.0)).sample(np.linspace(0.0, 10.0, 21))
     assert traj.x[0] == 3.0
     assert traj.y[0] == 2.0
 
 
 def test_invariant_residuals_stay_small_over_long_window():
     ivp = _ivp(CASE_V, 20.0)
-    traj = integrate(ivp, t_grid=np.linspace(0.0, 20.0, 2001))
+    traj = solve(ivp).sample(np.linspace(0.0, 20.0, 2001))
     assert conservation_drift(traj, CASE_V.params) <= 1e-8
 
 
 def test_large_amplitude_case_stays_positive_and_resolved():
     """The prey dips below 1e-84 on this window; samples must stay positive."""
-    traj = integrate(_ivp(CASE_I, 10.0), t_grid=np.linspace(0.0, 10.0, 2001))
+    traj = solve(_ivp(CASE_I, 10.0)).sample(np.linspace(0.0, 10.0, 2001))
     assert bool(np.all(traj.x > 0.0)) and bool(np.all(traj.y > 0.0))
     assert float(np.min(traj.x)) == pytest.approx(CASE_I_MIN_X, rel=1e-6)
     assert conservation_drift(traj, CASE_I.params) <= 1e-8
 
 
 def test_grid_validation():
-    ivp = _ivp(CASE_V, 10.0)
+    solution = solve(_ivp(CASE_V, 10.0))
     with pytest.raises(ValueError):
-        integrate(ivp, t_grid=[0.0, 11.0])
+        solution.sample([0.0, 11.0])
     with pytest.raises(ValueError):
-        integrate(ivp, t_grid=[0.0, 2.0, 1.0])
+        solution.sample([0.0, 2.0, 1.0])
     with pytest.raises(ValueError):
-        integrate(ivp, t_grid=[-1.0, 1.0])
+        solution.sample([-1.0, 1.0])
 
 
 def test_degenerate_grid_returns_the_initial_state():
-    traj = integrate(_ivp(CASE_V, 10.0), t_grid=[0.0])
+    traj = solve(_ivp(CASE_V, 10.0), t_end=0.0).sample([0.0])
     assert len(traj) == 1
     assert (traj.x[0], traj.y[0]) == (3.0, 2.0)
 
@@ -93,8 +92,9 @@ def test_degenerate_grid_returns_the_initial_state():
 def test_resampling_on_step_boundaries_is_bitwise_stable():
     """Dense output at a step endpoint must return that endpoint."""
     ivp = _ivp(CASE_V, 10.0)
-    natural = integrate(ivp)
-    regrid = integrate(ivp, t_grid=natural.t)
+    solution = solve(ivp)
+    natural = solution.sample(solution.t)
+    regrid = solve(ivp, t_end=natural.t[-1]).sample(natural.t)
     assert np.array_equal(natural.x, regrid.x)
     assert np.array_equal(natural.y, regrid.y)
 
@@ -102,8 +102,8 @@ def test_resampling_on_step_boundaries_is_bitwise_stable():
 def test_dense_output_consistent_with_tight_reference():
     ivp = _ivp(CASE_V, 5.0)
     grid = np.linspace(0.0, 5.0, 501)
-    coarse = integrate(ivp, t_grid=grid)
-    tight = integrate(ivp, TIGHT, t_grid=grid)
+    coarse = solve(ivp).sample(grid)
+    tight = solve(ivp, TIGHT).sample(grid)
     cfg = IntegratorConfig()
     scale_x = cfg.abs_tol + cfg.rel_tol * np.abs(tight.x)
     scale_y = cfg.abs_tol + cfg.rel_tol * np.abs(tight.y)
@@ -117,11 +117,11 @@ def test_dense_output_consistent_with_tight_reference():
 def test_error_shrinks_with_tolerance():
     ivp = _ivp(CASE_V, 5.0)
     endpoint = np.array([0.0, 5.0])
-    tight = integrate(ivp, TIGHT, t_grid=endpoint)
+    tight = solve(ivp, TIGHT).sample(endpoint)
     errors = []
     for rel in (1e-4, 1e-6, 1e-8):
         cfg = IntegratorConfig(rel_tol=rel, abs_tol=rel * 1e-2)
-        traj = integrate(ivp, cfg, t_grid=endpoint)
+        traj = solve(ivp, cfg).sample(endpoint)
         errors.append(max(abs(traj.x[-1] - tight.x[-1]), abs(traj.y[-1] - tight.y[-1])))
     assert errors[0] > errors[1] > errors[2]
     assert errors[2] <= 1e-8
@@ -138,7 +138,7 @@ def test_agrees_with_independent_integrator():
         rhs, (0.0, 10.0), [math.log(3.0), math.log(2.0)],
         method="DOP853", rtol=1e-12, atol=1e-12, t_eval=grid,
     )
-    mine = integrate(_ivp(CASE_V, 10.0), t_grid=grid)
+    mine = solve(_ivp(CASE_V, 10.0)).sample(grid)
     np.testing.assert_allclose(mine.x, np.exp(oracle.y[0]), rtol=1e-8)
     np.testing.assert_allclose(mine.y, np.exp(oracle.y[1]), rtol=1e-8)
 
@@ -147,10 +147,7 @@ def test_unbounded_growth_raises_divergence_error():
     grow = ModelParams(1.0, 0.0, 1.0, 0.0)
     interior = InitialValueProblem(grow, PopulationState(1.0, 1.0), 800.0)
     with pytest.raises(DivergenceError):
-        integrate(interior)
-    on_axis = InitialValueProblem(grow, PopulationState(1.0, 0.0), 800.0)
-    with pytest.raises(DivergenceError):
-        integrate(on_axis)
+        solve(interior)
 
 
 def test_period_pinned_value():
@@ -179,13 +176,10 @@ def test_period_found_from_a_start_next_to_an_extremum():
 
 
 def test_no_period_for_degenerate_starts():
-    # An equilibrium has no section to return to and an on-axis start is not
-    # searched; either pass ends at t_end.
+    # An equilibrium has no section to return to; the pass ends at t_end.
     at_rest = InitialValueProblem(ModelParams(1.0, 1.0, 1.0, 1.0), PopulationState(1.0, 1.0), 10.0)
-    on_axis = InitialValueProblem(ModelParams(1.0, 0.0, 1.0, 0.0), PopulationState(0.0, 1.0), 10.0)
-    for ivp in (at_rest, on_axis):
-        solution = solve(ivp, period_span=1.0)
-        assert solution.period is None and solution.t_final == 10.0
+    solution = solve(at_rest, period_span=1.0)
+    assert solution.period is None and solution.t_final == 10.0
 
 
 def test_no_period_when_the_return_is_too_far():
@@ -193,29 +187,13 @@ def test_no_period_when_the_return_is_too_far():
     assert solve(_ivp(CASE_I, 10.0), period_span=1.0).period is None
 
 
-def test_closed_orbit_check_accepts_the_reference_orbit():
+def test_closure_accepts_the_reference_orbit():
+    solution = solve(_ivp(CASE_V, 10.0), period_span=1.2)
+    assert _closes(solution.sample, solution.period) is True
+
+
+def test_closure_rejects_a_runaway_series():
     ivp = _ivp(CASE_V, 10.0)
     period = solve(ivp, period_span=1.0).period
-    span = 1.2 * period
-    window = InitialValueProblem(CASE_V.params, CASE_V.initial, span)
-    traj = integrate(window, t_grid=np.linspace(0.0, span, 2401))
-    assert closed_orbit_check(traj, 1e-6, period) is True
-
-
-def test_closed_orbit_check_rejects_a_runaway_series():
-    ivp = _ivp(CASE_V, 10.0)
-    period = solve(ivp, period_span=1.0).period
-    span = 1.2 * period
-    series = sample_series(taylor_coefficients(ivp, 5), np.linspace(0.0, span, 2401))
-    assert closed_orbit_check(series, 1e-6, period) is False
-
-
-def test_closed_orbit_check_validation():
-    ivp = _ivp(CASE_V, 10.0)
-    period = solve(ivp, period_span=1.0).period
-    short = integrate(_ivp(CASE_V, 3.0), t_grid=np.linspace(0.0, 3.0, 301))
-    with pytest.raises(ValueError):
-        closed_orbit_check(short, 1e-6, period)
-    full = integrate(_ivp(CASE_V, 10.0), t_grid=np.linspace(0.0, 10.0, 1001))
-    with pytest.raises(ValueError):
-        closed_orbit_check(full, 0.0, period)
+    series = taylor_coefficients(ivp, 5)
+    assert _closes(lambda grid: sample_series(series, grid), period) is False

@@ -1,8 +1,6 @@
-"""Model layer: parameter and state validation, and the two private kernels.
-
-``model._field`` is the vector field the integrator steps on an axis;
-``model._first_integral`` is the invariant C that ``conservation_drift`` and
-the CSV ``C_*`` columns evaluate.
+"""Model layer: parameter and state validation, the model's interior rest
+point, and the private kernel ``model._first_integral``, the invariant C that
+``conservation_drift`` and the CSV ``C_*`` columns evaluate.
 """
 
 import math
@@ -11,7 +9,8 @@ import numpy as np
 import pytest
 
 from lvdiag import ModelParams, NonFiniteError, PopulationState
-from lvdiag.model import _field, _first_integral
+from lvdiag.integrate import _make_flow
+from lvdiag.model import _first_integral
 
 CASE_I = ModelParams(1.0, 1.0, 0.1, 1.0)
 CASE_V = ModelParams(1.0, 1.0, 1.0, 1.0)
@@ -54,27 +53,14 @@ def test_state_rejects_negative_and_nonfinite():
     assert on_axis.x == 0.0
 
 
-def test_vector_field_matches_closed_form_bitwise():
-    fx, fy = _field(CASE_I, 14.0, 18.0)
-    assert fx == 14.0 * (1.0 - 1.0 * 18.0)
-    assert fy == -18.0 * (0.1 - 1.0 * 14.0)
-    assert (fx, fy) == (-238.0, 250.20000000000002)
-
-
-def test_vector_field_vanishes_at_origin_and_centre():
-    assert _field(CASE_V, 0.0, 0.0) == (0.0, 0.0)
-    assert _field(CASE_V, 1.0, 1.0) == (0.0, 0.0)
-
-
 def test_field_vanishes_at_reported_fixed_points():
-    """The equilibria of the closed form: the origin and the centre (c/d, a/b)."""
+    """The interior equilibrium (c/d, a/b) is a rest point of the flow the reference steps."""
     rng = np.random.default_rng(20260814)
     for _ in range(50):
         a, b, c, d = rng.uniform(0.1, 3.0, size=4)
-        p = ModelParams(a, b, c, d)
-        assert _field(p, 0.0, 0.0) == (0.0, 0.0)
-        fx, fy = _field(p, c / d, a / b)
-        assert abs(fx) <= 1e-14 and abs(fy) <= 1e-14
+        (u, v), rhs = _make_flow(ModelParams(a, b, c, d), c / d, a / b)
+        du, dv = rhs(u, v)
+        assert abs(du) <= 1e-14 and abs(dv) <= 1e-14
 
 
 def test_conserved_quantity_values():
@@ -102,6 +88,6 @@ def test_invariant_gradient_orthogonal_to_field():
         a, b, c, d = rng.uniform(0.05, 4.0, size=4)
         x, y = rng.uniform(0.05, 20.0, size=2)
         p = ModelParams(a, b, c, d)
-        fx, fy = _field(p, x, y)
+        fx, fy = x * (a - b * y), -y * (c - d * x)
         grad_dot_f = (c / x - d) * fx + (a / y - b) * fy
         assert abs(grad_dot_f) <= 1e-12 * (1.0 + math.hypot(fx, fy))

@@ -23,9 +23,7 @@ from lvdiag import (
     ModelParams,
     PopulationState,
     Trajectory,
-    closed_orbit_check,
     divergence_time,
-    integrate,
     method_series,
     preset,
     preset_names,
@@ -34,15 +32,12 @@ from lvdiag import (
     solve,
     taylor_coefficients,
 )
-from lvdiag.diagnostics import _compare_with_reference
-from lvdiag.model import _field
+from lvdiag.diagnostics import _closes, _compare_with_reference
 
 T_END = 10.0
-# Values of the report's private constants, restated so that the standalone
-# computation below is independent of them.
+# The report's closure window, in periods, restated so that the standalone
+# pass below is independent of it.
 CLOSURE_SPAN = 1.2
-CLOSURE_POINTS = 2401
-CLOSED_EPS = 1e-6
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
@@ -76,18 +71,19 @@ def test_reference_and_period_match_an_independent_dop853(ivp):
         method="DOP853", rtol=1e-12, atol=1e-12, t_eval=grid, dense_output=True,
     )
     assert oracle.success
-    mine = integrate(ivp, t_grid=grid)
+    mine = solve(ivp).sample(grid)
     np.testing.assert_allclose(mine.x, np.exp(oracle.y[0]), rtol=1e-8)
     np.testing.assert_allclose(mine.y, np.exp(oracle.y[1]), rtol=1e-8)
     if period is not None:
         # At the period the oracle is back at the start, so it crosses any
-        # line through the start in the direction of departure; the one
-        # checked is normal to y (x when dy/dt vanishes), whichever section
-        # the search itself used.  The crossing is checked to 1e-8 in time or
-        # to the 1e-8 relative state agreement above, whichever is looser:
-        # small orbits cross slowly.
-        fx0, fy0 = _field(p, x0, y0)
-        comp, level, departure = (1, y0, fy0) if fy0 != 0.0 else (0, x0, fx0)
+        # line through the start in the direction of departure, read off the
+        # oracle's own log-coordinate field (a log-rate has the sign of the
+        # population's rate); the one checked is normal to y (x when the
+        # log-rate of y vanishes), whichever section the search itself used.
+        # The crossing is checked to 1e-8 in time or to the 1e-8 relative
+        # state agreement above, whichever is looser: small orbits cross slowly.
+        fu0, fv0 = rhs(0.0, [math.log(x0), math.log(y0)])
+        comp, level, departure = (1, y0, fv0) if fv0 != 0.0 else (0, x0, fu0)
         w = oracle.sol(period)
         value = math.exp(w[comp])
         speed = value * rhs(period, w)[comp]
@@ -101,7 +97,7 @@ def test_one_pass_report_agrees_with_standalone_passes(ivp, method, order):
     points = 401
     report, reference, approx = _compare_with_reference(ivp, method, order, points=points)
     grid = np.linspace(0.0, T_END, points)
-    standalone = integrate(ivp, t_grid=grid)
+    standalone = solve(ivp).sample(grid)
     np.testing.assert_allclose(reference.x, standalone.x, rtol=1e-8)
     np.testing.assert_allclose(reference.y, standalone.y, rtol=1e-8)
     assert report.divergence_time == divergence_time(approx, standalone)
@@ -113,12 +109,10 @@ def test_one_pass_report_agrees_with_standalone_passes(ivp, method, order):
         assert not (report.closed_orbit_ref or report.closed_orbit)
         return
     assert abs(report.period_estimate - period) <= 1e-9
-    span = CLOSURE_SPAN * period
-    closure_grid = np.linspace(0.0, span, CLOSURE_POINTS)
-    window = InitialValueProblem(ivp.params, ivp.initial, span)
-    closed_ref = closed_orbit_check(integrate(window, t_grid=closure_grid), CLOSED_EPS, period)
-    series = sample_series(method_series(ivp, method, order), closure_grid)
-    closed_approx = closed_orbit_check(series, CLOSED_EPS, period)
+    window = solve(ivp, t_end=CLOSURE_SPAN * period)
+    closed_ref = _closes(window.sample, period)
+    series = method_series(ivp, method, order)
+    closed_approx = _closes(lambda grid: sample_series(series, grid), period)
     assert (report.closed_orbit_ref, report.closed_orbit) == (closed_ref, closed_approx)
 
 
@@ -335,7 +329,7 @@ def test_self_intersection_matches_an_all_pairs_scan_on_the_presets(name):
             _assert_same_crossing(approx.x, approx.y)
     if name == "case-V":
         period = solve(ivp, period_span=1.0).period
-        orbit = integrate(ivp, None, np.linspace(0.0, period, 2001))
+        orbit = solve(ivp, t_end=period).sample(np.linspace(0.0, period, 2001))
         _assert_same_crossing(orbit.x, orbit.y)
 
 

@@ -28,11 +28,9 @@ PUBLIC_NAMES = [
     "UnknownPresetError",
     "adomian_components",
     "adomian_series",
-    "closed_orbit_check",
     "conservation_drift",
     "divergence_time",
     "failure_report",
-    "integrate",
     "method_series",
     "methods_agree",
     "preset",
@@ -49,7 +47,7 @@ def test_public_names_are_pinned_and_resolve():
     assert sorted(lvdiag.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(lvdiag, name) is not None, name
-    assert len(PUBLIC_NAMES) == 33
+    assert len(PUBLIC_NAMES) == 31
 
 
 def test_agreement_report_has_one_field_per_cascade():
