@@ -8,6 +8,7 @@ Each symptom gets its own detector here and ``failure_report`` bundles them.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -228,6 +229,15 @@ def _closes(sample, period: float) -> bool:
     return best < _CLOSED_ORBIT_EPS * _CLOSED_ORBIT_EPS
 
 
+@contextlib.contextmanager
+def _named_overflow(prefix):
+    """Prefix a ``NonFiniteError`` raised in the block with what overflowed."""
+    try:
+        yield
+    except NonFiniteError as exc:
+        raise NonFiniteError(f"{prefix}: {exc}") from None
+
+
 def failure_report(
     ivp: InitialValueProblem,
     method: MethodKind,
@@ -267,13 +277,13 @@ def _compare_with_reference(
     grid = np.linspace(0.0, horizon, points)
     solution = _reference(ivp, cfg, horizon)
     reference = solution.sample(grid)
-    series = method_series(ivp, method, order)
+    scheme = f"{method.value} order {order}"
+    with _named_overflow(scheme):
+        series = method_series(ivp, method, order)
 
     def approximant(t_grid):
-        try:
+        with _named_overflow(scheme):
             return sample_series(series, t_grid)
-        except NonFiniteError as exc:
-            raise NonFiniteError(f"{method.value} order {order}: {exc}") from None
 
     approx = approximant(grid)
     drift_ref = conservation_drift(reference, ivp.params)

@@ -206,11 +206,42 @@ class AgreementReport:
         return max(self.adomian, self.vim)
 
 
-def _max_relative_deviation(candidate: SeriesSolution, reference: SeriesSolution) -> float:
-    return max(
-        float(np.max(np.abs(c - r) / (1.0 + np.abs(r))))
-        for c, r in ((candidate.x_coeffs, reference.x_coeffs), (candidate.y_coeffs, reference.y_coeffs))
-    )
+def _max_relative_deviation(candidate, reference) -> float:
+    """Worst |c - r| / (1 + |r|) over two (x, y) coefficient pairs of equal lengths."""
+    return max(float(np.max(np.abs(c - r) / (1.0 + np.abs(r)))) for c, r in zip(candidate, reference))
+
+
+def _agreements(ivp: InitialValueProblem, orders) -> list[AgreementReport]:
+    """``methods_agree`` for each of ``orders``, from one build of each scheme.
+
+    The Taylor recurrence, the decomposition cascade and the variational
+    iterates are built once, to the highest order.  Order k then reads the
+    first k + 1 Taylor coefficients, variational iterate k, and the running
+    sum of decomposition components 0..k, which is the sum
+    ``adomian_series(ivp, k)`` forms.  A report does not depend on which
+    other orders are asked for.
+    """
+    orders = [_check_order(k) for k in orders]
+    top = max(orders)
+    taylor = taylor_coefficients(ivp, top)
+    iterates = vim_iterates(ivp, top)
+    wanted = set(orders)
+    adomian = {}
+    x = np.zeros(top + 1)
+    y = np.zeros(top + 1)
+    for n, (u_n, v_n) in enumerate(adomian_components(ivp, top)):
+        x[: u_n.size] += u_n
+        y[: v_n.size] += v_n
+        if n in wanted:  # copied: later components add their (zero) low terms here
+            adomian[n] = (x[: n + 1].copy(), y[: n + 1].copy())
+    reports = []
+    for k in orders:
+        reference = (taylor.x_coeffs[: k + 1], taylor.y_coeffs[: k + 1])
+        xp, yp = iterates[k]
+        vim = (_padded(xp, k + 1), _padded(yp, k + 1))
+        adm = _max_relative_deviation(adomian[k], reference)
+        reports.append(AgreementReport(k, adm, _max_relative_deviation(vim, reference)))
+    return reports
 
 
 def methods_agree(ivp: InitialValueProblem, order: int) -> AgreementReport:
@@ -220,13 +251,7 @@ def methods_agree(ivp: InitialValueProblem, order: int) -> AgreementReport:
     the variational iterate number ``order`` is truncated to that order before
     comparing, since that is as far as it is guaranteed to agree.
     """
-    order = _check_order(order)
-    reference = taylor_coefficients(ivp, order)
-    adomian = _max_relative_deviation(adomian_series(ivp, order), reference)
-    xp, yp = vim_iterates(ivp, order)[-1]
-    vim_solution = SeriesSolution(order, _padded(xp, order + 1), _padded(yp, order + 1))
-    vim = _max_relative_deviation(vim_solution, reference)
-    return AgreementReport(order, adomian, vim)
+    return _agreements(ivp, (order,))[0]
 
 
 def method_series(ivp: InitialValueProblem, method: MethodKind, order: int) -> SeriesSolution:

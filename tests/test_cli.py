@@ -186,9 +186,12 @@ def test_numeric_failures_exit_3(tmp_path, capsys):
 
 
 def test_run_overflowing_series_is_a_usage_error(tmp_path, capsys):
+    """The recurrence itself overflows from coefficient 305 on; the message names the scheme."""
     out = tmp_path / "out"
-    assert main(["run", "--preset", "case-I", "--order", "400", "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "error: series coefficient 305 overflows\n"
+    for order in ("305", "400"):
+        args = ["run", "--preset", "case-I", "--method", "taylor", "--order", order, "--out", str(out)]
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: taylor order {order}: series coefficient 305 overflows\n"
     assert not out.exists()
 
 
@@ -214,8 +217,13 @@ def test_run_huge_adomian_approximant_raises_no_warning(tmp_path, capsys):
 
 
 def test_verify_overflowing_order_is_a_usage_error(capsys):
+    """Both overflows, in the recurrence (400) and on the grid (200), name the preset and order."""
     assert main(["verify", "--orders", "400"]) == 2
-    assert capsys.readouterr().err.splitlines()[-1] == "error: series coefficient 305 overflows"
+    want = "error: case-I: taylor order 400: series coefficient 305 overflows"
+    assert capsys.readouterr().err.splitlines()[-1] == want
+    assert main(["verify", "--orders", "200"]) == 2
+    want = "error: case-I: taylor order 200: series overflows at t=3.4250000000000003"
+    assert capsys.readouterr().err.splitlines()[-1] == want
 
 
 def test_verify_without_a_reference_period_is_a_numeric_failure(monkeypatch, capsys):

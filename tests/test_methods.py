@@ -1,5 +1,7 @@
 """Perturbation schemes and their coefficient-level agreement with the series."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from numpy.polynomial import polynomial as npoly
 from numpy.polynomial import polyutils as pu
 
 from lvdiag import (
+    AgreementReport,
     InitialValueProblem,
     MethodKind,
     ModelParams,
@@ -21,7 +24,8 @@ from lvdiag import (
     taylor_coefficients,
     vim_iterates,
 )
-from lvdiag.methods import _padd, _pder, _pint, _pmul, _psub, _trim
+from lvdiag.methods import _agreements, _padd, _pder, _pint, _pmul, _psub, _trim
+from test_series import problems
 
 CASE_V = preset("case-V")
 CASE_I = preset("case-I")
@@ -166,6 +170,124 @@ def test_methods_agree_on_every_preset_through_order_20():
         for order in range(21):
             report = methods_agree(ivp, order)
             assert report.worst() <= 1e-10, (name, order, report)
+
+
+def _agreement_from_scratch(ivp, order):
+    """Reference for ``methods_agree``: every scheme rebuilt from order 0 for this one order."""
+    taylor = taylor_coefficients(ivp, order)
+    adomian = adomian_series(ivp, order)
+    vim = (np.zeros(order + 1), np.zeros(order + 1))
+    for padded, coeffs in zip(vim, vim_iterates(ivp, order)[-1]):
+        padded[: min(coeffs.size, order + 1)] = coeffs[: order + 1]
+
+    def deviation(candidate):
+        pairs = zip(candidate, (taylor.x_coeffs, taylor.y_coeffs))
+        return max(float(np.max(np.abs(c - r) / (1.0 + np.abs(r)))) for c, r in pairs)
+
+    return AgreementReport(order, deviation((adomian.x_coeffs, adomian.y_coeffs)), deviation(vim))
+
+
+def _assert_sweep_matches_per_order_reports(ivp):
+    sweep = _agreements(ivp, range(21))
+    assert [repr(r) for r in sweep] == [repr(_agreement_from_scratch(ivp, k)) for k in range(21)]
+    for k in range(21):
+        assert methods_agree(ivp, k) == sweep[k]
+    # Orders may come in any order and repeat; each report is its own order's.
+    assert _agreements(ivp, (20, 3, 3, 0)) == [sweep[20], sweep[3], sweep[3], sweep[0]]
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_agreement_sweep_matches_per_order_construction_on_presets(name):
+    case = preset(name)
+    _assert_sweep_matches_per_order_reports(InitialValueProblem(case.params, case.initial, case.default_t_end))
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(problems())
+def test_agreement_sweep_matches_per_order_construction_on_random_problems(ivp):
+    _assert_sweep_matches_per_order_reports(ivp)
+
+
+# Exact arithmetic: the identities that let one cascade serve every order.
+# Polynomials are lists of Fractions, lowest degree first; the presets'
+# parameters are floats, hence dyadic rationals, so every step is exact.
+
+
+def _q_mul(p, q, degree):
+    """p*q through ``degree``."""
+    out = [Fraction(0)] * min(len(p) + len(q) - 1, degree + 1)
+    for i, pi in enumerate(p[: degree + 1]):
+        for j, qj in enumerate(q[: degree + 1 - i]):
+            out[i + j] += pi * qj
+    return out
+
+
+def _q_lin(s, p, t, q):
+    """s*p + t*q."""
+    n = max(len(p), len(q))
+    p, q = p + [0] * (n - len(p)), q + [0] * (n - len(q))
+    return [s * pi + t * qi for pi, qi in zip(p, q)]
+
+
+def _q_int(p):
+    return [Fraction(0)] + [c / (i + 1) for i, c in enumerate(p)]
+
+
+def _q_der(p):
+    return [i * c for i, c in enumerate(p)][1:] or [Fraction(0)]
+
+
+def _q_taylor(a, b, c, d, x0, y0, order):
+    X, Y = [x0], [y0]
+    for n in range(order):
+        conv = sum(X[k] * Y[n - k] for k in range(n + 1))
+        X.append((a * X[n] - b * conv) / (n + 1))
+        Y.append((-c * Y[n] + d * conv) / (n + 1))
+    return X, Y
+
+
+def _q_adomian(a, b, c, d, x0, y0, order):
+    """u_{n+1} = int(a*u_n - b*A_n), v_{n+1} = int(-c*v_n + d*A_n), A_n = sum_k u_k*v_{n-k}."""
+    u, v = [[x0]], [[y0]]
+    for n in range(order):
+        coupling = [Fraction(0)]
+        for k in range(n + 1):
+            coupling = _q_lin(1, coupling, 1, _q_mul(u[k], v[n - k], 2 * order))
+        u.append(_q_int(_q_lin(a, u[n], -b, coupling)))
+        v.append(_q_int(_q_lin(-c, v[n], d, coupling)))
+    return u, v
+
+
+def _q_vim(a, b, c, d, x0, y0, iterations):
+    """The correction functional with multiplier -1, truncated to degree min(2k, 64) like the library's."""
+    xp, yp = [x0], [y0]
+    iterates = [(xp, yp)]
+    for k in range(1, iterations + 1):
+        cap = min(2 * k, 64)
+        xy = _q_mul(xp, yp, cap - 1)  # higher terms are cut after integration
+        residual_x = _q_lin(1, _q_der(xp), -1, _q_lin(a, xp, -b, xy))
+        residual_y = _q_lin(1, _q_der(yp), -1, _q_lin(-c, yp, d, xy))
+        xp = _q_lin(1, xp, -1, _q_int(residual_x))[: cap + 1]
+        yp = _q_lin(1, yp, -1, _q_int(residual_y))[: cap + 1]
+        iterates.append((xp, yp))
+    return iterates
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_schemes_reproduce_taylor_exactly_through_order_20(name):
+    case = preset(name)
+    p = case.params
+    args = [Fraction(v) for v in (p.a, p.b, p.c, p.d, case.initial.x, case.initial.y)]
+    X, Y = _q_taylor(*args, 20)
+    u, v = _q_adomian(*args, 20)
+    for n in range(21):
+        # Component n is the single term X[n] t**n ...
+        assert u[n] == [0] * n + [X[n]] and v[n] == [0] * n + [Y[n]], (name, n)
+        # ... so the order-n decomposition sum is the order-n Taylor polynomial.
+        assert [sum(u_k[j] for u_k in u[j : n + 1]) for j in range(n + 1)] == X[: n + 1]
+        assert [sum(v_k[j] for v_k in v[j : n + 1]) for j in range(n + 1)] == Y[: n + 1]
+    for k, (xk, yk) in enumerate(_q_vim(*args, 20)):
+        assert xk[: k + 1] == X[: k + 1] and yk[: k + 1] == Y[: k + 1], (name, k)
 
 
 # Finite coefficients small enough that no product overflows, with exact and
