@@ -137,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_problem(args):
-    """Preset or fully custom parameters; returns (label, params, initial, order, t_end)."""
+    """Preset or fully custom parameters; returns (label, problem, order)."""
     custom = [flag for flag in _CUSTOM_FLAGS if getattr(args, flag) is not None]
     if args.preset is not None and custom:
         raise ValueError(f"--preset conflicts with --{'/--'.join(custom)}")
@@ -145,13 +145,13 @@ def _resolve_problem(args):
         case = preset(args.preset)
         order = case.default_order if args.order is None else args.order
         t_end = case.default_t_end if args.t_end is None else args.t_end
-        return case.name, case.params, case.initial, order, t_end
+        return case.name, InitialValueProblem(case.params, case.initial, t_end), order
     if len(custom) == len(_CUSTOM_FLAGS):
         params = ModelParams(args.a, args.b, args.c, args.d)
         initial = PopulationState(args.x0, args.y0)
         order = 5 if args.order is None else args.order
         t_end = 10.0 if args.t_end is None else args.t_end
-        return "custom", params, initial, order, t_end
+        return "custom", InitialValueProblem(params, initial, t_end), order
     missing = [f"--{flag}" for flag in _CUSTOM_FLAGS if getattr(args, flag) is None]
     raise ValueError(
         "give either --preset or all of --a/--b/--c/--d/--x0/--y0 (missing: "
@@ -161,21 +161,20 @@ def _resolve_problem(args):
 
 
 def cmd_run(args) -> int:
-    label, params, initial, order, t_end = _resolve_problem(args)
+    label, ivp, order = _resolve_problem(args)
     method = MethodKind(args.method)
     cfg = IntegratorConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
-    ivp = InitialValueProblem(params, initial, t_end)
     report, reference, approx = _compare_with_reference(
-        ivp, method, order, t_end=t_end, points=args.points, cfg=cfg, delta=args.delta
+        ivp, method, order, points=args.points, cfg=cfg, delta=args.delta
     )
 
     os.makedirs(args.out, exist_ok=True)
     base = os.path.join(args.out, f"{label}_{method.value}_order{order}")
     written = []
     if args.format in ("csv", "all"):
-        write_csv_tables(base + "_timeseries.csv", base + "_phase.csv", reference, approx, params)
+        write_csv_tables(base + "_timeseries.csv", base + "_phase.csv", reference, approx, ivp.params)
         written += [base + "_timeseries.csv", base + "_phase.csv"]
-    write_report_json(base + "_report.json", report_payload(label, t_end, report))
+    write_report_json(base + "_report.json", report_payload(label, ivp.t_end, report))
     written.append(base + "_report.json")
     if args.format in ("svg", "all"):
         write_phase_svg(base + "_phase.svg", reference, approx, report.self_intersection)
@@ -206,12 +205,12 @@ def _check_equivalence(results):
 
 
 def _check_conservation(results, passes):
-    for name, horizon in (("case-I", 10.0), ("case-V", 50.0)):
-        traj = passes[name].sample(np.linspace(0.0, horizon, 5001))
-        drift = conservation_drift(traj, preset(name).params)
+    for name, (ivp, solution) in passes.items():
+        traj = solution.sample(np.linspace(0.0, ivp.t_end, 5001))
+        drift = conservation_drift(traj, ivp.params)
         results.append(
             (
-                f"{name}: reference invariant drift on [0, {horizon:g}] below {_CONSERVATION_BOUND:g}",
+                f"{name}: reference invariant drift on [0, {ivp.t_end:g}] below {_CONSERVATION_BOUND:g}",
                 drift <= _CONSERVATION_BOUND,
                 f"drift {drift:.3e}",
             )
@@ -235,16 +234,14 @@ def _check_closure(results, solution):
 
 
 def _check_divergence(results, passes, orders):
-    for name in ("case-I", "case-V"):
-        case = preset(name)
-        window = InitialValueProblem(case.params, case.initial, 10.0)
-        grid = np.linspace(0.0, 10.0, 2001)
-        reference = passes[name].sample(grid)
+    grid = np.linspace(0.0, 10.0, 2001)
+    for name, (ivp, solution) in passes.items():
+        reference = solution.sample(grid)
         ok = True
         details = []
         for order in orders:
             with _named_overflow(f"{name}: taylor order {order}"):
-                approx = sample_series(method_series(window, MethodKind.TAYLOR, order), grid)
+                approx = sample_series(method_series(ivp, MethodKind.TAYLOR, order), grid)
             t_div = divergence_time(approx, reference, 1.0)
             details.append("none" if t_div is None else f"{t_div:.3f}")
             if t_div is None or not t_div < 10.0:
@@ -260,10 +257,9 @@ def _check_divergence(results, passes, orders):
 
 def _check_self_crossing(results, cfg):
     case = preset("case-V")
-    window = InitialValueProblem(case.params, case.initial, 10.0)
-    grid = np.linspace(0.0, 10.0, 2001)
-    approx = sample_series(method_series(window, MethodKind.TAYLOR, case.default_order), grid)
-    crossing = self_intersection(approx)
+    short = InitialValueProblem(case.params, case.initial, 3.0)
+    series = method_series(short, MethodKind.TAYLOR, case.default_order)
+    crossing = self_intersection(sample_series(series, np.linspace(0.0, 10.0, 2001)))
     results.append(
         (
             f"case-V: order-{case.default_order} series phase curve crosses itself",
@@ -271,10 +267,9 @@ def _check_self_crossing(results, cfg):
             "no crossing" if crossing is None else f"segments ({crossing.i}, {crossing.j})",
         )
     )
-    short = InitialValueProblem(case.params, case.initial, 3.0)
     grid3 = np.linspace(0.0, 3.0, 601)
     ref3 = solve(short, cfg).sample(grid3)
-    approx3 = sample_series(method_series(short, MethodKind.TAYLOR, case.default_order), grid3)
+    approx3 = sample_series(series, grid3)
     ref_drift = conservation_drift(ref3, case.params)
     approx_drift = conservation_drift(approx3, case.params)
     ratio = math.inf if ref_drift == 0.0 else approx_drift / ref_drift
@@ -298,15 +293,14 @@ def _verification_groups(orders):
     case_i, case_v = preset("case-I"), preset("case-V")
     # One pass per preset serves its drift, closure and divergence checks:
     # case-I's over [0, 10], case-V's over [0, 50] and on past 1.2 periods.
-    passes = {
-        "case-I": solve(InitialValueProblem(case_i.params, case_i.initial, 10.0), cfg),
-        "case-V": _reference(InitialValueProblem(case_v.params, case_v.initial, 10.0), cfg, 50.0),
-    }
+    long_i = InitialValueProblem(case_i.params, case_i.initial, 10.0)
+    long_v = InitialValueProblem(case_v.params, case_v.initial, 50.0)
+    passes = {"case-I": (long_i, solve(long_i, cfg)), "case-V": (long_v, _reference(long_v, cfg))}
     yield "reference", time.perf_counter() - start, []
     groups = (
         ("equivalence", _check_equivalence),
         ("conservation", lambda results: _check_conservation(results, passes)),
-        ("closure", lambda results: _check_closure(results, passes["case-V"])),
+        ("closure", lambda results: _check_closure(results, passes["case-V"][1])),
         ("divergence", lambda results: _check_divergence(results, passes, orders)),
         ("self-crossing", lambda results: _check_self_crossing(results, cfg)),
     )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+from functools import partial
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,9 +202,9 @@ def conservation_drift(traj: Trajectory, p: ModelParams) -> float:
     return float(np.max(np.abs(values - values[0])))
 
 
-def _reference(ivp: InitialValueProblem, cfg: IntegratorConfig | None, t_end: float):
-    """The reference pass over [0, t_end] that runs on past the closure window."""
-    return solve(ivp, cfg, t_end=t_end, period_span=_CLOSURE_WINDOW_FACTOR)
+def _reference(ivp: InitialValueProblem, cfg: IntegratorConfig | None):
+    """The reference pass over [0, ivp.t_end] that runs on past the closure window."""
+    return solve(ivp, cfg, period_span=_CLOSURE_WINDOW_FACTOR)
 
 
 def _closes(sample, period: float) -> bool:
@@ -230,19 +231,18 @@ def _closes(sample, period: float) -> bool:
 
 
 @contextlib.contextmanager
-def _named_overflow(prefix):
-    """Prefix a ``NonFiniteError`` raised in the block with what overflowed."""
+def _named_overflow(prefix, suffix=""):
+    """Name what overflowed, and where, in a ``NonFiniteError`` raised in the block."""
     try:
         yield
     except NonFiniteError as exc:
-        raise NonFiniteError(f"{prefix}: {exc}") from None
+        raise NonFiniteError(f"{prefix}: {exc}{suffix}") from None
 
 
 def failure_report(
     ivp: InitialValueProblem,
     method: MethodKind,
     order: int,
-    t_end: float | None = None,
     points: int = 2001,
     cfg: IntegratorConfig | None = None,
     delta: float = 1.0,
@@ -250,49 +250,43 @@ def failure_report(
     """Run one approximation scheme against the reference and collect diagnostics.
 
     The approximant and the reference are sampled on a uniform grid of
-    ``points`` samples over [0, t_end] (defaulting to the problem horizon).
-    Orbit closure is judged on a separate period-aligned grid spanning 1.2
+    ``points`` samples over the problem's window [0, ivp.t_end].  Orbit
+    closure is judged on a separate period-aligned grid spanning 1.2
     estimated periods; when no period can be found (e.g. decoupled dynamics)
     both closure flags are False.  The reference is integrated once: the
     period is an event on its steps and both grids sample the same pass.
+    An approximant that overflows on the closure grid raises
+    ``NonFiniteError`` naming that grid.
     """
-    return _compare_with_reference(ivp, method, order, t_end, points, cfg, delta)[0]
+    return _compare_with_reference(ivp, method, order, points, cfg, delta)[0]
 
 
 def _compare_with_reference(
     ivp: InitialValueProblem,
     method: MethodKind,
     order: int,
-    t_end: float | None = None,
     points: int = 2001,
     cfg: IntegratorConfig | None = None,
     delta: float = 1.0,
 ) -> tuple[DiagnosticsReport, Trajectory, Trajectory]:
     """``failure_report`` with the reference and approximant trajectories it compared."""
-    horizon = ivp.t_end if t_end is None else float(t_end)
-    if not horizon > 0.0:
-        raise ValueError(f"t_end must be positive, got {horizon}")
     if points < 4:
         raise ValueError(f"need at least 4 grid points, got {points}")
-    grid = np.linspace(0.0, horizon, points)
-    solution = _reference(ivp, cfg, horizon)
+    grid = np.linspace(0.0, ivp.t_end, points)
+    solution = _reference(ivp, cfg)
     reference = solution.sample(grid)
     scheme = f"{method.value} order {order}"
     with _named_overflow(scheme):
         series = method_series(ivp, method, order)
-
-    def approximant(t_grid):
-        with _named_overflow(scheme):
-            return sample_series(series, t_grid)
-
-    approx = approximant(grid)
+        approx = sample_series(series, grid)
     drift_ref = conservation_drift(reference, ivp.params)
     drift_approx = conservation_drift(approx, ivp.params)
     period = solution.period
     closed_ref = closed_approx = False
     if period is not None:
         closed_ref = _closes(solution.sample, period)
-        closed_approx = _closes(approximant, period)
+        with _named_overflow(scheme, f" on the closure grid [0, {_CLOSURE_WINDOW_FACTOR:g} T]"):
+            closed_approx = _closes(partial(sample_series, series), period)
     report = DiagnosticsReport(
         method=method,
         order=int(order),

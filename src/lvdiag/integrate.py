@@ -119,17 +119,17 @@ class DenseSolution:
     stats: IntegratorStats
 
     @property
-    def h_min(self) -> float | None:
-        """Smallest accepted step, or None for a pass that took no step.
+    def h_min(self) -> float:
+        """Smallest accepted step; every pass takes at least one.
 
         The last step may have been cut short to end the pass on its horizon.
         """
-        return float(np.min(np.diff(self.t))) if len(self.t) > 1 else None
+        return float(np.min(np.diff(self.t)))
 
     @property
-    def h_max(self) -> float | None:
-        """Largest accepted step, or None for a pass that took no step."""
-        return float(np.max(np.diff(self.t))) if len(self.t) > 1 else None
+    def h_max(self) -> float:
+        """Largest accepted step."""
+        return float(np.max(np.diff(self.t)))
 
     @property
     def t_final(self) -> float:
@@ -194,8 +194,7 @@ def _initial_step(rhs, u, v, fu, fv, horizon, cfg):
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, horizon)
     if h0 == 0.0:
-        # The scaled field is too large to square (d1 = inf): no step can
-        # resolve it, and the caller's step floor reports that.
+        # The scaled field is too large to square (d1 = inf): no step resolves it.
         return 0.0
     gu, gv = rhs(u + h0 * fu, v + h0 * fv)
     d2 = _rms((gu - fu) / su, (gv - fv) / sv) / h0
@@ -242,28 +241,24 @@ def _bisect_return(w0, qc, t0, t1, level, direction):
 def solve(
     ivp: InitialValueProblem,
     cfg: IntegratorConfig | None = None,
-    t_end: float | None = None,
     period_span: float | None = None,
 ) -> DenseSolution:
     """One adaptive pass from t=0, kept as a dense solution.
 
     The start must have both populations strictly positive (else
-    ``PositivityError``).  Without ``period_span`` the pass ends at ``t_end``
-    (default: the problem horizon).  With it, ``period`` is the first
+    ``PositivityError``).  Without ``period_span`` the pass ends at the
+    problem horizon ``ivp.t_end``.  With it, ``period`` is the first
     directed return to the start section, located as an event on the accepted
     steps: the section is the line through the initial state normal to the
     component whose logarithm changes faster at t=0 (y on ties), a return
     counts only when crossed in the same direction as at departure, and the
     root is polished by bisection on the dense output to 1e-10 in time.  The
-    pass then ends at max(t_end, period_span * period).  When no return occurs
-    within the search horizon 100/sqrt(a*c), about sixteen linearised
-    revolutions, it ends at max(t_end, that horizon); ``period`` is None then,
+    pass then ends at max(ivp.t_end, period_span * period).  When no return
+    occurs within the search horizon 100/sqrt(a*c), about sixteen linearised
+    revolutions, it ends at max(ivp.t_end, that horizon); ``period`` is None then,
     and also for an equilibrium.
     """
     cfg = cfg or IntegratorConfig()
-    t_end = ivp.t_end if t_end is None else float(t_end)
-    if not t_end >= 0.0:
-        raise ValueError(f"t_end must be non-negative, got {t_end}")
     p = ivp.params
     x0, y0 = ivp.initial.x, ivp.initial.y
     if not (x0 > 0.0 and y0 > 0.0):
@@ -272,99 +267,101 @@ def solve(
     u, v = start
     section = None if period_span is None else _start_section(p, x0, y0)
     search_end = _PERIOD_SEARCH_FACTOR / math.sqrt(p.a * p.c)
-    horizon = t_end if section is None else max(t_end, search_end)
+    horizon = ivp.t_end if section is None else max(ivp.t_end, search_end)
 
     records = bytearray()
-    accepted = rejected = nonfinite = nfev = 0
+    accepted = rejected = nonfinite = 0
     period = None
-    if horizon > 0.0:
-        fu, fv = rhs(u, v)
-        nfev = 1
-        if not (math.isfinite(fu) and math.isfinite(fv)):
-            raise DivergenceError(f"vector field not finite at the initial state {(u, v)!r}")
-        h = _initial_step(rhs, u, v, fu, fv, horizon, cfg)
-        nfev += 1
-        floor = _MIN_STEP_FRACTION * horizon
-        rtol, atol = cfg.rel_tol, cfg.abs_tol
-        searching = section is not None
-        if searching:
-            comp, level, direction = section
-            g_prev = 0.0
-        t = 0.0
-        err_prev = 1.0
-        rejected_nonfinite = False
-        for _ in range(_MAX_STEPS):
-            if t >= horizon:
-                break
-            clipped = horizon - t <= h
-            if clipped:
-                h = horizon - t
-            if h < floor:
-                if rejected_nonfinite:
-                    raise DivergenceError(f"state left the finite range near t={t!r} (blow-up)")
-                raise StepSizeUnderflowError(
-                    f"step size {h!r} fell below {floor!r} at t={t!r}; problem too stiff at this tolerance"
-                )
-            # Overflow in a trial stage is an expected, handled outcome: the
-            # stage turns non-finite and the step is rejected below.
-            k2u, k2v = rhs(u + h * (_A21 * fu), v + h * (_A21 * fv))
-            k3u, k3v = rhs(u + h * (_A31 * fu + _A32 * k2u), v + h * (_A31 * fv + _A32 * k2v))
-            k4u, k4v = rhs(
-                u + h * (_A41 * fu + _A42 * k2u + _A43 * k3u),
-                v + h * (_A41 * fv + _A42 * k2v + _A43 * k3v),
+    fu, fv = rhs(u, v)
+    if not (math.isfinite(fu) and math.isfinite(fv)):
+        raise DivergenceError(f"vector field not finite at the initial state {(u, v)!r}")
+    h = _initial_step(rhs, u, v, fu, fv, horizon, cfg)
+    if h == 0.0:
+        raise StepSizeUnderflowError(
+            f"the field at the start ({x0!r}, {y0!r}) is too large to take a first step"
+        )
+    nfev = 2
+    floor = _MIN_STEP_FRACTION * horizon
+    rtol, atol = cfg.rel_tol, cfg.abs_tol
+    searching = section is not None
+    if searching:
+        comp, level, direction = section
+        g_prev = 0.0
+    t = 0.0
+    err_prev = 1.0
+    rejected_nonfinite = False
+    for _ in range(_MAX_STEPS):
+        if t >= horizon:
+            break
+        clipped = horizon - t <= h
+        if clipped:
+            h = horizon - t
+        if h < floor:
+            if rejected_nonfinite:
+                raise DivergenceError(f"state left the finite range near t={t!r} (blow-up)")
+            raise StepSizeUnderflowError(
+                f"step size {h!r} fell below {floor!r} at t={t!r}; problem too stiff at this tolerance"
             )
-            k5u, k5v = rhs(
-                u + h * (_A51 * fu + _A52 * k2u + _A53 * k3u + _A54 * k4u),
-                v + h * (_A51 * fv + _A52 * k2v + _A53 * k3v + _A54 * k4v),
-            )
-            k6u, k6v = rhs(
-                u + h * (_A61 * fu + _A62 * k2u + _A63 * k3u + _A64 * k4u + _A65 * k5u),
-                v + h * (_A61 * fv + _A62 * k2v + _A63 * k3v + _A64 * k4v + _A65 * k5v),
-            )
-            u1 = u + h * (_B1 * fu + _B3 * k3u + _B4 * k4u + _B5 * k5u + _B6 * k6u)
-            v1 = v + h * (_B1 * fv + _B3 * k3v + _B4 * k4v + _B5 * k5v + _B6 * k6v)
-            k7u, k7v = rhs(u1, v1)
-            nfev += 6
-            values = (u1, v1, fu, fv, k2u, k2v, k3u, k3v, k4u, k4v, k5u, k5v, k6u, k6v, k7u, k7v)
-            # A sum of finite floats is finite unless it overflows, so the
-            # exact test runs only when the cheap one fails.
-            finite = math.isfinite(sum(values)) or all(map(math.isfinite, values))
-            if finite:
-                eu = h * (_E1 * fu + _E3 * k3u + _E4 * k4u + _E5 * k5u + _E6 * k6u + _E7 * k7u)
-                ev = h * (_E1 * fv + _E3 * k3v + _E4 * k4v + _E5 * k5v + _E6 * k6v + _E7 * k7v)
-                su = atol + rtol * max(abs(u), abs(u1))
-                sv = atol + rtol * max(abs(v), abs(v1))
-                err_norm = _rms(eu / su, ev / sv)
-            else:
-                err_norm = math.inf
-            if err_norm <= 1.0:
-                t1 = horizon if clipped else t + h
-                records += _STEP_RECORD.pack(t1, h, *values)
-                accepted += 1
-                if searching:
-                    g = direction * (_exp(v1 if comp == 1 else u1) - level)
-                    if g_prev < 0.0 <= g:
-                        searching = False
-                        qc = h * (np.array(values[2 + comp :: 2]) @ _P)
-                        root = _bisect_return((u, v)[comp], qc, t, t1, level, direction)
-                        if root <= search_end:
-                            period = root
-                            horizon = max(t_end, period_span * root)
-                    g_prev = g
-                    searching = searching and t1 < search_end
-                safe = max(err_norm, 1e-10)
-                factor = _SAFETY * safe**-_ALPHA * err_prev**_BETA
-                err_prev = safe
-                t, u, v, fu, fv = t1, u1, v1, k7u, k7v
-                rejected_nonfinite = False
-            else:
-                rejected += 1
-                nonfinite += not finite
-                rejected_nonfinite = not finite
-                factor = _MIN_FACTOR if not finite else min(1.0, _SAFETY * err_norm**-_ALPHA)
-            h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-        if t < horizon:
-            raise StepSizeUnderflowError(f"step budget of {_MAX_STEPS} exceeded before t={horizon!r}")
+        # Overflow in a trial stage is an expected, handled outcome: the
+        # stage turns non-finite and the step is rejected below.
+        k2u, k2v = rhs(u + h * (_A21 * fu), v + h * (_A21 * fv))
+        k3u, k3v = rhs(u + h * (_A31 * fu + _A32 * k2u), v + h * (_A31 * fv + _A32 * k2v))
+        k4u, k4v = rhs(
+            u + h * (_A41 * fu + _A42 * k2u + _A43 * k3u),
+            v + h * (_A41 * fv + _A42 * k2v + _A43 * k3v),
+        )
+        k5u, k5v = rhs(
+            u + h * (_A51 * fu + _A52 * k2u + _A53 * k3u + _A54 * k4u),
+            v + h * (_A51 * fv + _A52 * k2v + _A53 * k3v + _A54 * k4v),
+        )
+        k6u, k6v = rhs(
+            u + h * (_A61 * fu + _A62 * k2u + _A63 * k3u + _A64 * k4u + _A65 * k5u),
+            v + h * (_A61 * fv + _A62 * k2v + _A63 * k3v + _A64 * k4v + _A65 * k5v),
+        )
+        u1 = u + h * (_B1 * fu + _B3 * k3u + _B4 * k4u + _B5 * k5u + _B6 * k6u)
+        v1 = v + h * (_B1 * fv + _B3 * k3v + _B4 * k4v + _B5 * k5v + _B6 * k6v)
+        k7u, k7v = rhs(u1, v1)
+        nfev += 6
+        values = (u1, v1, fu, fv, k2u, k2v, k3u, k3v, k4u, k4v, k5u, k5v, k6u, k6v, k7u, k7v)
+        # A sum of finite floats is finite unless it overflows, so the
+        # exact test runs only when the cheap one fails.
+        finite = math.isfinite(sum(values)) or all(map(math.isfinite, values))
+        if finite:
+            eu = h * (_E1 * fu + _E3 * k3u + _E4 * k4u + _E5 * k5u + _E6 * k6u + _E7 * k7u)
+            ev = h * (_E1 * fv + _E3 * k3v + _E4 * k4v + _E5 * k5v + _E6 * k6v + _E7 * k7v)
+            su = atol + rtol * max(abs(u), abs(u1))
+            sv = atol + rtol * max(abs(v), abs(v1))
+            err_norm = _rms(eu / su, ev / sv)
+        else:
+            err_norm = math.inf
+        if err_norm <= 1.0:
+            t1 = horizon if clipped else t + h
+            records += _STEP_RECORD.pack(t1, h, *values)
+            accepted += 1
+            if searching:
+                g = direction * (_exp(v1 if comp == 1 else u1) - level)
+                if g_prev < 0.0 <= g:
+                    searching = False
+                    qc = h * (np.array(values[2 + comp :: 2]) @ _P)
+                    root = _bisect_return((u, v)[comp], qc, t, t1, level, direction)
+                    if root <= search_end:
+                        period = root
+                        horizon = max(ivp.t_end, period_span * root)
+                g_prev = g
+                searching = searching and t1 < search_end
+            safe = max(err_norm, 1e-10)
+            factor = _SAFETY * safe**-_ALPHA * err_prev**_BETA
+            err_prev = safe
+            t, u, v, fu, fv = t1, u1, v1, k7u, k7v
+            rejected_nonfinite = False
+        else:
+            rejected += 1
+            nonfinite += not finite
+            rejected_nonfinite = not finite
+            factor = _MIN_FACTOR if not finite else min(1.0, _SAFETY * err_norm**-_ALPHA)
+        h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+    if t < horizon:
+        raise StepSizeUnderflowError(f"step budget of {_MAX_STEPS} exceeded before t={horizon!r}")
 
     steps = np.frombuffer(records).reshape(-1, 18)
     t_arr = np.concatenate(([0.0], steps[:, 0]))

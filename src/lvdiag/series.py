@@ -31,6 +31,12 @@ def _check_order(order, name="order"):
 
 @dataclass(frozen=True)
 class InitialValueProblem:
+    """The model, its start at t=0 and the window [0, t_end] it is studied on.
+
+    ``t_end`` (positive, finite) is the horizon of every reference pass and
+    report grid; the series coefficients ignore it.
+    """
+
     params: ModelParams
     initial: PopulationState
     t_end: float

@@ -106,8 +106,8 @@ def test_criterion_3_reference_conserves_the_invariant():
 def test_criterion_4_closed_orbit_and_pinned_period():
     ivp = _ivp(CASE_V, 10.0)
     period = solve(ivp, period_span=1.0).period
-    closes = _closes(solve(ivp, t_end=1.2 * period).sample, period)
-    one_period = solve(ivp, t_end=period).sample(np.linspace(0.0, period, 2001))
+    closes = _closes(solve(_ivp(CASE_V, 1.2 * period)).sample, period)
+    one_period = solve(_ivp(CASE_V, period)).sample(np.linspace(0.0, period, 2001))
     crossing = self_intersection(one_period)
     ok = closes and crossing is None and abs(period - PERIOD_V) <= 1e-8
     _report(
@@ -138,7 +138,7 @@ def test_criterion_6_series_phase_curve_crosses_itself():
     grid = np.linspace(0.0, 10.0, 2001)
     crossing = self_intersection(sample_series(taylor_coefficients(ivp, order), grid))
     period = solve(ivp, period_span=1.0).period
-    reference_loop = solve(ivp, t_end=period).sample(np.linspace(0.0, period, 2001))
+    reference_loop = solve(_ivp(CASE_V, period)).sample(np.linspace(0.0, period, 2001))
     ref_crossing = self_intersection(reference_loop)
     short = _ivp(CASE_V, 3.0)
     grid3 = np.linspace(0.0, 3.0, 601)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 
 import pytest
 
@@ -185,6 +186,17 @@ def test_numeric_failures_exit_3(tmp_path, capsys):
         assert "numeric failure" in capsys.readouterr().err, args
 
 
+@pytest.mark.parametrize(
+    "x0, y0, start", [("1e307", "1", "(1e+307, 1.0)"), ("1e300", "1e-300", "(1e+300, 1e-300)")]
+)
+def test_a_start_whose_field_overflows_is_named_as_the_cause(tmp_path, capsys, x0, y0, start):
+    """The scaled field at the start is too large to square, so no first step can be sized."""
+    args = ("--a", "1", "--b", "1", "--c", "1", "--d", "1", "--x0", x0, "--y0", y0, "--t-end", "1")
+    assert _run(tmp_path, *args) == 3
+    want = f"numeric failure: the field at the start {start} is too large to take a first step\n"
+    assert capsys.readouterr().err == want
+
+
 def test_run_overflowing_series_is_a_usage_error(tmp_path, capsys):
     """The recurrence itself overflows from coefficient 305 on; the message names the scheme."""
     out = tmp_path / "out"
@@ -211,6 +223,19 @@ def test_run_overflowing_approximant_names_scheme_order_and_time(
     assert not out.exists()
 
 
+def test_run_overflow_on_the_closure_grid_names_that_grid(tmp_path, capsys):
+    """Over [0, 1] the order-300 series stays finite; past 1.2 periods it does not."""
+    out = tmp_path / "out"
+    args = ["run", "--preset", "case-V", "--order", "300", "--t-end", "1", "--out", str(out)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    want = r"error: taylor order 300: series overflows at t=(\S+) on the closure grid \[0, 1\.2 T\]\n"
+    found = re.fullmatch(want, err)
+    assert found, err
+    assert 1.0 < float(found[1]) <= 1.2 * 7.6031
+    assert not out.exists()
+
+
 def test_run_huge_adomian_approximant_raises_no_warning(tmp_path, capsys):
     assert _run(tmp_path, "--preset", "case-V", "--method", "adomian", "--order", "200") == 0
     assert capsys.readouterr().err == ""
@@ -229,7 +254,7 @@ def test_verify_overflowing_order_is_a_usage_error(capsys):
 def test_verify_without_a_reference_period_is_a_numeric_failure(monkeypatch, capsys):
     import lvdiag.cli as cli
 
-    monkeypatch.setattr(cli, "_reference", lambda ivp, cfg, t_end: solve(ivp, cfg, t_end=t_end))
+    monkeypatch.setattr(cli, "_reference", lambda ivp, cfg: solve(ivp, cfg))
     assert main(["verify", "--orders", "4"]) == 3
     assert "numeric failure: case-V: no return to the start section" in capsys.readouterr().err
 

@@ -1,9 +1,11 @@
 """Adaptive reference integrator: accuracy, dense output, period, closure."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 from scipy.integrate import solve_ivp
 
 from lvdiag import (
@@ -21,6 +23,7 @@ from lvdiag import (
     taylor_coefficients,
 )
 from lvdiag.diagnostics import _closes
+from test_series import problems
 
 CASE_V = preset("case-V")
 CASE_I = preset("case-I")
@@ -65,6 +68,27 @@ def test_invariant_residuals_stay_small_over_long_window():
     assert conservation_drift(traj, CASE_V.params) <= 1e-8
 
 
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(problems())
+def test_drift_over_one_period_scales_with_rel_tol(ivp):
+    """Over one period, at rel_tol 1e-6, 1e-8 and 1e-10 (abs_tol 1e-12), the
+    reference's invariant drift stays below
+
+        10 * rel_tol * max over the orbit of (c*|ln x| + a*|ln y| + d*x + b*y),
+
+    rel_tol times the largest magnitude of the invariant's terms.  The error
+    control is relative on the log populations, so each term's error scales
+    with rel_tol and with the term itself."""
+    period = solve(ivp, period_span=1.0).period
+    assume(period is not None)
+    p = ivp.params
+    for rel_tol in (1e-6, 1e-8, 1e-10):
+        orbit = solve(replace(ivp, t_end=period), IntegratorConfig(rel_tol=rel_tol))
+        traj = orbit.sample(np.linspace(0.0, period, 2001))
+        terms = p.c * np.abs(np.log(traj.x)) + p.a * np.abs(np.log(traj.y)) + p.d * traj.x + p.b * traj.y
+        assert conservation_drift(traj, p) <= 10.0 * rel_tol * np.max(terms)
+
+
 def test_large_amplitude_case_stays_positive_and_resolved():
     """The prey dips below 1e-84 on this window; samples must stay positive."""
     traj = solve(_ivp(CASE_I, 10.0)).sample(np.linspace(0.0, 10.0, 2001))
@@ -84,7 +108,7 @@ def test_grid_validation():
 
 
 def test_degenerate_grid_returns_the_initial_state():
-    traj = solve(_ivp(CASE_V, 10.0), t_end=0.0).sample([0.0])
+    traj = solve(_ivp(CASE_V, 10.0)).sample([0.0])
     assert len(traj) == 1
     assert (traj.x[0], traj.y[0]) == (3.0, 2.0)
 
@@ -94,7 +118,7 @@ def test_resampling_on_step_boundaries_is_bitwise_stable():
     ivp = _ivp(CASE_V, 10.0)
     solution = solve(ivp)
     natural = solution.sample(solution.t)
-    regrid = solve(ivp, t_end=natural.t[-1]).sample(natural.t)
+    regrid = solve(_ivp(CASE_V, natural.t[-1])).sample(natural.t)
     assert np.array_equal(natural.x, regrid.x)
     assert np.array_equal(natural.y, regrid.y)
 

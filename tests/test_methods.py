@@ -246,30 +246,44 @@ def _q_taylor(a, b, c, d, x0, y0, order):
     return X, Y
 
 
+def _q_coupling(u, v, n):
+    """A_n = sum_k u_k*v_{n-k}, through degree n (components 0..n have degrees 0..n)."""
+    coupling = [Fraction(0)]
+    for k in range(n + 1):
+        coupling = _q_lin(1, coupling, 1, _q_mul(u[k], v[n - k], n))
+    return coupling
+
+
+def _q_adomian_step(a, b, c, d, u, v, n):
+    """(u_{n+1}, v_{n+1}) = (int(a*u_n - b*A_n), int(-c*v_n + d*A_n)) from components 0..n."""
+    coupling = _q_coupling(u, v, n)
+    return _q_int(_q_lin(a, u[n], -b, coupling)), _q_int(_q_lin(-c, v[n], d, coupling))
+
+
 def _q_adomian(a, b, c, d, x0, y0, order):
-    """u_{n+1} = int(a*u_n - b*A_n), v_{n+1} = int(-c*v_n + d*A_n), A_n = sum_k u_k*v_{n-k}."""
     u, v = [[x0]], [[y0]]
     for n in range(order):
-        coupling = [Fraction(0)]
-        for k in range(n + 1):
-            coupling = _q_lin(1, coupling, 1, _q_mul(u[k], v[n - k], 2 * order))
-        u.append(_q_int(_q_lin(a, u[n], -b, coupling)))
-        v.append(_q_int(_q_lin(-c, v[n], d, coupling)))
+        u_next, v_next = _q_adomian_step(a, b, c, d, u, v, n)
+        u.append(u_next)
+        v.append(v_next)
     return u, v
 
 
+def _q_vim_step(a, b, c, d, xp, yp, k):
+    """Iterate k from iterate k - 1, truncated to degree min(2k, 64) like the library's."""
+    cap = min(2 * k, 64)
+    xy = _q_mul(xp, yp, cap - 1)  # higher terms are cut after integration
+    residual_x = _q_lin(1, _q_der(xp), -1, _q_lin(a, xp, -b, xy))
+    residual_y = _q_lin(1, _q_der(yp), -1, _q_lin(-c, yp, d, xy))
+    x_next = _q_lin(1, xp, -1, _q_int(residual_x))[: cap + 1]
+    return x_next, _q_lin(1, yp, -1, _q_int(residual_y))[: cap + 1]
+
+
 def _q_vim(a, b, c, d, x0, y0, iterations):
-    """The correction functional with multiplier -1, truncated to degree min(2k, 64) like the library's."""
-    xp, yp = [x0], [y0]
-    iterates = [(xp, yp)]
+    """The correction functional with multiplier -1."""
+    iterates = [([x0], [y0])]
     for k in range(1, iterations + 1):
-        cap = min(2 * k, 64)
-        xy = _q_mul(xp, yp, cap - 1)  # higher terms are cut after integration
-        residual_x = _q_lin(1, _q_der(xp), -1, _q_lin(a, xp, -b, xy))
-        residual_y = _q_lin(1, _q_der(yp), -1, _q_lin(-c, yp, d, xy))
-        xp = _q_lin(1, xp, -1, _q_int(residual_x))[: cap + 1]
-        yp = _q_lin(1, yp, -1, _q_int(residual_y))[: cap + 1]
-        iterates.append((xp, yp))
+        iterates.append(_q_vim_step(a, b, c, d, *iterates[-1], k))
     return iterates
 
 
@@ -288,6 +302,87 @@ def test_schemes_reproduce_taylor_exactly_through_order_20(name):
         assert [sum(v_k[j] for v_k in v[j : n + 1]) for j in range(n + 1)] == Y[: n + 1]
     for k, (xk, yk) in enumerate(_q_vim(*args, 20)):
         assert xk[: k + 1] == X[: k + 1] and yk[: k + 1] == Y[: k + 1], (name, k)
+
+
+U = Fraction(2) ** -53  # unit roundoff of a double
+
+
+def _fractions(coeffs):
+    return [Fraction(c) for c in coeffs.tolist()]
+
+
+def _absolute(p):
+    return [abs(c) for c in p]
+
+
+def _assert_within(computed, exact, bound, where):
+    """|computed - exact| <= bound, entry by entry, the shorter lists padded with zeros."""
+    n = max(len(computed), len(exact), len(bound))
+    padded = [p + [Fraction(0)] * (n - len(p)) for p in (computed, exact, bound)]
+    for j, (got, want, limit) in enumerate(zip(*padded)):
+        assert abs(got - want) <= limit, (where, j, float(got), float(want))
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_adomian_and_vim_steps_meet_their_rounding_bound(name):
+    """Each float step of the decomposition cascade and of the variational
+    iteration, redone in rational arithmetic on the stored float inputs, is
+    within a stated number of unit roundoffs u = 2**-53 of the exact step,
+    entry by entry, scaled by the magnitudes that enter it.
+
+    Decomposition component n + 1 from the stored components 0..n:
+
+        |u_{n+1} - exact| <= (n + 4) * u * integral_0^t (a*|u_n| + b*sum_k |u_k|*|v_{n-k}|)
+
+    and the same for v_{n+1} with c and d.  Every float component is a
+    single t**n term, like the exact one, so A_n's top entry is a sum of
+    n + 1 rounded products: at most (n + 1) u, whatever order or fused
+    operations the convolution uses.  The two scalings, their difference and
+    the division by the new degree cost one u each, and the entries below
+    the top are exact zeros.
+
+    Variational iterate k, entry j, from the stored iterate k - 1 = (x, y):
+
+        |x_k[j] - exact| <= (j + 5) * u * (|x[j]| + (a*|x[j-1]| + b*sum_i |x[i]*y[j-1-i]|) / j)
+
+    and the same for y_k with c and d (entry 0 is x[0] itself).  The at most j
+    products of (x*y)[j-1] and their sum cost j u; the two scalings, the two
+    differences of the residual, the product j*x[j], the division by j and
+    the final difference against x[j] add five more, for x[j] cancels out
+    of x[j] - (j*x[j] - ...)/j only in exact arithmetic.
+
+    Both bounds are first order in u, as is the Taylor recurrence's 2*eps
+    (eps = 2u); the measured worst cases are about a fifth of them.  With
+    the exact cascades above, which equal the Taylor polynomials, this rests
+    the schemes' agreement on proof plus rounding, not on a tolerance.
+    """
+    case = preset(name)
+    ivp = InitialValueProblem(case.params, case.initial, case.default_t_end)
+    a, b, c, d = (Fraction(v) for v in (ivp.params.a, ivp.params.b, ivp.params.c, ivp.params.d))
+    components = adomian_components(ivp, 20)
+    u = [_fractions(u_n) for u_n, _ in components]
+    v = [_fractions(v_n) for _, v_n in components]
+    abs_u, abs_v = [_absolute(p) for p in u], [_absolute(p) for p in v]
+    for n in range(20):
+        exact_u, exact_v = _q_adomian_step(a, b, c, d, u, v, n)
+        coupling = _q_coupling(abs_u, abs_v, n)
+        magnitude_u = _q_int(_q_lin(a, abs_u[n], b, coupling))
+        magnitude_v = _q_int(_q_lin(c, abs_v[n], d, coupling))
+        pairs = zip((u[n + 1], v[n + 1]), (exact_u, exact_v), (magnitude_u, magnitude_v))
+        for got, want, magnitude in pairs:
+            _assert_within(got, want, [(n + 4) * U * m for m in magnitude], (name, "component", n + 1))
+    iterates = [tuple(map(_fractions, pair)) for pair in vim_iterates(ivp, 20)]
+    for k in range(1, 21):
+        x, y = iterates[k - 1]
+        exact_x, exact_y = _q_vim_step(a, b, c, d, x, y, k)
+        cap = min(2 * k, 64)
+        abs_x, abs_y = _absolute(x), _absolute(y)
+        products = _q_mul(abs_x, abs_y, cap - 1)
+        magnitude_x = _q_lin(1, abs_x, 1, _q_int(_q_lin(a, abs_x, b, products)))[: cap + 1]
+        magnitude_y = _q_lin(1, abs_y, 1, _q_int(_q_lin(c, abs_y, d, products)))[: cap + 1]
+        for got, want, magnitude in zip(iterates[k], (exact_x, exact_y), (magnitude_x, magnitude_y)):
+            bound = [(j + 5) * U * m for j, m in enumerate(magnitude)]
+            _assert_within(got, want, bound, (name, "iterate", k))
 
 
 # Finite coefficients small enough that no product overflows, with exact and

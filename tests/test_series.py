@@ -144,8 +144,9 @@ def test_sample_series_overflow_is_nonfinite_not_a_warning():
 
 
 def test_problem_validation():
-    with pytest.raises(ValueError):
-        InitialValueProblem(CASE_V.params, CASE_V.initial, 0.0)
+    for t_end in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            InitialValueProblem(CASE_V.params, CASE_V.initial, t_end)
     with pytest.raises(NonFiniteError):
         InitialValueProblem(CASE_V.params, CASE_V.initial, math.inf)
 
