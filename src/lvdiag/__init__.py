@@ -35,7 +35,7 @@ from .methods import (
     vim_iterates,
 )
 from .model import ModelParams, PopulationState
-from .presets import CasePreset, preset, preset_names
+from .presets import preset, preset_names
 from .series import (
     InitialValueProblem,
     SeriesSolution,
@@ -48,7 +48,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AgreementReport",
-    "CasePreset",
     "DiagnosticsReport",
     "DivergenceError",
     "InitialValueProblem",

@@ -12,6 +12,7 @@ failure, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -42,6 +43,10 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
 
+# Default truncation order 5: the lowest order whose phase curve both leaves
+# the true orbit inside the default window and crosses itself there, so the
+# default report exhibits every failure mode the diagnostics measure.
+_DEFAULT_ORDER = 5
 _DEFAULT_SWEEP = (4, 8, 12, 16, 20)
 _EQUIV_TOP_ORDER = 20
 _EQUIV_TOL = 1e-12
@@ -109,9 +114,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="approximation scheme (default: taylor)",
     )
     cmd.add_argument(
-        "--order", type=_nonnegative_int, help="truncation order (default: the preset's, 5 for custom)"
+        "--order", type=_nonnegative_int, help=f"truncation order (default: {_DEFAULT_ORDER})"
     )
-    cmd.add_argument("--t-end", type=_positive_float, help="report horizon (default: preset's)")
+    cmd.add_argument(
+        "--t-end", type=_positive_float, help="report horizon (default: the preset's, 10 for custom)"
+    )
     cmd.add_argument("--points", type=_nonnegative_int, default=2001, help="grid samples (default: 2001)")
     cmd.add_argument("--rel-tol", type=_positive_float, default=1e-10, help="reference relative tolerance")
     cmd.add_argument("--abs-tol", type=_positive_float, default=1e-12, help="reference absolute tolerance")
@@ -142,22 +149,20 @@ def _resolve_problem(args):
     if args.preset is not None and custom:
         raise ValueError(f"--preset conflicts with --{'/--'.join(custom)}")
     if args.preset is not None:
-        case = preset(args.preset)
-        order = case.default_order if args.order is None else args.order
-        t_end = case.default_t_end if args.t_end is None else args.t_end
-        return case.name, InitialValueProblem(case.params, case.initial, t_end), order
-    if len(custom) == len(_CUSTOM_FLAGS):
+        label, ivp = args.preset, preset(args.preset)
+    elif len(custom) == len(_CUSTOM_FLAGS):
         params = ModelParams(args.a, args.b, args.c, args.d)
-        initial = PopulationState(args.x0, args.y0)
-        order = 5 if args.order is None else args.order
-        t_end = 10.0 if args.t_end is None else args.t_end
-        return "custom", InitialValueProblem(params, initial, t_end), order
-    missing = [f"--{flag}" for flag in _CUSTOM_FLAGS if getattr(args, flag) is None]
-    raise ValueError(
-        "give either --preset or all of --a/--b/--c/--d/--x0/--y0 (missing: "
-        + ", ".join(missing)
-        + ")"
-    )
+        label, ivp = "custom", InitialValueProblem(params, PopulationState(args.x0, args.y0), 10.0)
+    else:
+        missing = [f"--{flag}" for flag in _CUSTOM_FLAGS if getattr(args, flag) is None]
+        raise ValueError(
+            "give either --preset or all of --a/--b/--c/--d/--x0/--y0 (missing: "
+            + ", ".join(missing)
+            + ")"
+        )
+    if args.t_end is not None:
+        ivp = dataclasses.replace(ivp, t_end=args.t_end)
+    return label, ivp, _DEFAULT_ORDER if args.order is None else args.order
 
 
 def cmd_run(args) -> int:
@@ -186,8 +191,7 @@ def cmd_run(args) -> int:
 
 def _check_equivalence(results):
     for name in ("case-I", "case-V"):
-        case = preset(name)
-        ivp = InitialValueProblem(case.params, case.initial, case.default_t_end)
+        ivp = preset(name)
         worst = 0.0
         ok = True
         for agreement in _agreements(ivp, range(1, _EQUIV_TOP_ORDER + 1)):
@@ -256,13 +260,12 @@ def _check_divergence(results, passes, orders):
 
 
 def _check_self_crossing(results, cfg):
-    case = preset("case-V")
-    short = InitialValueProblem(case.params, case.initial, 3.0)
-    series = method_series(short, MethodKind.TAYLOR, case.default_order)
+    short = dataclasses.replace(preset("case-V"), t_end=3.0)
+    series = method_series(short, MethodKind.TAYLOR, _DEFAULT_ORDER)
     crossing = self_intersection(sample_series(series, np.linspace(0.0, 10.0, 2001)))
     results.append(
         (
-            f"case-V: order-{case.default_order} series phase curve crosses itself",
+            f"case-V: order-{_DEFAULT_ORDER} series phase curve crosses itself",
             crossing is not None,
             "no crossing" if crossing is None else f"segments ({crossing.i}, {crossing.j})",
         )
@@ -270,8 +273,8 @@ def _check_self_crossing(results, cfg):
     grid3 = np.linspace(0.0, 3.0, 601)
     ref3 = solve(short, cfg).sample(grid3)
     approx3 = sample_series(series, grid3)
-    ref_drift = conservation_drift(ref3, case.params)
-    approx_drift = conservation_drift(approx3, case.params)
+    ref_drift = conservation_drift(ref3, short.params)
+    approx_drift = conservation_drift(approx3, short.params)
     ratio = math.inf if ref_drift == 0.0 else approx_drift / ref_drift
     results.append(
         (
@@ -290,11 +293,10 @@ def _verification_groups(orders):
     """
     start = time.perf_counter()
     cfg = IntegratorConfig()
-    case_i, case_v = preset("case-I"), preset("case-V")
     # One pass per preset serves its drift, closure and divergence checks:
     # case-I's over [0, 10], case-V's over [0, 50] and on past 1.2 periods.
-    long_i = InitialValueProblem(case_i.params, case_i.initial, 10.0)
-    long_v = InitialValueProblem(case_v.params, case_v.initial, 50.0)
+    long_i = dataclasses.replace(preset("case-I"), t_end=10.0)
+    long_v = dataclasses.replace(preset("case-V"), t_end=50.0)
     passes = {"case-I": (long_i, solve(long_i, cfg)), "case-V": (long_v, _reference(long_v, cfg))}
     yield "reference", time.perf_counter() - start, []
     groups = (

@@ -274,7 +274,7 @@ def solve(
     period = None
     fu, fv = rhs(u, v)
     if not (math.isfinite(fu) and math.isfinite(fv)):
-        raise DivergenceError(f"vector field not finite at the initial state {(u, v)!r}")
+        raise DivergenceError(f"the field at the start ({x0!r}, {y0!r}) is not finite")
     h = _initial_step(rhs, u, v, fu, fv, horizon, cfg)
     if h == 0.0:
         raise StepSizeUnderflowError(

@@ -1,50 +1,18 @@
-"""Named parameter sets used by the command-line reports."""
+"""Named problems used by the command-line reports, each on its default window."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .exceptions import UnknownPresetError
 from .model import ModelParams, PopulationState
+from .series import InitialValueProblem
 
-
-@dataclass(frozen=True)
-class CasePreset:
-    name: str
-    params: ModelParams
-    initial: PopulationState
-    default_order: int
-    default_t_end: float
-
-
-# Default truncation order 5: the lowest order whose phase curve both leaves
-# the true orbit inside the default window and crosses itself there, so the
-# default report exhibits every failure mode the diagnostics measure.
 _REGISTRY = {
     # Slow predator decay, large populations far from the centre.
-    "case-I": CasePreset(
-        "case-I",
-        ModelParams(1.0, 1.0, 0.1, 1.0),
-        PopulationState(14.0, 18.0),
-        default_order=5,
-        default_t_end=10.0,
-    ),
+    "case-I": InitialValueProblem(ModelParams(1.0, 1.0, 0.1, 1.0), PopulationState(14.0, 18.0), 10.0),
     # Unit rates, moderate orbit around the centre (1, 1).
-    "case-V": CasePreset(
-        "case-V",
-        ModelParams(1.0, 1.0, 1.0, 1.0),
-        PopulationState(3.0, 2.0),
-        default_order=5,
-        default_t_end=10.0,
-    ),
+    "case-V": InitialValueProblem(ModelParams(1.0, 1.0, 1.0, 1.0), PopulationState(3.0, 2.0), 10.0),
     # Zero coupling: exact exponentials, a sanity case rather than an orbit.
-    "decoupled": CasePreset(
-        "decoupled",
-        ModelParams(1.0, 0.0, 1.0, 0.0),
-        PopulationState(1.0, 1.0),
-        default_order=5,
-        default_t_end=1.0,
-    ),
+    "decoupled": InitialValueProblem(ModelParams(1.0, 0.0, 1.0, 0.0), PopulationState(1.0, 1.0), 1.0),
 }
 
 
@@ -52,7 +20,7 @@ def preset_names() -> tuple[str, ...]:
     return tuple(_REGISTRY)
 
 
-def preset(name: str) -> CasePreset:
+def preset(name: str) -> InitialValueProblem:
     try:
         return _REGISTRY[name]
     except KeyError:

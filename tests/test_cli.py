@@ -2,11 +2,11 @@
 
 import csv
 import json
-import re
+import warnings
 
 import pytest
 
-from lvdiag import InitialValueProblem, MethodKind, SeriesSolution, failure_report, preset, solve
+from lvdiag import InitialValueProblem, MethodKind, SeriesSolution, failure_report, preset, preset_names, solve
 from lvdiag.cli import _verification_groups, main
 from lvdiag.output import PHASE_HEADER, TIMESERIES_HEADER
 
@@ -129,6 +129,25 @@ def test_run_custom_parameters(tmp_path):
     assert (tmp_path / "custom_taylor_order5_report.json").exists()
 
 
+@pytest.mark.parametrize("name", preset_names())
+def test_a_preset_runs_as_its_problem_given_in_custom_flags(tmp_path, name):
+    """A preset is nothing but its problem: the same six numbers and window write the same files."""
+    ivp = preset(name)
+    p, start = ivp.params, ivp.initial
+    numbers = {"a": p.a, "b": p.b, "c": p.c, "d": p.d, "x0": start.x, "y0": start.y, "t-end": ivp.t_end}
+    custom = [arg for flag, value in numbers.items() for arg in (f"--{flag}", repr(value))]
+    common = ("--method", "vim", "--format", "all")
+    assert _run(tmp_path / "preset", "--preset", name, *common) == 0
+    assert _run(tmp_path / "custom", *custom, *common) == 0
+    for suffix in ("timeseries.csv", "phase.csv", "phase.svg"):
+        preset_file = tmp_path / "preset" / f"{name}_vim_order5_{suffix}"
+        assert preset_file.read_bytes() == (tmp_path / "custom" / f"custom_vim_order5_{suffix}").read_bytes()
+    preset_report = (tmp_path / "preset" / f"{name}_vim_order5_report.json").read_text()
+    custom_report = (tmp_path / "custom" / "custom_vim_order5_report.json").read_text()
+    assert preset_report.count(f'"preset": "{name}"') == 1
+    assert preset_report.replace(f'"preset": "{name}"', '"preset": "custom"') == custom_report
+
+
 def test_run_method_selection(tmp_path):
     assert _run(tmp_path, "--preset", "decoupled", "--points", "51", "--method", "vim") == 0
     assert (tmp_path / "decoupled_vim_order5_report.json").exists()
@@ -187,14 +206,20 @@ def test_numeric_failures_exit_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "x0, y0, start", [("1e307", "1", "(1e+307, 1.0)"), ("1e300", "1e-300", "(1e+300, 1e-300)")]
+    "b, x0, y0, cause",
+    [
+        ("1", "1e307", "1", "(1e+307, 1.0) is too large to take a first step"),
+        ("1", "1e300", "1e-300", "(1e+300, 1e-300) is too large to take a first step"),
+        ("1e10", "1", "1e300", "(1.0, 1e+300) is not finite"),
+    ],
+    # Each case is named x0-y0-(the start as the message prints it).
+    ids=["1e307-1-(1e+307, 1.0)", "1e300-1e-300-(1e+300, 1e-300)", "1-1e300-(1.0, 1e+300)"],
 )
-def test_a_start_whose_field_overflows_is_named_as_the_cause(tmp_path, capsys, x0, y0, start):
-    """The scaled field at the start is too large to square, so no first step can be sized."""
-    args = ("--a", "1", "--b", "1", "--c", "1", "--d", "1", "--x0", x0, "--y0", y0, "--t-end", "1")
+def test_a_start_whose_field_overflows_is_named_as_the_cause(tmp_path, capsys, b, x0, y0, cause):
+    """The field at the start overflows, or is too large to square, so no first step can be sized."""
+    args = ("--a", "1", "--b", b, "--c", "1", "--d", "1", "--x0", x0, "--y0", y0, "--t-end", "1")
     assert _run(tmp_path, *args) == 3
-    want = f"numeric failure: the field at the start {start} is too large to take a first step\n"
-    assert capsys.readouterr().err == want
+    assert capsys.readouterr().err == f"numeric failure: the field at the start {cause}\n"
 
 
 def test_run_overflowing_series_is_a_usage_error(tmp_path, capsys):
@@ -223,17 +248,16 @@ def test_run_overflowing_approximant_names_scheme_order_and_time(
     assert not out.exists()
 
 
-def test_run_overflow_on_the_closure_grid_names_that_grid(tmp_path, capsys):
-    """Over [0, 1] the order-300 series stays finite; past 1.2 periods it does not."""
-    out = tmp_path / "out"
-    args = ["run", "--preset", "case-V", "--order", "300", "--t-end", "1", "--out", str(out)]
-    assert main(args) == 2
-    err = capsys.readouterr().err
-    want = r"error: taylor order 300: series overflows at t=(\S+) on the closure grid \[0, 1\.2 T\]\n"
-    found = re.fullmatch(want, err)
-    assert found, err
-    assert 1.0 < float(found[1]) <= 1.2 * 7.6031
-    assert not out.exists()
+def test_run_overflow_on_the_closure_grid_reads_as_not_closed(tmp_path, capsys):
+    """Over [0, 1] the order-300 series stays finite; past 1.2 periods it does not, so it does not close."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert _run(tmp_path, "--preset", "case-V", "--order", "300", "--t-end", "1") == 0
+    assert capsys.readouterr().err == ""
+    with open(tmp_path / "case-V_taylor_order300_report.json") as handle:
+        payload = json.load(handle)
+    assert payload["closed_orbit_approx"] is False
+    assert payload["closed_orbit_ref"] is True
 
 
 def test_run_huge_adomian_approximant_raises_no_warning(tmp_path, capsys):
@@ -290,8 +314,8 @@ def test_verify_closure_row_matches_failure_report():
     (name, closed, detail), _ = groups["closure"]
     assert name == "case-V: reference orbit returns within 1e-6"
     case = preset("case-V")
-    ivp = InitialValueProblem(case.params, case.initial, case.default_t_end)
-    report = failure_report(ivp, MethodKind.TAYLOR, case.default_order)
+    ivp = InitialValueProblem(case.params, case.initial, case.t_end)
+    report = failure_report(ivp, MethodKind.TAYLOR, 5)
     assert detail == f"period {report.period_estimate:.9f}"
     assert closed is report.closed_orbit_ref is True
 

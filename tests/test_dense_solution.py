@@ -18,12 +18,11 @@ from lvdiag import (
     solve,
 )
 import lvdiag.integrate as integrate_module
-from lvdiag.presets import CasePreset
 
 CASE_V = preset("case-V")
 CASE_I = preset("case-I")
 # Populations far out on a unit-rate orbit: an early trial stage overflows.
-FAR_OUT = CasePreset("far-out", ModelParams(1.0, 1.0, 1.0, 1.0), PopulationState(1000.0, 10000.0), 5, 10.0)
+FAR_OUT = InitialValueProblem(ModelParams(1, 1, 1, 1), PopulationState(1000, 10000), 10.0)
 
 
 def _ivp(case, t_end):

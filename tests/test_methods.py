@@ -199,7 +199,7 @@ def _assert_sweep_matches_per_order_reports(ivp):
 @pytest.mark.parametrize("name", preset_names())
 def test_agreement_sweep_matches_per_order_construction_on_presets(name):
     case = preset(name)
-    _assert_sweep_matches_per_order_reports(InitialValueProblem(case.params, case.initial, case.default_t_end))
+    _assert_sweep_matches_per_order_reports(InitialValueProblem(case.params, case.initial, case.t_end))
 
 
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)
@@ -357,7 +357,7 @@ def test_adomian_and_vim_steps_meet_their_rounding_bound(name):
     the schemes' agreement on proof plus rounding, not on a tolerance.
     """
     case = preset(name)
-    ivp = InitialValueProblem(case.params, case.initial, case.default_t_end)
+    ivp = InitialValueProblem(case.params, case.initial, case.t_end)
     a, b, c, d = (Fraction(v) for v in (ivp.params.a, ivp.params.b, ivp.params.c, ivp.params.d))
     components = adomian_components(ivp, 20)
     u = [_fractions(u_n) for u_n, _ in components]

@@ -10,7 +10,6 @@ README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 PUBLIC_NAMES = [
     "AgreementReport",
-    "CasePreset",
     "DiagnosticsReport",
     "DivergenceError",
     "InitialValueProblem",
@@ -47,7 +46,7 @@ def test_public_names_are_pinned_and_resolve():
     assert sorted(lvdiag.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(lvdiag, name) is not None, name
-    assert len(PUBLIC_NAMES) == 31
+    assert len(PUBLIC_NAMES) == 30
 
 
 def test_agreement_report_has_one_field_per_cascade():
