@@ -33,7 +33,7 @@ from .exceptions import IntegrationError, UnknownPresetError
 from .integrate import IntegratorConfig, solve
 from .methods import MethodKind, _agreements, method_series
 from .model import ModelParams, PopulationState
-from .output import report_payload, write_csv_tables, write_phase_svg, write_report_json
+from .output import write_csv_tables, write_phase_svg, write_report_json
 from .presets import preset, preset_names
 from .series import InitialValueProblem, sample_series
 
@@ -179,7 +179,7 @@ def cmd_run(args) -> int:
     if args.format in ("csv", "all"):
         write_csv_tables(base + "_timeseries.csv", base + "_phase.csv", reference, approx, ivp.params)
         written += [base + "_timeseries.csv", base + "_phase.csv"]
-    write_report_json(base + "_report.json", report_payload(label, ivp.t_end, report))
+    write_report_json(base + "_report.json", label, ivp.t_end, report)
     written.append(base + "_report.json")
     if args.format in ("svg", "all"):
         write_phase_svg(base + "_phase.svg", reference, approx, report.self_intersection)
@@ -189,7 +189,7 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _check_equivalence(results):
+def _check_equivalence():
     for name in ("case-I", "case-V"):
         ivp = preset(name)
         worst = 0.0
@@ -199,45 +199,39 @@ def _check_equivalence(results):
             worst = max(worst, agreement.worst())
             if agreement.worst() > tol:
                 ok = False
-        results.append(
-            (
-                f"{name}: adomian/hpm/vim reproduce the series (orders 1-{_EQUIV_TOP_ORDER})",
-                ok,
-                f"worst {worst:.3e}",
-            )
+        yield (
+            f"{name}: adomian/hpm/vim reproduce the series (orders 1-{_EQUIV_TOP_ORDER})",
+            ok,
+            f"worst {worst:.3e}",
         )
 
 
-def _check_conservation(results, passes):
+def _check_conservation(passes):
     for name, (ivp, solution) in passes.items():
         traj = solution.sample(np.linspace(0.0, ivp.t_end, 5001))
         drift = conservation_drift(traj, ivp.params)
-        results.append(
-            (
-                f"{name}: reference invariant drift on [0, {ivp.t_end:g}] below {_CONSERVATION_BOUND:g}",
-                drift <= _CONSERVATION_BOUND,
-                f"drift {drift:.3e}",
-            )
+        yield (
+            f"{name}: reference invariant drift on [0, {ivp.t_end:g}] below {_CONSERVATION_BOUND:g}",
+            drift <= _CONSERVATION_BOUND,
+            f"drift {drift:.3e}",
         )
 
 
-def _check_closure(results, solution):
+def _check_closure(solution):
     period = solution.period
     if period is None:
         raise IntegrationError("case-V: no return to the start section")
     closed = _closes(solution.sample, period)
-    results.append(("case-V: reference orbit returns within 1e-6", closed, f"period {period:.9f}"))
+    yield "case-V: reference orbit returns within 1e-6", closed, f"period {period:.9f}"
     crossing = self_intersection(solution.sample(np.linspace(0.0, period, 2001)))
-    results.append(
-        (
-            "case-V: reference orbit stays simple over one period",
-            crossing is None,
-            "no crossing" if crossing is None else f"crossing at segments ({crossing.i}, {crossing.j})",
-        )
+    yield (
+        "case-V: reference orbit stays simple over one period",
+        crossing is None,
+        "no crossing" if crossing is None else f"crossing at segments ({crossing.i}, {crossing.j})",
     )
 
 
-def _check_divergence(results, passes, orders):
+def _check_divergence(passes, orders):
     grid = np.linspace(0.0, 10.0, 2001)
     for name, (ivp, solution) in passes.items():
         reference = solution.sample(grid)
@@ -250,67 +244,60 @@ def _check_divergence(results, passes, orders):
             details.append("none" if t_div is None else f"{t_div:.3f}")
             if t_div is None or not t_div < 10.0:
                 ok = False
-        results.append(
-            (
-                f"{name}: taylor orders {','.join(map(str, orders))} diverge before t=10",
-                ok,
-                "t_div " + "/".join(details),
-            )
+        yield (
+            f"{name}: taylor orders {','.join(map(str, orders))} diverge before t=10",
+            ok,
+            "t_div " + "/".join(details),
         )
 
 
-def _check_self_crossing(results, cfg):
+def _check_self_crossing():
     short = dataclasses.replace(preset("case-V"), t_end=3.0)
     series = method_series(short, MethodKind.TAYLOR, _DEFAULT_ORDER)
     crossing = self_intersection(sample_series(series, np.linspace(0.0, 10.0, 2001)))
-    results.append(
-        (
-            f"case-V: order-{_DEFAULT_ORDER} series phase curve crosses itself",
-            crossing is not None,
-            "no crossing" if crossing is None else f"segments ({crossing.i}, {crossing.j})",
-        )
+    yield (
+        f"case-V: order-{_DEFAULT_ORDER} series phase curve crosses itself",
+        crossing is not None,
+        "no crossing" if crossing is None else f"segments ({crossing.i}, {crossing.j})",
     )
     grid3 = np.linspace(0.0, 3.0, 601)
-    ref3 = solve(short, cfg).sample(grid3)
+    ref3 = solve(short).sample(grid3)
     approx3 = sample_series(series, grid3)
     ref_drift = conservation_drift(ref3, short.params)
     approx_drift = conservation_drift(approx3, short.params)
     ratio = math.inf if ref_drift == 0.0 else approx_drift / ref_drift
-    results.append(
-        (
-            "case-V: series invariant drift dwarfs the reference on [0, 3]",
-            ratio > _DRIFT_RATIO_FLOOR,
-            f"ratio {ratio:.3e}",
-        )
+    yield (
+        "case-V: series invariant drift dwarfs the reference on [0, 3]",
+        ratio > _DRIFT_RATIO_FLOOR,
+        f"ratio {ratio:.3e}",
     )
 
 
 def _verification_groups(orders):
-    """Run the checks group by group; yield (group, elapsed seconds, result triples).
+    """Run the checks group by group; yield (group, elapsed seconds, result rows).
 
     The first group, "reference", is the two integration passes that the
-    conservation, closure and divergence checks share; it has no results.
+    conservation, closure and divergence checks share; it has no rows.
     """
     start = time.perf_counter()
-    cfg = IntegratorConfig()
     # One pass per preset serves its drift, closure and divergence checks:
     # case-I's over [0, 10], case-V's over [0, 50] and on past 1.2 periods.
     long_i = dataclasses.replace(preset("case-I"), t_end=10.0)
     long_v = dataclasses.replace(preset("case-V"), t_end=50.0)
-    passes = {"case-I": (long_i, solve(long_i, cfg)), "case-V": (long_v, _reference(long_v, cfg))}
+    passes = {"case-I": (long_i, solve(long_i)), "case-V": (long_v, _reference(long_v, None))}
     yield "reference", time.perf_counter() - start, []
+    # Each check is a generator, so it runs only when its rows are listed.
     groups = (
-        ("equivalence", _check_equivalence),
-        ("conservation", lambda results: _check_conservation(results, passes)),
-        ("closure", lambda results: _check_closure(results, passes["case-V"][1])),
-        ("divergence", lambda results: _check_divergence(results, passes, orders)),
-        ("self-crossing", lambda results: _check_self_crossing(results, cfg)),
+        ("equivalence", _check_equivalence()),
+        ("conservation", _check_conservation(passes)),
+        ("closure", _check_closure(passes["case-V"][1])),
+        ("divergence", _check_divergence(passes, orders)),
+        ("self-crossing", _check_self_crossing()),
     )
     for group, check in groups:
         start = time.perf_counter()
-        results = []
-        check(results)
-        yield group, time.perf_counter() - start, results
+        rows = list(check)
+        yield group, time.perf_counter() - start, rows
 
 
 def cmd_verify(args) -> int:

@@ -300,7 +300,8 @@ def solve(
             if rejected_nonfinite:
                 raise DivergenceError(f"state left the finite range near t={t!r} (blow-up)")
             raise StepSizeUnderflowError(
-                f"step size {h!r} fell below {floor!r} at t={t!r}; problem too stiff at this tolerance"
+                f"step size {h!r} fell below {floor!r}, {_MIN_STEP_FRACTION:g} of the horizon "
+                f"{horizon:g}, at t={t!r}; shorten the horizon"
             )
         # Overflow in a trial stage is an expected, handled outcome: the
         # stage turns non-finite and the step is rejected below.

@@ -31,11 +31,12 @@ class MethodKind(enum.Enum):
 
 
 # Polynomial kernels.  Each one does the arithmetic of its numpy.polynomial
-# counterpart (trimseq, polymul, polyadd, polysub, polyint, polyder) in the
-# same order, so on finite coefficients the results are equal bit for bit,
-# without that module's per-call conversion and checks.  Inputs are 1-d float
-# arrays.  Non-finite coefficients take the same elementwise arithmetic and are
-# never trimmed (NaN != 0); only ``_pint``'s constant term differs from numpy's.
+# counterpart (trimseq, polymul, polyadd, polyint, polyder) in the same order,
+# so on finite coefficients the results are equal bit for bit, without that
+# module's per-call conversion and checks; ``_padd(c1, -c2)`` is polysub's,
+# as IEEE-754 defines x - y as x + (-y).  Inputs are 1-d float arrays.
+# Non-finite coefficients take the same elementwise arithmetic and are never
+# trimmed (NaN != 0); only ``_pint``'s constant term differs from numpy's.
 
 
 def _trim(c):
@@ -57,17 +58,6 @@ def _padd(c1, c2):
         out[: c2.size] += c2
     else:
         out = c2.copy()
-        out[: c1.size] += c1
-    return _trim(out)
-
-
-def _psub(c1, c2):
-    c1, c2 = _trim(c1), _trim(c2)
-    if c1.size > c2.size:
-        out = c1.copy()
-        out[: c2.size] -= c2
-    else:
-        out = -c2
         out[: c1.size] += c1
     return _trim(out)
 
@@ -143,7 +133,7 @@ def adomian_components(ivp: InitialValueProblem, order: int):
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(order):
             a_n = _adomian_polynomial(u, v, n)
-            u.append(_pint(_psub(p.a * u[n], p.b * a_n)))
+            u.append(_pint(_padd(p.a * u[n], -p.b * a_n)))
             v.append(_pint(_padd(-p.c * v[n], p.d * a_n)))
     return list(zip(u, v))
 
@@ -153,13 +143,23 @@ def adomian_series(ivp: InitialValueProblem, order: int) -> SeriesSolution:
 
     This is also the homotopy approximant at q = 1.
     """
+    *_, (x, y) = _adomian_sums(ivp, order)
+    return SeriesSolution(order, x, y)
+
+
+def _adomian_sums(ivp: InitialValueProblem, order: int):
+    """Yield, for n = 0..order, the sums (x, y) of decomposition components 0..n.
+
+    Each pair views the first n + 1 entries of accumulators that the later
+    components keep adding into, so a caller that keeps one copies it.
+    """
     components = adomian_components(ivp, order)
-    x = np.zeros(order + 1)
-    y = np.zeros(order + 1)
-    for u_n, v_n in components:
+    x = np.zeros(len(components))
+    y = np.zeros(len(components))
+    for n, (u_n, v_n) in enumerate(components):
         x[: u_n.size] += u_n
         y[: v_n.size] += v_n
-    return SeriesSolution(order, x, y)
+        yield x[: n + 1], y[: n + 1]
 
 
 def vim_iterates(ivp: InitialValueProblem, iterations: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -183,10 +183,10 @@ def vim_iterates(ivp: InitialValueProblem, iterations: int) -> list[tuple[np.nda
     for k in range(1, iterations + 1):
         cap = min(2 * k, _VIM_DEGREE_CAP)
         xy = _pmul(xp, yp)
-        residual_x = _psub(_pder(xp), _psub(p.a * xp, p.b * xy))
-        residual_y = _psub(_pder(yp), _padd(-p.c * yp, p.d * xy))
-        xp = _psub(xp, _pint(residual_x))[: cap + 1]
-        yp = _psub(yp, _pint(residual_y))[: cap + 1]
+        residual_x = _padd(_pder(xp), -_padd(p.a * xp, -p.b * xy))
+        residual_y = _padd(_pder(yp), -_padd(-p.c * yp, p.d * xy))
+        xp = _padd(xp, -_pint(residual_x))[: cap + 1]
+        yp = _padd(yp, -_pint(residual_y))[: cap + 1]
         iterates.append((xp, yp))
     return iterates
 
@@ -226,14 +226,9 @@ def _agreements(ivp: InitialValueProblem, orders) -> list[AgreementReport]:
     taylor = taylor_coefficients(ivp, top)
     iterates = vim_iterates(ivp, top)
     wanted = set(orders)
-    adomian = {}
-    x = np.zeros(top + 1)
-    y = np.zeros(top + 1)
-    for n, (u_n, v_n) in enumerate(adomian_components(ivp, top)):
-        x[: u_n.size] += u_n
-        y[: v_n.size] += v_n
-        if n in wanted:  # copied: later components add their (zero) low terms here
-            adomian[n] = (x[: n + 1].copy(), y[: n + 1].copy())
+    # Copied: later components add their (zero) low terms into these views.
+    sums = enumerate(_adomian_sums(ivp, top))
+    adomian = {n: (x.copy(), y.copy()) for n, (x, y) in sums if n in wanted}
     reports = []
     for k in orders:
         reference = (taylor.x_coeffs[: k + 1], taylor.y_coeffs[: k + 1])

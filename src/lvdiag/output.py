@@ -52,10 +52,10 @@ def write_csv_tables(
             phase_out.write("\n".join(map(",".join, zip(*cells[1 : 1 + len(phase)]))) + "\n")
 
 
-def report_payload(label: str, t_end: float, report: DiagnosticsReport) -> dict:
-    """JSON-ready view of a diagnostics report."""
+def write_report_json(path, label: str, t_end: float, report: DiagnosticsReport) -> None:
+    """Write the diagnostics report as indented JSON."""
     crossing = report.self_intersection
-    return {
+    payload = {
         "preset": label,
         "method": report.method.value,
         "order": report.order,
@@ -71,9 +71,6 @@ def report_payload(label: str, t_end: float, report: DiagnosticsReport) -> dict:
         "period_estimate": report.period_estimate,
         "excluded_samples": report.excluded_samples,
     }
-
-
-def write_report_json(path, payload: dict) -> None:
     with open(path, "w", newline="\n") as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")

@@ -167,6 +167,15 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert _run(tmp_path, *custom, "--x0", "0") == 2
     assert "--x0" in capsys.readouterr().err
     assert main(["run"]) == 2
+    # Each refusal of a flag's parser names that flag.
+    for args, flag in [
+        (("run", "--order", "x"), "--order"),
+        (("run", "--a", "foo"), "--a"),
+        (("verify", "--orders", "4,x"), "--orders"),
+        (("verify", "--orders", "-1"), "--orders"),
+    ]:
+        assert main(list(args)) == 2, args
+        assert f"argument {flag}:" in capsys.readouterr().err, args
 
 
 def test_run_needs_four_grid_points(tmp_path, capsys):
@@ -198,11 +207,19 @@ def test_numeric_failures_exit_3(tmp_path, capsys):
         (*rates, "--x0", "1e145", "--y0", "1"),
         (*rates, "--x0", "1e300", "--y0", "1"),
         (*rates, "--x0", "1", "--y0", "1e300"),
+        # The step floor is 1e-14 of the horizon, so a long enough window alone trips it.
+        (
+            "--a", "1000", "--b", "1000", "--c", "1000", "--d", "1000",
+            "--x0", "10", "--y0", "10", "--t-end", "1e12",
+        ),
     ]
     for args in cases:
         code = _run(tmp_path, *args)
         assert code == 3, args
-        assert "numeric failure" in capsys.readouterr().err, args
+        err = capsys.readouterr().err
+        assert "numeric failure" in err, args
+    # The last case's message names the horizon that its floor is a fraction of.
+    assert "fell below 0.01, 1e-14 of the horizon 1e+12, at t=0.0" in err
 
 
 @pytest.mark.parametrize(

@@ -147,6 +147,22 @@ def test_reference_orbit_is_simple_over_one_period():
     assert self_intersection(traj) is None
 
 
+@pytest.mark.parametrize(
+    "t, x, y, error, message",
+    [
+        ([], [], [], ValueError, "trajectory needs at least one sample"),
+        ([0.0, 1.0], [1.0], [1.0, 2.0], ValueError, "t, x and y must be 1-d arrays of equal length"),
+        ([0.0, 1.0, 1.0], [1.0, 2.0, 3.0], [1.0, 2.0, 3.0], ValueError, "sample times must be strictly increasing"),
+        ([0.0, 1.0], [1.0, 2.0], [1.0, math.nan], NonFiniteError, "trajectory y values must be finite"),
+    ],
+    ids=["empty", "unequal-lengths", "repeated-time", "nan-y"],
+)
+def test_trajectory_refuses_malformed_samples(t, x, y, error, message):
+    with pytest.raises(error) as excinfo:
+        Trajectory(t, x, y)
+    assert excinfo.type is error and str(excinfo.value) == message
+
+
 def test_conservation_drift_constant_trajectory_is_zero():
     flat = Trajectory([0.0, 1.0, 2.0], [3.0, 3.0, 3.0], [2.0, 2.0, 2.0])
     assert conservation_drift(flat, CASE_V.params) == 0.0

@@ -1,12 +1,19 @@
-"""The public surface: the names ``lvdiag`` exports and the README's library example."""
+"""The public surface: the names ``lvdiag`` exports, the README's library example
+and the code's hygiene (no unused import, no private function that nothing calls)."""
 
+import ast
 import dataclasses
 import pathlib
 import re
 
+import pytest
+
 import lvdiag
 
-README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+SOURCES = sorted((ROOT / "src" / "lvdiag").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 PUBLIC_NAMES = [
     "AgreementReport",
@@ -62,3 +69,58 @@ def test_readme_library_example_runs():
     block = re.search(r"```python\n(.*?)```", section, flags=re.S)
     assert block is not None, "no python block under ## Library"
     exec(compile(block.group(1), "README.md", "exec"), {})
+
+
+def _parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _referenced_names(node):
+    """Every name that ``node`` loads, bare or as an attribute."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+    return names
+
+
+def _exported_names(tree):
+    """The strings listed in a module's ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+@pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_every_import_is_used(path):
+    tree = _parse(path)
+    used = _referenced_names(tree) | _exported_names(tree)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+    assert sorted(name for name in imported if name not in used) == []
+
+
+def test_every_private_function_is_called_from_src():
+    """A top-level ``_name`` function that only the tests (or itself) use is dead code."""
+    defined = {}
+    callers = {}
+    for path in SOURCES:
+        for node in _parse(path).body:
+            owner = None
+            if isinstance(node, ast.FunctionDef):
+                owner = node.name
+                if node.name.startswith("_") and not node.name.startswith("__"):
+                    defined[node.name] = path.name
+            for name in _referenced_names(node):
+                callers.setdefault(name, set()).add(owner)
+    unused = [f"{module}:{name}" for name, module in defined.items() if not callers.get(name, set()) - {name}]
+    assert sorted(unused) == []
