@@ -31,7 +31,7 @@ from .diagnostics import (
 )
 from .exceptions import IntegrationError, UnknownPresetError
 from .integrate import IntegratorConfig, solve
-from .methods import MethodKind, _agreements, method_series
+from .methods import MethodKind, method_series, methods_agree
 from .model import ModelParams, PopulationState
 from .output import write_csv_tables, write_phase_svg, write_report_json
 from .presets import preset, preset_names
@@ -114,14 +114,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="approximation scheme (default: taylor)",
     )
     cmd.add_argument(
-        "--order", type=_nonnegative_int, help=f"truncation order (default: {_DEFAULT_ORDER})"
+        "--order",
+        type=_nonnegative_int,
+        help=f"truncation order (default: {_DEFAULT_ORDER}); adomian, hpm and vim cost O(order^3) time",
     )
     cmd.add_argument(
         "--t-end", type=_positive_float, help="report horizon (default: the preset's, 10 for custom)"
     )
-    cmd.add_argument("--points", type=_nonnegative_int, default=2001, help="grid samples (default: 2001)")
-    cmd.add_argument("--rel-tol", type=_positive_float, default=1e-10, help="reference relative tolerance")
-    cmd.add_argument("--abs-tol", type=_positive_float, default=1e-12, help="reference absolute tolerance")
+    cmd.add_argument(
+        "--points", type=_nonnegative_int, default=2001,
+        help="grid samples (default: 2001); the self-crossing scan costs O(points^2) at worst",
+    )
+    cmd.add_argument("--rel-tol", type=_positive_float, help="reference relative tolerance")
+    cmd.add_argument("--abs-tol", type=_positive_float, help="reference absolute tolerance")
     cmd.add_argument("--delta", type=_positive_float, default=1.0, help="divergence threshold (default: 1)")
     cmd.add_argument(
         "--format",
@@ -130,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="outputs next to the always-written JSON report (default: csv)",
     )
     cmd.add_argument("--out", default=".", help="output directory (default: current)")
-    run.set_defaults(handler=cmd_run)
+    run.set_defaults(handler=cmd_run, rel_tol=IntegratorConfig.rel_tol, abs_tol=IntegratorConfig.abs_tol)
 
     verify = sub.add_parser("verify", help="re-run the library's headline claims")
     verify.add_argument(
@@ -191,10 +196,9 @@ def cmd_run(args) -> int:
 
 def _check_equivalence():
     for name in ("case-I", "case-V"):
-        ivp = preset(name)
         worst = 0.0
         ok = True
-        for agreement in _agreements(ivp, range(1, _EQUIV_TOP_ORDER + 1)):
+        for agreement in methods_agree(preset(name), _EQUIV_TOP_ORDER)[1:]:
             tol = _EQUIV_TOL_LOOSE if name == "case-I" and agreement.order > 15 else _EQUIV_TOL
             worst = max(worst, agreement.worst())
             if agreement.worst() > tol:

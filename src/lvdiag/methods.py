@@ -18,8 +18,8 @@ import numpy as np
 
 from .series import InitialValueProblem, SeriesSolution, _check_order, taylor_coefficients
 
-# A variational iterate is only trustworthy through its iteration order, so
-# its polynomial is capped at twice that and never beyond this degree.
+# A variational iterate k is only trustworthy through order k, so its
+# polynomial is capped at degree min(2k, this), but never below k.
 _VIM_DEGREE_CAP = 64
 
 
@@ -144,7 +144,7 @@ def adomian_series(ivp: InitialValueProblem, order: int) -> SeriesSolution:
     This is also the homotopy approximant at q = 1.
     """
     *_, (x, y) = _adomian_sums(ivp, order)
-    return SeriesSolution(order, x, y)
+    return SeriesSolution(x, y)
 
 
 def _adomian_sums(ivp: InitialValueProblem, order: int):
@@ -172,8 +172,8 @@ def vim_iterates(ivp: InitialValueProblem, iterations: int) -> list[tuple[np.nda
 
     is evaluated exactly on polynomials; the result lists the (x, y) pairs of
     iterates 0..iterations.  Iterate k agrees with the solution series through
-    order k; the polynomial itself is truncated to degree min(2k, 64) to keep
-    the doubling of degrees bounded.
+    order k; the polynomial itself is truncated to degree max(k, min(2k, 64)) to
+    keep the doubling of degrees bounded.
     """
     iterations = _check_order(iterations, "iterations")
     p = ivp.params
@@ -181,7 +181,7 @@ def vim_iterates(ivp: InitialValueProblem, iterations: int) -> list[tuple[np.nda
     yp = np.array([ivp.initial.y])
     iterates = [(xp, yp)]
     for k in range(1, iterations + 1):
-        cap = min(2 * k, _VIM_DEGREE_CAP)
+        cap = max(k, min(2 * k, _VIM_DEGREE_CAP))
         xy = _pmul(xp, yp)
         residual_x = _padd(_pder(xp), -_padd(p.a * xp, -p.b * xy))
         residual_y = _padd(_pder(yp), -_padd(-p.c * yp, p.d * xy))
@@ -211,42 +211,24 @@ def _max_relative_deviation(candidate, reference) -> float:
     return max(float(np.max(np.abs(c - r) / (1.0 + np.abs(r)))) for c, r in zip(candidate, reference))
 
 
-def _agreements(ivp: InitialValueProblem, orders) -> list[AgreementReport]:
-    """``methods_agree`` for each of ``orders``, from one build of each scheme.
+def methods_agree(ivp: InitialValueProblem, order: int) -> list[AgreementReport]:
+    """Compare all perturbation schemes against the Taylor coefficients, orders 0..order.
 
     The Taylor recurrence, the decomposition cascade and the variational
-    iterates are built once, to the highest order.  Order k then reads the
-    first k + 1 Taylor coefficients, variational iterate k, and the running
-    sum of decomposition components 0..k, which is the sum
-    ``adomian_series(ivp, k)`` forms.  A report does not depend on which
-    other orders are asked for.
+    iterates are built once, to ``order``.  Report k reads the first k + 1
+    Taylor coefficients, the running sum of decomposition components 0..k
+    (the sum ``adomian_series(ivp, k)`` forms) and variational iterate k,
+    truncated to order k, since that is as far as it is guaranteed to agree.
+    The deviation metric per coefficient is |candidate - taylor| / (1 + |taylor|).
     """
-    orders = [_check_order(k) for k in orders]
-    top = max(orders)
-    taylor = taylor_coefficients(ivp, top)
-    iterates = vim_iterates(ivp, top)
-    wanted = set(orders)
-    # Copied: later components add their (zero) low terms into these views.
-    sums = enumerate(_adomian_sums(ivp, top))
-    adomian = {n: (x.copy(), y.copy()) for n, (x, y) in sums if n in wanted}
+    taylor = taylor_coefficients(ivp, order)
     reports = []
-    for k in orders:
+    for k, (adomian, iterate) in enumerate(zip(_adomian_sums(ivp, order), vim_iterates(ivp, order))):
         reference = (taylor.x_coeffs[: k + 1], taylor.y_coeffs[: k + 1])
-        xp, yp = iterates[k]
-        vim = (_padded(xp, k + 1), _padded(yp, k + 1))
-        adm = _max_relative_deviation(adomian[k], reference)
+        vim = [_padded(c, k + 1) for c in iterate]
+        adm = _max_relative_deviation(adomian, reference)
         reports.append(AgreementReport(k, adm, _max_relative_deviation(vim, reference)))
     return reports
-
-
-def methods_agree(ivp: InitialValueProblem, order: int) -> AgreementReport:
-    """Compare all perturbation schemes against the Taylor coefficients.
-
-    The deviation metric per coefficient is |candidate - taylor| / (1 + |taylor|);
-    the variational iterate number ``order`` is truncated to that order before
-    comparing, since that is as far as it is guaranteed to agree.
-    """
-    return _agreements(ivp, (order,))[0]
 
 
 def method_series(ivp: InitialValueProblem, method: MethodKind, order: int) -> SeriesSolution:
@@ -260,7 +242,5 @@ def method_series(ivp: InitialValueProblem, method: MethodKind, order: int) -> S
     if method in (MethodKind.ADOMIAN, MethodKind.HPM):
         return adomian_series(ivp, order)
     if method is MethodKind.VIM:
-        xp, yp = vim_iterates(ivp, order)[-1]
-        degree = max(xp.size, yp.size) - 1
-        return SeriesSolution(degree, _padded(xp, degree + 1), _padded(yp, degree + 1))
+        return SeriesSolution(*vim_iterates(ivp, order)[-1])
     raise ValueError(f"unknown method {method!r}")

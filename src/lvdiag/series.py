@@ -49,18 +49,16 @@ class InitialValueProblem:
 
 @dataclass(frozen=True)
 class SeriesSolution:
-    """Polynomial pair (x, y) stored lowest degree first, length order + 1."""
+    """Polynomial pair (x, y), each stored lowest degree first; their lengths may differ."""
 
-    order: int
     x_coeffs: np.ndarray
     y_coeffs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "order", _check_order(self.order))
         for name in ("x_coeffs", "y_coeffs"):
             coeffs = np.asarray(getattr(self, name), dtype=float)
-            if coeffs.shape != (self.order + 1,):
-                raise ValueError(f"{name} must have length order + 1 = {self.order + 1}")
+            if coeffs.ndim != 1 or coeffs.size == 0:
+                raise ValueError(f"{name} must be a non-empty 1-d array")
             object.__setattr__(self, name, coeffs)
 
 
@@ -100,7 +98,7 @@ def taylor_coefficients(ivp: InitialValueProblem, order: int) -> SeriesSolution:
             raise NonFiniteError(f"series coefficient {n + 1} overflows") from None
         X[n + 1] = (p.a * X[n] - p.b * conv) / (n + 1)
         Y[n + 1] = (-p.c * Y[n] + p.d * conv) / (n + 1)
-    return SeriesSolution(order, X, Y)
+    return SeriesSolution(X, Y)
 
 
 def _validated_grid(t_grid) -> np.ndarray:

@@ -360,7 +360,7 @@ def test_verify_catches_a_sign_flip(monkeypatch, capsys):
         x, y = sol.x_coeffs.copy(), sol.y_coeffs.copy()
         x[1:] *= -1.0
         y[1:] *= -1.0
-        return SeriesSolution(sol.order, x, y)
+        return SeriesSolution(x, y)
 
     code, out = _mutated_verify(monkeypatch, capsys, flip)
     assert code == 1
@@ -371,7 +371,7 @@ def test_verify_catches_a_subtle_skew(monkeypatch, capsys):
     """A relative coefficient error of 1e-6 must trip the equivalence check."""
 
     def skew(sol):
-        return SeriesSolution(sol.order, sol.x_coeffs * (1.0 + 1e-6), sol.y_coeffs * (1.0 + 1e-6))
+        return SeriesSolution(sol.x_coeffs * (1.0 + 1e-6), sol.y_coeffs * (1.0 + 1e-6))
 
     code, out = _mutated_verify(monkeypatch, capsys, skew)
     assert code == 1

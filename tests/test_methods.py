@@ -12,6 +12,7 @@ from numpy.polynomial import polyutils as pu
 from lvdiag import (
     AgreementReport,
     InitialValueProblem,
+    IntegratorConfig,
     MethodKind,
     ModelParams,
     PopulationState,
@@ -21,10 +22,12 @@ from lvdiag import (
     methods_agree,
     preset,
     preset_names,
+    sample_series,
+    solve,
     taylor_coefficients,
     vim_iterates,
 )
-from lvdiag.methods import _agreements, _padd, _pder, _pint, _pmul, _trim
+from lvdiag.methods import _padd, _pder, _pint, _pmul, _trim
 from test_series import problems
 
 CASE_V = preset("case-V")
@@ -126,12 +129,24 @@ def test_vim_iterate_k_matches_series_through_order_k():
 
 
 def test_vim_degree_is_capped():
-    iterates = vim_iterates(IVP_V, 40)
+    iterates = vim_iterates(IVP_V, 100)
     for k, (xk, yk) in enumerate(iterates):
-        cap = min(2 * k, 64)
+        cap = max(k, min(2 * k, 64))
         assert xk.size <= cap + 1
         assert yk.size <= cap + 1
-    assert iterates[-1][0].size == 65
+    assert iterates[40][0].size == 65
+    assert iterates[64][0].size == 65
+    # Past order 64 the cap is the order itself, so no term the iterate has right is cut.
+    assert iterates[80][0].size == 81
+    assert iterates[-1][0].size == 101
+
+
+@pytest.mark.parametrize("ivp", [IVP_I, IVP_V], ids=["case-I", "case-V"])
+def test_vim_past_the_degree_cap_still_reproduces_the_series(ivp):
+    """Iterate 80 keeps its terms through degree 80, so it agrees like the ADM sum."""
+    report = methods_agree(ivp, 80)[-1]
+    assert report.vim <= 1e-10
+    assert report.adomian <= 1e-10
 
 
 def test_all_methods_start_exactly_at_the_initial_state():
@@ -142,14 +157,14 @@ def test_all_methods_start_exactly_at_the_initial_state():
 
 
 def test_methods_agree_within_round_off():
-    report_v = methods_agree(IVP_V, 10)
-    assert report_v.order == 10
-    assert report_v.worst() <= 1e-12
-    report_i = methods_agree(IVP_I, 10)
+    reports_v = methods_agree(IVP_V, 10)
+    assert [r.order for r in reports_v] == list(range(11))
+    assert reports_v[-1].worst() <= 1e-12
+    report_i = methods_agree(IVP_I, 10)[-1]
     assert report_i.worst() <= 1e-12
     assert report_i.worst() == max(report_i.adomian, report_i.vim)
     decoupled = preset("decoupled")
-    report_d = methods_agree(InitialValueProblem(decoupled.params, decoupled.initial, 1.0), 10)
+    report_d = methods_agree(InitialValueProblem(decoupled.params, decoupled.initial, 1.0), 10)[-1]
     assert report_d.worst() <= 1e-14
 
 
@@ -167,9 +182,8 @@ def test_methods_agree_on_every_preset_through_order_20():
     for name in preset_names():
         case = preset(name)
         ivp = InitialValueProblem(case.params, case.initial, 1.0)
-        for order in range(21):
-            report = methods_agree(ivp, order)
-            assert report.worst() <= 1e-10, (name, order, report)
+        for report in methods_agree(ivp, 20):
+            assert report.worst() <= 1e-10, (name, report)
 
 
 def _agreement_from_scratch(ivp, order):
@@ -188,12 +202,11 @@ def _agreement_from_scratch(ivp, order):
 
 
 def _assert_sweep_matches_per_order_reports(ivp):
-    sweep = _agreements(ivp, range(21))
+    sweep = methods_agree(ivp, 20)
     assert [repr(r) for r in sweep] == [repr(_agreement_from_scratch(ivp, k)) for k in range(21)]
+    # A lower order's build is a prefix of a higher one's: no report depends on the top order.
     for k in range(21):
-        assert methods_agree(ivp, k) == sweep[k]
-    # Orders may come in any order and repeat; each report is its own order's.
-    assert _agreements(ivp, (20, 3, 3, 0)) == [sweep[20], sweep[3], sweep[3], sweep[0]]
+        assert methods_agree(ivp, k) == sweep[: k + 1]
 
 
 @pytest.mark.parametrize("name", preset_names())
@@ -270,8 +283,8 @@ def _q_adomian(a, b, c, d, x0, y0, order):
 
 
 def _q_vim_step(a, b, c, d, xp, yp, k):
-    """Iterate k from iterate k - 1, truncated to degree min(2k, 64) like the library's."""
-    cap = min(2 * k, 64)
+    """Iterate k from iterate k - 1, truncated to degree max(k, min(2k, 64)) like the library's."""
+    cap = max(k, min(2 * k, 64))
     xy = _q_mul(xp, yp, cap - 1)  # higher terms are cut after integration
     residual_x = _q_lin(1, _q_der(xp), -1, _q_lin(a, xp, -b, xy))
     residual_y = _q_lin(1, _q_der(yp), -1, _q_lin(-c, yp, d, xy))
@@ -375,7 +388,7 @@ def test_adomian_and_vim_steps_meet_their_rounding_bound(name):
     for k in range(1, 21):
         x, y = iterates[k - 1]
         exact_x, exact_y = _q_vim_step(a, b, c, d, x, y, k)
-        cap = min(2 * k, 64)
+        cap = max(k, min(2 * k, 64))
         abs_x, abs_y = _absolute(x), _absolute(y)
         products = _q_mul(abs_x, abs_y, cap - 1)
         magnitude_x = _q_lin(1, abs_x, 1, _q_int(_q_lin(a, abs_x, b, products)))[: cap + 1]
@@ -383,6 +396,47 @@ def test_adomian_and_vim_steps_meet_their_rounding_bound(name):
         for got, want, magnitude in zip(iterates[k], (exact_x, exact_y), (magnitude_x, magnitude_y)):
             bound = [(j + 5) * U * m for j, m in enumerate(magnitude)]
             _assert_within(got, want, bound, (name, "iterate", k))
+
+
+# Why the series fail: the Taylor series has a finite radius of convergence
+# rho, and every scheme's polynomial is a truncation of it (Domb & Sykes 1957;
+# Hinch, Perturbation Methods, 1991, ch. 8).  Raising the order helps inside
+# rho and hurts outside it.
+
+
+def _radius_bracket(ivp):
+    """[min, max] of the root test |c_n|**(-1/n) over Taylor coefficients 60..120 of x and y."""
+    series = taylor_coefficients(ivp, 120)
+    n = np.arange(60, 121)
+    roots = np.concatenate([np.abs(c[60:]) ** (-1.0 / n) for c in (series.x_coeffs, series.y_coeffs)])
+    return float(roots.min()), float(roots.max())
+
+
+@pytest.mark.parametrize(
+    ("ivp", "bracket"), [(CASE_I, (0.0951, 0.1004)), (CASE_V, (0.7255, 0.7734))], ids=["case-I", "case-V"]
+)
+def test_raising_the_order_helps_only_inside_the_radius_of_convergence(ivp, bracket):
+    """At t = rho_lo / 2 each scheme's relative error at orders 10, 20, 40
+    shrinks, until it is within the reference's accuracy; at t = 1.5 rho_hi
+    it grows, from an order-one miss at order 10."""
+    rho_lo, rho_hi = _radius_bracket(ivp)
+    assert bracket[0] <= rho_lo < rho_hi <= bracket[1]
+    t_in, t_out = 0.5 * rho_lo, 1.5 * rho_hi
+    # Far above the reference's own error (VIM's order-40 error reads 6e-15 at
+    # t_in) and far below every scheme's order-10 error there.
+    floor = 1e-11
+    ivp = InitialValueProblem(ivp.params, ivp.initial, t_out)
+    ref = solve(ivp, IntegratorConfig(rel_tol=1e-13, abs_tol=1e-15)).sample([t_in, t_out])
+    for method in MethodKind:
+        errors = []
+        for order in (10, 20, 40):
+            approx = sample_series(method_series(ivp, method, order), [t_in, t_out])
+            errors.append(np.maximum(np.abs(approx.x / ref.x - 1.0), np.abs(approx.y / ref.y - 1.0)))
+        inside, outside = zip(*errors)
+        for lower, higher in zip(inside, inside[1:]):
+            assert higher < lower or higher <= floor, (method, inside)
+        assert inside[-1] <= floor, (method, inside)
+        assert 1.0 < outside[0] < outside[1] < outside[2], (method, outside)
 
 
 # Finite coefficients small enough that no product overflows, with exact and
