@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NonFiniteError, PositivityError
-from .integrate import IntegratorConfig, solve
+from .integrate import _CLOSURE_SPAN, IntegratorConfig, solve
 from .methods import MethodKind, method_series
 from .model import ModelParams, _first_integral
 from .series import InitialValueProblem, sample_series
@@ -27,7 +27,6 @@ from .trajectory import Trajectory
 _CLOSURE_REL_TOL = 1e-6
 # Return distance that counts as "the curve closes" in reports.
 _CLOSED_ORBIT_EPS = 1e-6
-_CLOSURE_WINDOW_FACTOR = 1.2
 _CLOSURE_GRID_POINTS = 2401
 # Block cap on segment pairs per scan step; bounds the scan's temporaries.
 _BLOCK_PAIRS = 1 << 16
@@ -202,18 +201,13 @@ def conservation_drift(traj: Trajectory, p: ModelParams) -> float:
     return float(np.max(np.abs(values - values[0])))
 
 
-def _reference(ivp: InitialValueProblem, cfg: IntegratorConfig | None):
-    """The reference pass over [0, ivp.t_end] that runs on past the closure window."""
-    return solve(ivp, cfg, period_span=_CLOSURE_WINDOW_FACTOR)
-
-
 def _closes(sample, period: float) -> bool:
     """Whether ``sample`` (time grid to trajectory) returns to its start around ``period``.
 
     The curve is sampled on a uniform grid over [0, 1.2*T] and closes when its
     polyline over t >= 0.5*T passes within 1e-6 of the first sample.
     """
-    grid = np.linspace(0.0, _CLOSURE_WINDOW_FACTOR * period, _CLOSURE_GRID_POINTS)
+    grid = np.linspace(0.0, _CLOSURE_SPAN * period, _CLOSURE_GRID_POINTS)
     traj = sample(grid)
     window = grid >= 0.5 * period
     px, py = traj.x[0], traj.y[0]
@@ -244,7 +238,7 @@ def failure_report(
     method: MethodKind,
     order: int,
     points: int = 2001,
-    cfg: IntegratorConfig | None = None,
+    cfg: IntegratorConfig = IntegratorConfig(),
     delta: float = 1.0,
 ) -> DiagnosticsReport:
     """Run one approximation scheme against the reference and collect diagnostics.
@@ -267,14 +261,14 @@ def _compare_with_reference(
     method: MethodKind,
     order: int,
     points: int = 2001,
-    cfg: IntegratorConfig | None = None,
+    cfg: IntegratorConfig = IntegratorConfig(),
     delta: float = 1.0,
 ) -> tuple[DiagnosticsReport, Trajectory, Trajectory]:
     """``failure_report`` with the reference and approximant trajectories it compared."""
     if points < 4:
         raise ValueError(f"need at least 4 grid points, got {points}")
     grid = np.linspace(0.0, ivp.t_end, points)
-    solution = _reference(ivp, cfg)
+    solution = solve(ivp, cfg, find_period=True)
     reference = solution.sample(grid)
     scheme = f"{method.value} order {order}"
     with _named_overflow(scheme):

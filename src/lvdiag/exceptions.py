@@ -30,5 +30,5 @@ class DivergenceError(IntegrationError):
     """The integration state left the finite range (blow-up / overflow)."""
 
 
-class UnknownPresetError(KeyError):
+class UnknownPresetError(ValueError):
     """Requested case preset does not exist; the message lists the known names."""

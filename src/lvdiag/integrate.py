@@ -75,6 +75,8 @@ _STEP_RECORD = struct.Struct("18d")
 
 # Horizon of the return search, in units of the linearised angular period.
 _PERIOD_SEARCH_FACTOR = 100.0
+# A pass that finds its period runs on to this many periods, the closure window.
+_CLOSURE_SPAN = 1.2
 _PERIOD_BISECT_TOL = 1e-10
 
 
@@ -206,7 +208,10 @@ def _initial_step(rhs, u, v, fu, fv, horizon, cfg):
 
 
 def _start_section(p, x0, y0):
-    """(component, level, direction) of the return section, None at an equilibrium.
+    """(component, level, direction) of the return section, None where no orbit closes.
+
+    No orbit closes at an equilibrium, nor when b or d is 0 (each is compared
+    with zero, as b*d can underflow): each population is then an exponential.
 
     The section is the line through the (positive) initial state normal to
     the faster changing component, judged by the rate of its logarithm: y when
@@ -215,6 +220,8 @@ def _start_section(p, x0, y0):
     step.  A return counts only when crossed in the same direction as at
     departure.
     """
+    if p.b == 0.0 or p.d == 0.0:
+        return None
     rate_x = p.a - p.b * y0
     rate_y = p.d * x0 - p.c
     if rate_x == 0.0 and rate_y == 0.0:
@@ -240,33 +247,34 @@ def _bisect_return(w0, qc, t0, t1, level, direction):
 
 def solve(
     ivp: InitialValueProblem,
-    cfg: IntegratorConfig | None = None,
-    period_span: float | None = None,
+    cfg: IntegratorConfig = IntegratorConfig(),
+    find_period: bool = False,
 ) -> DenseSolution:
     """One adaptive pass from t=0, kept as a dense solution.
 
     The start must have both populations strictly positive (else
-    ``PositivityError``).  Without ``period_span`` the pass ends at the
+    ``PositivityError``).  Without ``find_period`` the pass ends at the
     problem horizon ``ivp.t_end``.  With it, ``period`` is the first
     directed return to the start section, located as an event on the accepted
     steps: the section is the line through the initial state normal to the
     component whose logarithm changes faster at t=0 (y on ties), a return
     counts only when crossed in the same direction as at departure, and the
     root is polished by bisection on the dense output to 1e-10 in time.  The
-    pass then ends at max(ivp.t_end, period_span * period).  When no return
-    occurs within the search horizon 100/sqrt(a*c), about sixteen linearised
-    revolutions, it ends at max(ivp.t_end, that horizon); ``period`` is None then,
-    and also for an equilibrium.
+    pass then ends at max(ivp.t_end, 1.2 * period), the closure window.  When
+    no return occurs within the search horizon 100/sqrt(a*c), about sixteen
+    linearised revolutions, it ends at max(ivp.t_end, that horizon).  No
+    search runs where no orbit can close, at an equilibrium or when b or d is
+    0; that pass ends at ``ivp.t_end``.  ``period`` is None in both cases.
     """
-    cfg = cfg or IntegratorConfig()
     p = ivp.params
     x0, y0 = ivp.initial.x, ivp.initial.y
     if not (x0 > 0.0 and y0 > 0.0):
         raise PositivityError(f"the start ({x0}, {y0}) must have positive populations")
     start, rhs = _make_flow(p, x0, y0)
     u, v = start
-    section = None if period_span is None else _start_section(p, x0, y0)
-    search_end = _PERIOD_SEARCH_FACTOR / math.sqrt(p.a * p.c)
+    section = _start_section(p, x0, y0) if find_period else None
+    # Two square roots, so a product of tiny rates cannot underflow to zero.
+    search_end = _PERIOD_SEARCH_FACTOR / math.sqrt(p.a) / math.sqrt(p.c)
     horizon = ivp.t_end if section is None else max(ivp.t_end, search_end)
 
     records = bytearray()
@@ -347,7 +355,7 @@ def solve(
                     root = _bisect_return((u, v)[comp], qc, t, t1, level, direction)
                     if root <= search_end:
                         period = root
-                        horizon = max(ivp.t_end, period_span * root)
+                        horizon = max(ivp.t_end, _CLOSURE_SPAN * root)
                 g_prev = g
                 searching = searching and t1 < search_end
             safe = max(err_norm, 1e-10)

@@ -105,7 +105,7 @@ def test_criterion_3_reference_conserves_the_invariant():
 
 def test_criterion_4_closed_orbit_and_pinned_period():
     ivp = _ivp(CASE_V, 10.0)
-    period = solve(ivp, period_span=1.0).period
+    period = solve(ivp, find_period=True).period
     closes = _closes(solve(_ivp(CASE_V, 1.2 * period)).sample, period)
     one_period = solve(_ivp(CASE_V, period)).sample(np.linspace(0.0, period, 2001))
     crossing = self_intersection(one_period)
@@ -137,7 +137,7 @@ def test_criterion_6_series_phase_curve_crosses_itself():
     ivp = _ivp(CASE_V, 10.0)
     grid = np.linspace(0.0, 10.0, 2001)
     crossing = self_intersection(sample_series(taylor_coefficients(ivp, order), grid))
-    period = solve(ivp, period_span=1.0).period
+    period = solve(ivp, find_period=True).period
     reference_loop = solve(_ivp(CASE_V, period)).sample(np.linspace(0.0, period, 2001))
     ref_crossing = self_intersection(reference_loop)
     short = _ivp(CASE_V, 3.0)
@@ -164,7 +164,7 @@ def test_criterion_6_series_phase_curve_crosses_itself():
 def test_criterion_7_near_centre_period_is_2pi():
     p = ModelParams(1.0, 1.0, 1.0, 1.0)
     start = PopulationState(1.0 + 1e-4, 1.0)
-    period = solve(InitialValueProblem(p, start, 10.0), period_span=1.0).period
+    period = solve(InitialValueProblem(p, start, 10.0), find_period=True).period
     gap = abs(period - 2.0 * math.pi)
     _report(7, "linearised period 2*pi near the centre", gap <= 1e-3, f"|T - 2pi| = {gap:.3e}")
 

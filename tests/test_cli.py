@@ -178,6 +178,14 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         assert f"argument {flag}:" in capsys.readouterr().err, args
 
 
+def test_an_unknown_preset_is_a_value_error(tmp_path, capsys):
+    with pytest.raises(ValueError, match="unknown preset 'nope'"):
+        preset("nope")
+    assert _run(tmp_path, "--preset", "nope") == 2
+    want = "error: unknown preset 'nope'; available presets: case-I, case-V, decoupled\n"
+    assert capsys.readouterr().err == want
+
+
 def test_run_needs_four_grid_points(tmp_path, capsys):
     """Fewer samples than a self-crossing needs are refused before any work."""
     out = tmp_path / "out"
@@ -220,6 +228,28 @@ def test_numeric_failures_exit_3(tmp_path, capsys):
         assert "numeric failure" in err, args
     # The last case's message names the horizon that its floor is a fraction of.
     assert "fell below 0.01, 1e-14 of the horizon 1e+12, at t=0.0" in err
+
+
+@pytest.mark.parametrize("b, d", [("0", "1"), ("1", "0")])
+def test_run_without_a_closed_orbit_stays_in_its_window(tmp_path, capsys, b, d):
+    """With b or d zero no orbit closes, so no period search runs past t_end.
+
+    A search from this start would run the exponential on past t=5.88, where it
+    overflows, though the requested window [0, 1] is harmless.
+    """
+    args = ("--a", "1", "--b", b, "--c", "1", "--d", d, "--x0", "2", "--y0", "1", "--t-end", "1")
+    assert _run(tmp_path, *args, "--format", "json") == 0
+    report = json.loads((tmp_path / "custom_taylor_order5_report.json").read_text())
+    assert report["period_estimate"] is None and report["closed_orbit_ref"] is False
+    assert capsys.readouterr().err == ""
+
+
+def test_tiny_rates_are_a_numeric_failure(tmp_path, capsys):
+    """a*c underflows to 0; the search horizon is still finite, too long to step across."""
+    args = ("--a", "1e-300", "--b", "1", "--c", "1e-300", "--d", "1", "--x0", "1", "--y0", "1")
+    assert _run(tmp_path, *args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -295,7 +325,7 @@ def test_verify_overflowing_order_is_a_usage_error(capsys):
 def test_verify_without_a_reference_period_is_a_numeric_failure(monkeypatch, capsys):
     import lvdiag.cli as cli
 
-    monkeypatch.setattr(cli, "_reference", lambda ivp, cfg: solve(ivp, cfg))
+    monkeypatch.setattr(cli, "solve", lambda ivp, find_period=False: solve(ivp))
     assert main(["verify", "--orders", "4"]) == 3
     assert "numeric failure: case-V: no return to the start section" in capsys.readouterr().err
 

@@ -70,9 +70,9 @@ def test_lvdiag_integrate_is_the_module_that_solve_runs_in(monkeypatch):
 def test_a_start_on_an_axis_raises_before_any_rhs_evaluation(monkeypatch, x0, y0):
     spy = _FlowSpy(monkeypatch)
     ivp = InitialValueProblem(ModelParams(1.0, 0.0, 1.0, 0.0), PopulationState(x0, y0), 800.0)
-    for period_span in (None, 1.0):
+    for find_period in (False, True):
         with pytest.raises(PositivityError, match="positive populations"):
-            solve(ivp, period_span=period_span)
+            solve(ivp, find_period=find_period)
     assert spy.rhs_calls == 0
 
 
@@ -96,16 +96,16 @@ def test_step_boundaries_sample_their_stored_states_bitwise():
 
 
 def test_period_event_sets_the_end_of_the_pass():
-    period = solve(_ivp(CASE_V, 10.0), period_span=1.0).period
-    short = solve(_ivp(CASE_V, 1.0), period_span=1.2)
+    period = solve(_ivp(CASE_V, 10.0), find_period=True).period
+    short = solve(_ivp(CASE_V, 1.0), find_period=True)
     assert short.period == period
     assert short.t[-1] == 1.2 * period
-    long = solve(_ivp(CASE_V, 10.0), period_span=1.2)
+    long = solve(_ivp(CASE_V, 10.0), find_period=True)
     assert long.period == period and long.t[-1] == 10.0
 
 
 def test_pass_without_a_return_ends_at_the_search_horizon():
-    solution = solve(_ivp(CASE_I, 10.0), period_span=1.2)
+    solution = solve(_ivp(CASE_I, 10.0), find_period=True)
     assert solution.period is None
     assert solution.t[-1] == 100.0 / math.sqrt(CASE_I.params.a * CASE_I.params.c)
     assert solve(_ivp(CASE_I, 10.0)).period is None
@@ -135,7 +135,7 @@ def test_stats_count_the_accepted_steps():
 
 
 def test_step_size_range_and_final_time():
-    solution = solve(_ivp(CASE_V, 10.0), period_span=1.2)
+    solution = solve(_ivp(CASE_V, 10.0), find_period=True)
     assert 0.0 < solution.h_min < solution.h_max <= solution.t[-1]
     assert solution.t_final == solution.t[-1] >= 10.0
     assert solution.t_final >= 1.2 * solution.period

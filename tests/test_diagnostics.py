@@ -141,7 +141,7 @@ def test_self_intersection_pinned_crossing():
 
 def test_reference_orbit_is_simple_over_one_period():
     ivp = _ivp(CASE_V, 10.0)
-    period = solve(ivp, period_span=1.0).period
+    period = solve(ivp, find_period=True).period
     window = InitialValueProblem(CASE_V.params, CASE_V.initial, period)
     traj = solve(window).sample(np.linspace(0.0, period, 2001))
     assert self_intersection(traj) is None

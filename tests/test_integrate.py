@@ -23,6 +23,7 @@ from lvdiag import (
     taylor_coefficients,
 )
 from lvdiag.diagnostics import _closes
+from lvdiag.integrate import _start_section
 from test_series import problems
 
 CASE_V = preset("case-V")
@@ -79,7 +80,7 @@ def test_drift_over_one_period_scales_with_rel_tol(ivp):
     rel_tol times the largest magnitude of the invariant's terms.  The error
     control is relative on the log populations, so each term's error scales
     with rel_tol and with the term itself."""
-    period = solve(ivp, period_span=1.0).period
+    period = solve(ivp, find_period=True).period
     assume(period is not None)
     p = ivp.params
     for rel_tol in (1e-6, 1e-8, 1e-10):
@@ -175,16 +176,16 @@ def test_unbounded_growth_raises_divergence_error():
 
 
 def test_period_pinned_value():
-    period = solve(_ivp(CASE_V, 10.0), period_span=1.0).period
+    period = solve(_ivp(CASE_V, 10.0), find_period=True).period
     assert abs(period - PERIOD_V) <= 1e-8
     tight = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
-    assert abs(solve(_ivp(CASE_V, 10.0), tight, period_span=1.0).period - PERIOD_V) <= 1e-9
+    assert abs(solve(_ivp(CASE_V, 10.0), tight, find_period=True).period - PERIOD_V) <= 1e-9
 
 
 def test_near_centre_period_approaches_the_linearised_value():
     p = ModelParams(1.0, 1.0, 1.0, 1.0)
     ivp = InitialValueProblem(p, PopulationState(1.0001, 1.0), 10.0)
-    assert abs(solve(ivp, period_span=1.0).period - 2.0 * math.pi) <= 1e-3
+    assert abs(solve(ivp, find_period=True).period - 2.0 * math.pi) <= 1e-3
 
 
 def test_period_found_from_a_start_next_to_an_extremum():
@@ -192,8 +193,8 @@ def test_period_found_from_a_start_next_to_an_extremum():
     so the return is searched on a section normal to x."""
     p = ModelParams(1.0, 1.0, 1.0, 1.0)
     near = InitialValueProblem(p, PopulationState(0.99999, 2.0), 10.0)
-    on_top = solve(InitialValueProblem(p, PopulationState(1.0, 2.0), 10.0), period_span=1.0).period
-    assert abs(solve(near, period_span=1.0).period - on_top) <= 1e-9
+    on_top = solve(InitialValueProblem(p, PopulationState(1.0, 2.0), 10.0), find_period=True).period
+    assert abs(solve(near, find_period=True).period - on_top) <= 1e-9
     report = failure_report(near, MethodKind.TAYLOR, 5)
     assert abs(report.period_estimate - on_top) <= 1e-9
     assert report.closed_orbit_ref
@@ -202,22 +203,37 @@ def test_period_found_from_a_start_next_to_an_extremum():
 def test_no_period_for_degenerate_starts():
     # An equilibrium has no section to return to; the pass ends at t_end.
     at_rest = InitialValueProblem(ModelParams(1.0, 1.0, 1.0, 1.0), PopulationState(1.0, 1.0), 10.0)
-    solution = solve(at_rest, period_span=1.0)
+    solution = solve(at_rest, find_period=True)
     assert solution.period is None and solution.t_final == 10.0
+
+
+@pytest.mark.parametrize("b, d", [(0.0, 1.0), (1.0, 0.0), (0.0, 0.0)])
+def test_no_search_where_no_orbit_can_close(b, d):
+    # With b or d zero each population is an exponential: the pass ends at t_end.
+    ivp = InitialValueProblem(ModelParams(1.0, b, 1.0, d), PopulationState(2.0, 1.0), 1.0)
+    solution = solve(ivp, find_period=True)
+    assert solution.period is None and solution.t_final == 1.0
+    assert solution.t.tolist() == solve(ivp).t.tolist()
+
+
+def test_tiny_couplings_still_get_a_section():
+    # b*d underflows to 0, yet both couplings are nonzero and the orbit closes.
+    p = ModelParams(1.0, 1e-200, 1.0, 1e-200)
+    assert _start_section(p, 2e200, 1e200) is not None
 
 
 def test_no_period_when_the_return_is_too_far():
     # This orbit's period exceeds the 100/sqrt(a*c) search horizon.
-    assert solve(_ivp(CASE_I, 10.0), period_span=1.0).period is None
+    assert solve(_ivp(CASE_I, 10.0), find_period=True).period is None
 
 
 def test_closure_accepts_the_reference_orbit():
-    solution = solve(_ivp(CASE_V, 10.0), period_span=1.2)
+    solution = solve(_ivp(CASE_V, 10.0), find_period=True)
     assert _closes(solution.sample, solution.period) is True
 
 
 def test_closure_rejects_a_runaway_series():
     ivp = _ivp(CASE_V, 10.0)
-    period = solve(ivp, period_span=1.0).period
+    period = solve(ivp, find_period=True).period
     series = taylor_coefficients(ivp, 5)
     assert _closes(lambda grid: sample_series(series, grid), period) is False

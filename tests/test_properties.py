@@ -61,7 +61,7 @@ def test_reference_and_period_match_an_independent_dop853(ivp):
     x0, y0 = ivp.initial.x, ivp.initial.y
     grid = np.linspace(0.0, T_END, 41)
     # None when no return is found: see test_one_pass_report_agrees_with_standalone_passes.
-    period = solve(ivp, period_span=1.0).period
+    period = solve(ivp, find_period=True).period
 
     def rhs(t, w):
         return [p.a - p.b * math.exp(w[1]), -p.c + p.d * math.exp(w[0])]
@@ -103,7 +103,7 @@ def test_one_pass_report_agrees_with_standalone_passes(ivp, method, order):
     np.testing.assert_allclose(reference.y, standalone.y, rtol=1e-8)
     assert report.divergence_time == divergence_time(approx, standalone)
 
-    period = solve(ivp, period_span=1.0).period
+    period = solve(ivp, find_period=True).period
     if report.period_estimate is None:
         # When the search finds no return, the standalone search misses it too.
         assert period is None
@@ -329,7 +329,7 @@ def test_self_intersection_matches_an_all_pairs_scan_on_the_presets(name):
             approx = sample_series(method_series(ivp, method, order), grid)
             _assert_same_crossing(approx.x, approx.y)
     if name == "case-V":
-        period = solve(ivp, period_span=1.0).period
+        period = solve(ivp, find_period=True).period
         orbit = solve(replace(ivp, t_end=period)).sample(np.linspace(0.0, period, 2001))
         _assert_same_crossing(orbit.x, orbit.y)
 
