@@ -29,7 +29,6 @@ from .methods import (
     AgreementReport,
     MethodKind,
     adomian_components,
-    adomian_series,
     method_series,
     methods_agree,
     vim_iterates,
@@ -64,7 +63,6 @@ __all__ = [
     "Trajectory",
     "UnknownPresetError",
     "adomian_components",
-    "adomian_series",
     "conservation_drift",
     "divergence_time",
     "failure_report",

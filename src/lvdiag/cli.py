@@ -49,9 +49,6 @@ _DEFAULT_ORDER = 5
 _DEFAULT_SWEEP = (4, 8, 12, 16, 20)
 _EQUIV_TOP_ORDER = 20
 _EQUIV_TOL = 1e-12
-# Coefficients of the large-population case grow so fast that the highest
-# orders lose two more digits to rounding.
-_EQUIV_TOL_LOOSE = 1e-10
 _CONSERVATION_BOUND = 1e-8
 _DRIFT_RATIO_FLOOR = 1e3
 
@@ -195,16 +192,11 @@ def cmd_run(args) -> int:
 
 def _check_equivalence():
     for name in ("case-I", "case-V"):
-        worst = 0.0
-        ok = True
-        for agreement in methods_agree(preset(name), _EQUIV_TOP_ORDER)[1:]:
-            tol = _EQUIV_TOL_LOOSE if name == "case-I" and agreement.order > 15 else _EQUIV_TOL
-            worst = max(worst, agreement.worst())
-            if agreement.worst() > tol:
-                ok = False
+        # np.max, unlike the builtin, keeps a NaN deviation, which then fails the row.
+        worst = float(np.max([r.worst() for r in methods_agree(preset(name), _EQUIV_TOP_ORDER)[1:]]))
         yield (
             f"{name}: adomian/hpm/vim reproduce the series (orders 1-{_EQUIV_TOP_ORDER})",
-            ok,
+            worst <= _EQUIV_TOL,
             f"worst {worst:.3e}",
         )
 

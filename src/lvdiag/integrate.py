@@ -307,9 +307,15 @@ def solve(
         if h < floor:
             if rejected_nonfinite:
                 raise DivergenceError(f"state left the finite range near t={t!r} (blow-up)")
+            if horizon == ivp.t_end:
+                remedy = "shorten the horizon"
+            elif period is None:
+                remedy = f"the horizon is the period search's window, {_PERIOD_SEARCH_FACTOR:g}/sqrt(a*c)"
+            else:
+                remedy = f"the horizon is the closure window, {_CLOSURE_SPAN:g} periods"
             raise StepSizeUnderflowError(
                 f"step size {h!r} fell below {floor!r}, {_MIN_STEP_FRACTION:g} of the horizon "
-                f"{horizon:g}, at t={t!r}; shorten the horizon"
+                f"{horizon:g}, at t={t!r}; {remedy}"
             )
         # Overflow in a trial stage is an expected, handled outcome: the
         # stage turns non-finite and the step is rejected below.
@@ -356,6 +362,7 @@ def solve(
                     if root <= search_end:
                         period = root
                         horizon = max(ivp.t_end, _CLOSURE_SPAN * root)
+                        floor = _MIN_STEP_FRACTION * horizon
                 g_prev = g
                 searching = searching and t1 < search_end
             safe = max(err_norm, 1e-10)

@@ -138,15 +138,6 @@ def adomian_components(ivp: InitialValueProblem, order: int):
     return list(zip(u, v))
 
 
-def adomian_series(ivp: InitialValueProblem, order: int) -> SeriesSolution:
-    """Sum of the decomposition components, re-expressed as one polynomial pair.
-
-    This is also the homotopy approximant at q = 1.
-    """
-    *_, (x, y) = _adomian_sums(ivp, order)
-    return SeriesSolution(x, y)
-
-
 def _adomian_sums(ivp: InitialValueProblem, order: int):
     """Yield, for n = 0..order, the sums (x, y) of decomposition components 0..n.
 
@@ -198,17 +189,22 @@ class AgreementReport:
     ``adomian`` covers homotopy perturbation too: both build one cascade.
     """
 
-    order: int
     adomian: float
     vim: float
 
     def worst(self) -> float:
-        return max(self.adomian, self.vim)
+        return _nan_max(self.adomian, self.vim)
+
+
+def _nan_max(a: float, b: float) -> float:
+    """The larger of two floats, NaN when either is (the builtin max drops a NaN in second place)."""
+    return a if a >= b or a != a else b
 
 
 def _max_relative_deviation(candidate, reference) -> float:
-    """Worst |c - r| / (1 + |r|) over two (x, y) coefficient pairs of equal lengths."""
-    return max(float(np.max(np.abs(c - r) / (1.0 + np.abs(r)))) for c, r in zip(candidate, reference))
+    """Worst |c - r| / (1 + |r|) over two (x, y) coefficient pairs of equal lengths; NaN if any is."""
+    x, y = (float(np.max(np.abs(c - r) / (1.0 + np.abs(r)))) for c, r in zip(candidate, reference))
+    return _nan_max(x, y)
 
 
 def methods_agree(ivp: InitialValueProblem, order: int) -> list[AgreementReport]:
@@ -217,9 +213,10 @@ def methods_agree(ivp: InitialValueProblem, order: int) -> list[AgreementReport]
     The Taylor recurrence, the decomposition cascade and the variational
     iterates are built once, to ``order``.  Report k reads the first k + 1
     Taylor coefficients, the running sum of decomposition components 0..k
-    (the sum ``adomian_series(ivp, k)`` forms) and variational iterate k,
-    truncated to order k, since that is as far as it is guaranteed to agree.
-    The deviation metric per coefficient is |candidate - taylor| / (1 + |taylor|).
+    (the approximant ``method_series(ivp, MethodKind.ADOMIAN, k)``) and
+    variational iterate k, truncated to order k, since that is as far as it
+    is guaranteed to agree.  The deviation metric per coefficient is
+    |candidate - taylor| / (1 + |taylor|).  The list index is the order.
     """
     taylor = taylor_coefficients(ivp, order)
     reports = []
@@ -227,20 +224,23 @@ def methods_agree(ivp: InitialValueProblem, order: int) -> list[AgreementReport]
         reference = (taylor.x_coeffs[: k + 1], taylor.y_coeffs[: k + 1])
         vim = [_padded(c, k + 1) for c in iterate]
         adm = _max_relative_deviation(adomian, reference)
-        reports.append(AgreementReport(k, adm, _max_relative_deviation(vim, reference)))
+        reports.append(AgreementReport(adm, _max_relative_deviation(vim, reference)))
     return reports
 
 
 def method_series(ivp: InitialValueProblem, method: MethodKind, order: int) -> SeriesSolution:
     """Polynomial approximant of one scheme, as a SeriesSolution.
 
-    For the variational scheme this is the final iterate, whose polynomial
-    degree may exceed the iteration count (up to the degree cap).
+    For decomposition and homotopy perturbation this is the sum of the
+    components 0..order, the homotopy approximant at q = 1.  For the
+    variational scheme it is the final iterate, whose polynomial degree may
+    exceed the iteration count (up to the degree cap).
     """
     if method is MethodKind.TAYLOR:
         return taylor_coefficients(ivp, order)
     if method in (MethodKind.ADOMIAN, MethodKind.HPM):
-        return adomian_series(ivp, order)
+        *_, (x, y) = _adomian_sums(ivp, order)
+        return SeriesSolution(x, y)
     if method is MethodKind.VIM:
         return SeriesSolution(*vim_iterates(ivp, order)[-1])
     raise ValueError(f"unknown method {method!r}")

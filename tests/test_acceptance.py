@@ -66,15 +66,15 @@ def test_criterion_1_first_order_coefficients_bitwise():
 
 
 def test_criterion_2_method_equivalence_orders_1_to_20():
+    tol = 1e-12
     worst_overall = 0.0
     ok = True
     for case in (CASE_I, CASE_V):
         ivp = _ivp(case, 10.0)
         for order in range(1, 21):
-            tol = 1e-10 if case is CASE_I and order > 15 else 1e-12
             agreement = methods_agree(ivp, order)[-1]
             worst_overall = max(worst_overall, agreement.worst())
-            if agreement.worst() > tol:
+            if not agreement.worst() <= tol:
                 ok = False
             # The variational iterate must agree through its iteration order.
             xk, yk = vim_iterates(ivp, order)[-1]

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import warnings
 
 import pytest
@@ -227,7 +228,7 @@ def test_numeric_failures_exit_3(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "numeric failure" in err, args
     # The last case's message names the horizon that its floor is a fraction of.
-    assert "fell below 0.01, 1e-14 of the horizon 1e+12, at t=0.0" in err
+    assert "fell below 0.01, 1e-14 of the horizon 1e+12, at t=0.0; shorten the horizon" in err
 
 
 @pytest.mark.parametrize("b, d", [("0", "1"), ("1", "0")])
@@ -245,11 +246,19 @@ def test_run_without_a_closed_orbit_stays_in_its_window(tmp_path, capsys, b, d):
 
 
 def test_tiny_rates_are_a_numeric_failure(tmp_path, capsys):
-    """a*c underflows to 0; the search horizon is still finite, too long to step across."""
+    """a*c underflows to 0; the search horizon is still finite, too long to step across.
+
+    No flag sets that horizon, so the message names the search window instead of
+    asking for a shorter one.
+    """
     args = ("--a", "1e-300", "--b", "1", "--c", "1e-300", "--d", "1", "--x0", "1", "--y0", "1")
     assert _run(tmp_path, *args) == 3
     err = capsys.readouterr().err
     assert err.startswith("numeric failure: ") and "Traceback" not in err
+    assert err.rstrip("\n").endswith(
+        "fell below 1e+288, 1e-14 of the horizon 1e+302, at t=0.0; "
+        "the horizon is the period search's window, 100/sqrt(a*c)"
+    )
 
 
 @pytest.mark.parametrize(
@@ -406,3 +415,32 @@ def test_verify_catches_a_subtle_skew(monkeypatch, capsys):
     code, out = _mutated_verify(monkeypatch, capsys, skew)
     assert code == 1
     assert "FAIL" in out
+
+
+def test_verify_fails_a_nan_deviation(monkeypatch, capsys):
+    """A NaN coefficient fails both equivalence rows instead of dropping out of the max."""
+
+    def poison(sol):
+        # Under --orders 4 only the equivalence build reaches order 20.
+        if sol.y_coeffs.size < 21:
+            return sol
+        y = sol.y_coeffs.copy()
+        y[5] = math.nan
+        return SeriesSolution(sol.x_coeffs, y)
+
+    code, out = _mutated_verify(monkeypatch, capsys, poison)
+    assert code == 1
+    rows = [line for line in out.splitlines() if "reproduce the series" in line]
+    assert len(rows) == 2 and all(row.endswith("  FAIL  worst nan") for row in rows)
+    assert out.count("FAIL") == 2
+
+
+def test_verify_fails_a_series_that_never_diverges(monkeypatch, capsys):
+    import lvdiag.cli as cli
+
+    monkeypatch.setattr(cli, "divergence_time", lambda approx, reference, delta: None)
+    assert main(["verify"]) == 1
+    out = capsys.readouterr().out
+    rows = [line for line in out.splitlines() if "diverge before t=10" in line]
+    assert len(rows) == 2 and all(row.endswith("  FAIL  t_div none/none/none/none/none") for row in rows)
+    assert out.count("FAIL") == 2

@@ -7,16 +7,19 @@ import numpy as np
 import pytest
 
 from lvdiag import (
+    DivergenceError,
     InitialValueProblem,
     IntegratorConfig,
     MethodKind,
     ModelParams,
     PopulationState,
     PositivityError,
+    StepSizeUnderflowError,
     failure_report,
     preset,
     solve,
 )
+from lvdiag.cli import main
 import lvdiag.integrate as integrate_module
 
 CASE_V = preset("case-V")
@@ -84,6 +87,32 @@ def test_sampling_past_the_last_step_raises():
         solution.sample([0.0, math.nextafter(5.0, math.inf)])
     with pytest.raises(ValueError, match="past the last step"):
         solution.sample(np.linspace(0.0, 6.0, 7))
+
+
+def test_an_interpolant_past_the_double_range_raises_divergence_error():
+    """Two steps whose stored states are all 1, but the first step's interpolant
+    3600 theta (1 - theta) climbs to log-population 900 mid-step, where exp overflows."""
+    bump = [3600.0, -3600.0, 0.0, 0.0]
+    solution = integrate_module.DenseSolution(
+        t=np.array([0.0, 1.0, 2.0]),
+        w=np.zeros((3, 2)),
+        q=np.array([[bump, bump], [[0.0] * 4, [0.0] * 4]]),
+        states=np.ones((3, 2)),
+        period=None,
+        stats=integrate_module.IntegratorStats(2, 0, 0, 14),
+    )
+    traj = solution.sample([0.0, 1.0, 1.5, 2.0])
+    assert np.array_equal(traj.x, np.ones(4)) and np.array_equal(traj.y, np.ones(4))
+    with pytest.raises(DivergenceError, match="left the finite range"):
+        solution.sample([0.0, 0.5, 2.0])
+
+
+def test_the_step_budget_is_a_numeric_failure(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(integrate_module, "_MAX_STEPS", 50)
+    with pytest.raises(StepSizeUnderflowError, match=r"^step budget of 50 exceeded before t=10\.0$"):
+        solve(CASE_V)
+    assert main(["run", "--preset", "case-V", "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.startswith("numeric failure: step budget of 50 exceeded")
 
 
 def test_step_boundaries_sample_their_stored_states_bitwise():

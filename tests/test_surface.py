@@ -33,7 +33,6 @@ PUBLIC_NAMES = [
     "Trajectory",
     "UnknownPresetError",
     "adomian_components",
-    "adomian_series",
     "conservation_drift",
     "divergence_time",
     "failure_report",
@@ -53,13 +52,13 @@ def test_public_names_are_pinned_and_resolve():
     assert sorted(lvdiag.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(lvdiag, name) is not None, name
-    assert len(PUBLIC_NAMES) == 30
+    assert len(PUBLIC_NAMES) == 29
 
 
 def test_agreement_report_has_one_field_per_cascade():
     """ADM and HPM build one cascade, so the report has one field for both."""
     fields = [f.name for f in dataclasses.fields(lvdiag.AgreementReport)]
-    assert fields == ["order", "adomian", "vim"]
+    assert fields == ["adomian", "vim"]
 
 
 def test_readme_library_example_runs():
