@@ -64,7 +64,7 @@ _MAX_FACTOR = 5.0
 # PI controller exponents for a fourth-order error estimate.
 _ALPHA = 0.7 / 5.0
 _BETA = 0.4 / 5.0
-# Steps below this fraction of the horizon indicate stiffness or blow-up.
+# Steps below this fraction of t_end indicate stiffness or blow-up.
 _MIN_STEP_FRACTION = 1e-14
 # Budget of step attempts (accepted plus rejected) per pass.
 _MAX_STEPS = 1_000_000
@@ -73,7 +73,7 @@ _MAX_STEPS = 1_000_000
 # (k1..k7, u and v interleaved), packed so a long pass stays compact.
 _STEP_RECORD = struct.Struct("18d")
 
-# Horizon of the return search, in units of the linearised angular period.
+# A search without a return ends here, in units of the linearised angular period.
 _PERIOD_SEARCH_FACTOR = 100.0
 # A pass that finds its period runs on to this many periods, the closure window.
 _CLOSURE_SPAN = 1.2
@@ -260,11 +260,13 @@ def solve(
     component whose logarithm changes faster at t=0 (y on ties), a return
     counts only when crossed in the same direction as at departure, and the
     root is polished by bisection on the dense output to 1e-10 in time.  The
-    pass then ends at max(ivp.t_end, 1.2 * period), the closure window.  When
-    no return occurs within the search horizon 100/sqrt(a*c), about sixteen
-    linearised revolutions, it ends at max(ivp.t_end, that horizon).  No
-    search runs where no orbit can close, at an equilibrium or when b or d is
-    0; that pass ends at ``ivp.t_end``.  ``period`` is None in both cases.
+    pass then ends at max(ivp.t_end, 1.2 * period), the closure window.  The
+    event is tested on every accepted step until it fires, so ``period`` is
+    None only when no return occurs by max(ivp.t_end, 100/sqrt(a*c)), where
+    that pass ends (100/sqrt(a*c) is about sixteen linearised revolutions).
+    No search runs where no orbit can close, at an equilibrium or when b or d
+    is 0; that pass ends at ``ivp.t_end`` with ``period`` None.  Whichever
+    window the pass spans, a step below 1e-14 of ``ivp.t_end`` is a failure.
     """
     p = ivp.params
     x0, y0 = ivp.initial.x, ivp.initial.y
@@ -273,9 +275,12 @@ def solve(
     start, rhs = _make_flow(p, x0, y0)
     u, v = start
     section = _start_section(p, x0, y0) if find_period else None
-    # Two square roots, so a product of tiny rates cannot underflow to zero.
-    search_end = _PERIOD_SEARCH_FACTOR / math.sqrt(p.a) / math.sqrt(p.c)
-    horizon = ivp.t_end if section is None else max(ivp.t_end, search_end)
+    horizon = ivp.t_end
+    if section is not None:
+        # Two square roots, so a product of tiny rates cannot underflow to zero.
+        horizon = max(horizon, _PERIOD_SEARCH_FACTOR / math.sqrt(p.a) / math.sqrt(p.c))
+        comp, level, direction = section
+        g_prev = 0.0
 
     records = bytearray()
     accepted = rejected = nonfinite = 0
@@ -289,12 +294,8 @@ def solve(
             f"the field at the start ({x0!r}, {y0!r}) is too large to take a first step"
         )
     nfev = 2
-    floor = _MIN_STEP_FRACTION * horizon
+    floor = _MIN_STEP_FRACTION * ivp.t_end
     rtol, atol = cfg.rel_tol, cfg.abs_tol
-    searching = section is not None
-    if searching:
-        comp, level, direction = section
-        g_prev = 0.0
     t = 0.0
     err_prev = 1.0
     rejected_nonfinite = False
@@ -307,15 +308,9 @@ def solve(
         if h < floor:
             if rejected_nonfinite:
                 raise DivergenceError(f"state left the finite range near t={t!r} (blow-up)")
-            if horizon == ivp.t_end:
-                remedy = "shorten the horizon"
-            elif period is None:
-                remedy = f"the horizon is the period search's window, {_PERIOD_SEARCH_FACTOR:g}/sqrt(a*c)"
-            else:
-                remedy = f"the horizon is the closure window, {_CLOSURE_SPAN:g} periods"
             raise StepSizeUnderflowError(
                 f"step size {h!r} fell below {floor!r}, {_MIN_STEP_FRACTION:g} of the horizon "
-                f"{horizon:g}, at t={t!r}; {remedy}"
+                f"{ivp.t_end:g}, at t={t!r}; shorten the horizon"
             )
         # Overflow in a trial stage is an expected, handled outcome: the
         # stage turns non-finite and the step is rejected below.
@@ -353,18 +348,14 @@ def solve(
             t1 = horizon if clipped else t + h
             records += _STEP_RECORD.pack(t1, h, *values)
             accepted += 1
-            if searching:
+            if section is not None:
                 g = direction * (_exp(v1 if comp == 1 else u1) - level)
                 if g_prev < 0.0 <= g:
-                    searching = False
+                    section = None
                     qc = h * (np.array(values[2 + comp :: 2]) @ _P)
-                    root = _bisect_return((u, v)[comp], qc, t, t1, level, direction)
-                    if root <= search_end:
-                        period = root
-                        horizon = max(ivp.t_end, _CLOSURE_SPAN * root)
-                        floor = _MIN_STEP_FRACTION * horizon
+                    period = _bisect_return((u, v)[comp], qc, t, t1, level, direction)
+                    horizon = max(ivp.t_end, _CLOSURE_SPAN * period)
                 g_prev = g
-                searching = searching and t1 < search_end
             safe = max(err_norm, 1e-10)
             factor = _SAFETY * safe**-_ALPHA * err_prev**_BETA
             err_prev = safe

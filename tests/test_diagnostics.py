@@ -8,6 +8,7 @@ import pytest
 from lvdiag import (
     InitialValueProblem,
     MethodKind,
+    ModelParams,
     NonFiniteError,
     PopulationState,
     PositivityError,
@@ -211,6 +212,28 @@ def test_failure_report_large_amplitude_case_order_5():
     assert report.closed_orbit is False
     assert report.self_intersection is None
     assert report.excluded_samples == 1986
+
+
+@pytest.mark.parametrize(
+    "eps, orders, holds",
+    [(2.0, (20, 40), False), (0.1, (20, 40), False), (3e-4, (40,), True)],
+)
+def test_the_claim_holds_where_the_orbit_outruns_the_series(eps, orders, holds):
+    """On unit rates from (1 + eps, 1), every scheme leaves the reference by
+    delta = 1e-3 within one period T and fails to close on a wide orbit; on one
+    within 3e-4 of the centre, the order-40 approximants follow it and close."""
+    p = ModelParams(1.0, 1.0, 1.0, 1.0)
+    start = PopulationState(1.0 + eps, 1.0)
+    period = solve(InitialValueProblem(p, start, 10.0), find_period=True).period
+    ivp = InitialValueProblem(p, start, period)
+    for order in orders:
+        for method in MethodKind:
+            report = failure_report(ivp, method, order, delta=1e-3)
+            assert report.closed_orbit_ref is True
+            if holds:
+                assert report.divergence_time is None and report.closed_orbit, (method, order)
+            else:
+                assert report.divergence_time < period and not report.closed_orbit, (method, order)
 
 
 def test_failure_report_decoupled_high_order_is_clean():

@@ -223,8 +223,40 @@ def test_tiny_couplings_still_get_a_section():
 
 
 def test_no_period_when_the_return_is_too_far():
-    # This orbit's period exceeds the 100/sqrt(a*c) search horizon.
+    # This orbit's period exceeds the pass, max(t_end, 100/sqrt(a*c)).
     assert solve(_ivp(CASE_I, 10.0), find_period=True).period is None
+
+
+def test_a_horizon_past_the_return_finds_the_period():
+    """Case-I returns at T = 326.8, past 100/sqrt(a*c) = 316.2; over [0, 400]
+    the event fires, matches scipy's DOP853 event and the orbit reads closed."""
+    ivp = _ivp(CASE_I, 400.0)
+    solution = solve(ivp, find_period=True)
+    assert solution.t_final == 400.0 >= 1.2 * solution.period
+    p = ivp.params
+    x0, y0 = ivp.initial.x, ivp.initial.y
+    rate_x, rate_y = p.a - p.b * y0, p.d * x0 - p.c
+    # The section is normal to the faster log-rate; the return crosses it as the start does.
+    comp, level, rate = (1, y0, rate_y) if abs(rate_y) >= abs(rate_x) else (0, x0, rate_x)
+
+    def section(t, w):
+        return w[comp] - math.log(level)
+
+    section.direction = 1.0 if rate > 0.0 else -1.0
+    section.terminal = True
+
+    def rhs(t, w):
+        return [p.a - p.b * math.exp(w[1]), -p.c + p.d * math.exp(w[0])]
+
+    # The section passes through the start, so the event is armed only from t = 1;
+    # it stops the oracle before the orbit's next surge overflows the field.
+    opts = dict(method="DOP853", rtol=1e-12, atol=1e-12)
+    departure = solve_ivp(rhs, (0.0, 1.0), [math.log(x0), math.log(y0)], **opts)
+    oracle = solve_ivp(rhs, (1.0, 400.0), departure.y[:, -1], events=section, **opts)
+    assert departure.success and oracle.status == 1
+    assert abs(solution.period - oracle.t_events[0][0]) <= 1e-7
+    report = failure_report(ivp, MethodKind.TAYLOR, 5)
+    assert report.period_estimate == solution.period and report.closed_orbit_ref is True
 
 
 def test_closure_accepts_the_reference_orbit():

@@ -117,6 +117,23 @@ def test_one_pass_report_agrees_with_standalone_passes(ivp, method, order):
     assert (report.closed_orbit_ref, report.closed_orbit) == (closed_ref, closed_approx)
 
 
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(problems(), st.floats(1.0 / 30.0, 30.0), st.floats(1.0 / 30.0, 30.0))
+def test_a_longer_horizon_finds_the_same_period(ivp, stretch_x, stretch_y):
+    """The event runs on every step until it fires, and a horizon past the
+    return changes no step before it, so a period found over t_end = 10 is
+    found, bit for bit, over three search windows.  The stretches scale the
+    drawn start by 1/30 to 30 in each coordinate, out to large amplitudes."""
+    start = PopulationState(ivp.initial.x * stretch_x, ivp.initial.y * stretch_y)
+    ivp = replace(ivp, initial=start)
+    period = solve(ivp, find_period=True).period
+    if period is None:
+        return
+    t_end = 3.0 * 100.0 / math.sqrt(ivp.params.a * ivp.params.c)
+    long = solve(replace(ivp, t_end=t_end), find_period=True)
+    assert long.period == period and long.t_final == t_end
+
+
 @PROPERTY_SETTINGS
 @given(problems())
 def test_taylor_coefficients_obey_the_scaling_symmetry(ivp):
