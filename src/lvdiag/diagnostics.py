@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import numbers
 from functools import partial
 from dataclasses import dataclass
 
@@ -265,7 +266,7 @@ def _compare_with_reference(
     delta: float = 1.0,
 ) -> tuple[DiagnosticsReport, Trajectory, Trajectory]:
     """``failure_report`` with the reference and approximant trajectories it compared."""
-    if points < 4:
+    if not isinstance(points, numbers.Integral) or points < 4:
         raise ValueError(f"need at least 4 grid points, got {points}")
     grid = np.linspace(0.0, ivp.t_end, points)
     solution = solve(ivp, cfg, find_period=True)

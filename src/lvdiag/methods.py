@@ -1,9 +1,9 @@
 """Adomian decomposition, homotopy perturbation and variational iteration.
 
-The schemes are built over exact polynomial arithmetic on plain float arrays,
-coefficients lowest degree first.  Adomian decomposition and homotopy
-perturbation reduce to one cascade, coded once; variational iteration has its
-own recursion.  Applied to the prey-predator equations with the constant
+The schemes are built over polynomial arithmetic on plain float arrays,
+coefficients lowest degree first, each array as long as its degree rule says.
+Adomian decomposition and homotopy perturbation reduce to one cascade, coded
+once; variational iteration has its own recursion.  Applied to the prey-predator equations with the constant
 initial state as starting guess, all of them reproduce the Taylor
 coefficients of the true solution; ``methods_agree`` quantifies that
 coefficient-level agreement.
@@ -30,76 +30,44 @@ class MethodKind(enum.Enum):
     VIM = "vim"
 
 
-# Polynomial kernels.  Each one does the arithmetic of its numpy.polynomial
-# counterpart (trimseq, polymul, polyadd, polyint, polyder) in the same order,
-# so on finite coefficients the results are equal bit for bit, without that
-# module's per-call conversion and checks; ``_padd(c1, -c2)`` is polysub's,
-# as IEEE-754 defines x - y as x + (-y).  Inputs are 1-d float arrays.
-# Non-finite coefficients take the same elementwise arithmetic and are never
-# trimmed (NaN != 0); only ``_pint``'s constant term differs from numpy's.
+# Polynomial kernels over plain float arrays, lowest degree first.  Each
+# scheme fixes the degree of every polynomial it builds, so an array's length
+# is its degree plus one and sums and differences are plain array arithmetic.
 
 
-def _trim(c):
-    """c without its trailing zeros, but never shorter than one entry."""
-    if c[-1] != 0:
-        return c
-    nonzero = np.flatnonzero(c)
-    return c[: nonzero[-1] + 1] if nonzero.size else c[:1]
+def _pmul(c1, c2, degree):
+    """c1*c2 through ``degree``.
 
-
-def _pmul(c1, c2):
-    return _trim(np.convolve(_trim(c1), _trim(c2)))
-
-
-def _padd(c1, c2):
-    c1, c2 = _trim(c1), _trim(c2)
-    if c1.size > c2.size:
-        out = c1.copy()
-        out[: c2.size] += c2
-    else:
-        out = c2.copy()
-        out[: c1.size] += c1
-    return _trim(out)
+    Each operand is taken at its own degree: np.convolve's dot products group
+    their terms by operand length, so zero padding could move the last bits.
+    """
+    return np.convolve(c1, c2)[: degree + 1]
 
 
 def _pint(c):
-    """Antiderivative vanishing at 0; the zero polynomial [0] stays [0.].
-
-    The constant term is +0.0 even when a coefficient is NaN or infinite,
-    where polyint, which subtracts the integral's value at 0, makes it NaN.
-    """
-    n = c.size
-    if n == 1 and c[0] == 0:
-        return np.zeros(1)
-    out = np.empty(n + 1)
+    """Antiderivative vanishing at 0, one degree higher than c."""
+    out = np.empty(c.size + 1)
     out[0] = 0.0
-    out[1] = c[0]
-    out[2:] = c[1:] / np.arange(2, n + 1)
+    out[1:] = c / np.arange(1, c.size + 1)
     return out
 
 
-def _pder(c):
-    if c.size == 1:
-        return c * 0
-    return c[1:] * np.arange(1, c.size)
-
-
-def _padded(coeffs, length):
+def _padded(c, length):
+    """c with zeros appended up to ``length`` entries."""
     out = np.zeros(length)
-    src = np.asarray(coeffs, dtype=float)[:length]
-    out[: src.size] = src
+    out[: c.size] = c
     return out
 
 
 def _adomian_polynomial(u, v, n):
-    """n-th Adomian polynomial of the product nonlinearity x*y.
+    """n-th Adomian polynomial of the product nonlinearity x*y, of degree n.
 
     For a bilinear nonlinearity the derivative construction collapses to the
     Cauchy product of the component sequences.
     """
-    acc = np.zeros(1)
-    for k in range(n + 1):
-        acc = _padd(acc, _pmul(u[k], v[n - k]))
+    acc = _pmul(u[0], v[n], n)
+    for k in range(1, n + 1):
+        acc += _pmul(u[k], v[n - k], n)
     return acc
 
 
@@ -133,8 +101,8 @@ def adomian_components(ivp: InitialValueProblem, order: int):
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(order):
             a_n = _adomian_polynomial(u, v, n)
-            u.append(_pint(_padd(p.a * u[n], -p.b * a_n)))
-            v.append(_pint(_padd(-p.c * v[n], p.d * a_n)))
+            u.append(_pint(p.a * u[n] - p.b * a_n))
+            v.append(_pint(-p.c * v[n] + p.d * a_n))
     return list(zip(u, v))
 
 
@@ -148,8 +116,8 @@ def _adomian_sums(ivp: InitialValueProblem, order: int):
     x = np.zeros(len(components))
     y = np.zeros(len(components))
     for n, (u_n, v_n) in enumerate(components):
-        x[: u_n.size] += u_n
-        y[: v_n.size] += v_n
+        x[: n + 1] += u_n
+        y[: n + 1] += v_n
         yield x[: n + 1], y[: n + 1]
 
 
@@ -161,10 +129,16 @@ def vim_iterates(ivp: InitialValueProblem, iterations: int) -> list[tuple[np.nda
         x_{k+1}(t) = x_k(t) - integral_0^t [x_k'(s) - x_k(s)*(a - b*y_k(s))] ds
         y_{k+1}(t) = y_k(t) - integral_0^t [y_k'(s) + y_k(s)*(c - d*x_k(s))] ds
 
-    is evaluated exactly on polynomials; the result lists the (x, y) pairs of
-    iterates 0..iterations.  Iterate k agrees with the solution series through
-    order k; the polynomial itself is truncated to degree max(k, min(2k, 64)) to
-    keep the doubling of degrees bounded.
+    is evaluated on polynomials; the result lists the (x, y) pairs of iterates
+    0..iterations.  Iterate k agrees with the solution series through order k.
+    Each step would double the degree and add one, so the new iterate is cut
+    to degree max(k, min(2k, 64)) to keep that growth bounded; both x_k and
+    y_k hold exactly
+
+        min(2**k - 1, max(k, min(2k, 64))) + 1
+
+    coefficients, trailing zeros included: 1, 2, 4, 7, 9, ... up to 65 from
+    iterate 32 on, then k + 1 from iterate 65 on.
     """
     iterations = _check_order(iterations, "iterations")
     p = ivp.params
@@ -172,12 +146,14 @@ def vim_iterates(ivp: InitialValueProblem, iterations: int) -> list[tuple[np.nda
     yp = np.array([ivp.initial.y])
     iterates = [(xp, yp)]
     for k in range(1, iterations + 1):
-        cap = max(k, min(2 * k, _VIM_DEGREE_CAP))
-        xy = _pmul(xp, yp)
-        residual_x = _padd(_pder(xp), -_padd(p.a * xp, -p.b * xy))
-        residual_y = _padd(_pder(yp), -_padd(-p.c * yp, p.d * xy))
-        xp = _padd(xp, -_pint(residual_x))[: cap + 1]
-        yp = _padd(yp, -_pint(residual_y))[: cap + 1]
+        degree = min(2 * xp.size - 1, max(k, min(2 * k, _VIM_DEGREE_CAP)))
+        xy = _pmul(xp, yp, degree - 1)
+        x, y = _padded(xp, degree + 1), _padded(yp, degree + 1)
+        n = np.arange(1, degree + 1)
+        # The residuals x' - x*(a - b*y) and y' + y*(c - d*x), through degree - 1.
+        residual_x = n * x[1:] - (p.a * x[:-1] - p.b * xy)
+        residual_y = n * y[1:] - (-p.c * y[:-1] + p.d * xy)
+        xp, yp = x - _pint(residual_x), y - _pint(residual_y)
         iterates.append((xp, yp))
     return iterates
 
@@ -222,7 +198,7 @@ def methods_agree(ivp: InitialValueProblem, order: int) -> list[AgreementReport]
     reports = []
     for k, (adomian, iterate) in enumerate(zip(_adomian_sums(ivp, order), vim_iterates(ivp, order))):
         reference = (taylor.x_coeffs[: k + 1], taylor.y_coeffs[: k + 1])
-        vim = [_padded(c, k + 1) for c in iterate]
+        vim = [c[: k + 1] for c in iterate]
         adm = _max_relative_deviation(adomian, reference)
         reports.append(AgreementReport(adm, _max_relative_deviation(vim, reference)))
     return reports

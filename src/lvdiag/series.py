@@ -24,7 +24,11 @@ from .model import ModelParams, PopulationState, _as_finite_float
 from .trajectory import Trajectory
 
 def _check_order(order, name="order"):
-    if order != int(order) or order < 0:
+    try:
+        whole = order == int(order)
+    except (OverflowError, ValueError):  # inf or NaN
+        whole = False
+    if not whole or order < 0:
         raise ValueError(f"{name} must be a non-negative integer, got {order!r}")
     return int(order)
 

@@ -261,3 +261,7 @@ def test_failure_report_validation():
         failure_report(ivp, MethodKind.TAYLOR, 5, points=1)
     with pytest.raises(ValueError, match="need at least 4 grid points, got 3"):
         failure_report(ivp, MethodKind.TAYLOR, 5, points=3)
+    # np.linspace would raise TypeError on these.
+    for bad in (4.5, math.inf):
+        with pytest.raises(ValueError, match=f"need at least 4 grid points, got {bad}"):
+            failure_report(ivp, MethodKind.TAYLOR, 5, points=bad)

@@ -126,6 +126,12 @@ def test_order_validation():
         taylor_coefficients(IVP_V, -1)
     with pytest.raises(ValueError):
         taylor_coefficients(IVP_V, 2.5)
+    # int() of these raises OverflowError or ValueError in numpy's or Python's words.
+    with pytest.raises(ValueError, match="^order must be a non-negative integer, got inf$"):
+        taylor_coefficients(IVP_V, math.inf)
+    for bad in (math.nan, np.float64("inf")):
+        with pytest.raises(ValueError, match="^order must be a non-negative integer, got "):
+            taylor_coefficients(IVP_V, bad)
 
 
 def test_overflowing_coefficients_raise_nonfinite():
@@ -156,7 +162,7 @@ def test_solution_shape_validation():
             SeriesSolution(bad, np.zeros(2))
         with pytest.raises(ValueError):
             SeriesSolution(np.zeros(2), bad)
-    # The two polynomials may differ in length: a VIM iterate's x and y trim separately.
+    # The two polynomials may differ in length, as when built by hand.
     sol = SeriesSolution([1, 2], [3.0])
     assert sol.x_coeffs.dtype == sol.y_coeffs.dtype == np.float64
     assert sol.x_coeffs.shape == (2,) and sol.y_coeffs.shape == (1,)
