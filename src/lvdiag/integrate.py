@@ -4,12 +4,14 @@ The stepper is the explicit embedded Runge-Kutta pair of Dormand & Prince
 (seven stages, FSAL): the fifth-order result propagates the state and the
 difference against the embedded fourth-order result drives a
 proportional-integral step controller.  The state is two floats and every
-stage is written out, so a step costs a few dozen float operations and six
-right-hand-side calls.  Each accepted step is kept in a ``DenseSolution``
-together with the quartic interpolation polynomial of Shampine, so one pass
-can be sampled on any number of grids without constraining the step sequence.
-The orbit period is found as an event on those same steps (Hairer, Norsett &
-Wanner, Solving ODEs I, section II.6).
+stage is written out inline, right-hand side included, so a step is a few
+dozen float operations and twelve exponentials with no Python call between
+them.  ``IntegratorStats.rhs_evals`` still counts six evaluations per step
+attempt, as DOPRI5's NFCN does.  Each accepted step is kept in a
+``DenseSolution`` together with the quartic interpolation polynomial of
+Shampine, so one pass can be sampled on any number of grids without
+constraining the step sequence.  The orbit period is found as an event on
+those same steps (Hairer, Norsett & Wanner, Solving ODEs I, section II.6).
 
 Trajectories are advanced in logarithmic population coordinates, so the
 start must have both populations strictly positive: the transform is then
@@ -296,6 +298,8 @@ def solve(
     nfev = 2
     floor = _MIN_STEP_FRACTION * ivp.t_end
     rtol, atol = cfg.rel_tol, cfg.abs_tol
+    a, b, c, d = p.a, p.b, p.c, p.d
+    exp, isfinite, sqrt, pack = math.exp, math.isfinite, math.sqrt, _STEP_RECORD.pack
     t = 0.0
     err_prev = 1.0
     rejected_nonfinite = False
@@ -312,51 +316,71 @@ def solve(
                 f"step size {h!r} fell below {floor!r}, {_MIN_STEP_FRACTION:g} of the horizon "
                 f"{ivp.t_end:g}, at t={t!r}; shorten the horizon"
             )
-        # Overflow in a trial stage is an expected, handled outcome: the
-        # stage turns non-finite and the step is rejected below.
-        k2u, k2v = rhs(u + h * (_A21 * fu), v + h * (_A21 * fv))
-        k3u, k3v = rhs(u + h * (_A31 * fu + _A32 * k2u), v + h * (_A31 * fv + _A32 * k2v))
-        k4u, k4v = rhs(
-            u + h * (_A41 * fu + _A42 * k2u + _A43 * k3u),
-            v + h * (_A41 * fv + _A42 * k2v + _A43 * k3v),
-        )
-        k5u, k5v = rhs(
-            u + h * (_A51 * fu + _A52 * k2u + _A53 * k3u + _A54 * k4u),
-            v + h * (_A51 * fv + _A52 * k2v + _A53 * k3v + _A54 * k4v),
-        )
-        k6u, k6v = rhs(
-            u + h * (_A61 * fu + _A62 * k2u + _A63 * k3u + _A64 * k4u + _A65 * k5u),
-            v + h * (_A61 * fv + _A62 * k2v + _A63 * k3v + _A64 * k4v + _A65 * k5v),
-        )
-        u1 = u + h * (_B1 * fu + _B3 * k3u + _B4 * k4u + _B5 * k5u + _B6 * k6u)
-        v1 = v + h * (_B1 * fv + _B3 * k3v + _B4 * k4v + _B5 * k5v + _B6 * k6v)
-        k7u, k7v = rhs(u1, v1)
+        # Each stage is the field a - b*e^v, -c + d*e^u, written out.  A stage
+        # that overflows (OverflowError, or an inf or NaN reaching the sums) is
+        # an expected, handled outcome: the attempt is rejected as non-finite.
         nfev += 6
-        values = (u1, v1, fu, fv, k2u, k2v, k3u, k3v, k4u, k4v, k5u, k5v, k6u, k6v, k7u, k7v)
-        # A sum of finite floats is finite unless it overflows, so the
-        # exact test runs only when the cheap one fails.
-        finite = math.isfinite(sum(values)) or all(map(math.isfinite, values))
+        try:
+            w = u + h * (_A21 * fu)
+            z = v + h * (_A21 * fv)
+            k2u = a - b * exp(z)
+            k2v = -c + d * exp(w)
+            w = u + h * (_A31 * fu + _A32 * k2u)
+            z = v + h * (_A31 * fv + _A32 * k2v)
+            k3u = a - b * exp(z)
+            k3v = -c + d * exp(w)
+            w = u + h * (_A41 * fu + _A42 * k2u + _A43 * k3u)
+            z = v + h * (_A41 * fv + _A42 * k2v + _A43 * k3v)
+            k4u = a - b * exp(z)
+            k4v = -c + d * exp(w)
+            w = u + h * (_A51 * fu + _A52 * k2u + _A53 * k3u + _A54 * k4u)
+            z = v + h * (_A51 * fv + _A52 * k2v + _A53 * k3v + _A54 * k4v)
+            k5u = a - b * exp(z)
+            k5v = -c + d * exp(w)
+            w = u + h * (_A61 * fu + _A62 * k2u + _A63 * k3u + _A64 * k4u + _A65 * k5u)
+            z = v + h * (_A61 * fv + _A62 * k2v + _A63 * k3v + _A64 * k4v + _A65 * k5v)
+            k6u = a - b * exp(z)
+            k6v = -c + d * exp(w)
+            u1 = u + h * (_B1 * fu + _B3 * k3u + _B4 * k4u + _B5 * k5u + _B6 * k6u)
+            v1 = v + h * (_B1 * fv + _B3 * k3v + _B4 * k4v + _B5 * k5v + _B6 * k6v)
+            x1 = exp(u1)
+            y1 = exp(v1)
+            k7u = a - b * y1
+            k7v = -c + d * x1
+            values = (u1, v1, fu, fv, k2u, k2v, k3u, k3v, k4u, k4v, k5u, k5v, k6u, k6v, k7u, k7v)
+            # A sum of finite floats is finite unless it overflows, so the
+            # exact test runs only when the cheap one fails.
+            finite = isfinite(sum(values)) or all(map(isfinite, values))
+        except OverflowError:
+            finite = False
         if finite:
             eu = h * (_E1 * fu + _E3 * k3u + _E4 * k4u + _E5 * k5u + _E6 * k6u + _E7 * k7u)
             ev = h * (_E1 * fv + _E3 * k3v + _E4 * k4v + _E5 * k5v + _E6 * k6v + _E7 * k7v)
-            su = atol + rtol * max(abs(u), abs(u1))
-            sv = atol + rtol * max(abs(v), abs(v1))
-            err_norm = _rms(eu / su, ev / sv)
+            # Scaled by atol + rtol * max(|u|, |u1|), abs and max written out;
+            # a zero's sign cannot reach the scale, as atol > 0.
+            s0, s1 = (u if u >= 0.0 else -u), (u1 if u1 >= 0.0 else -u1)
+            eu /= atol + rtol * (s1 if s1 > s0 else s0)
+            s0, s1 = (v if v >= 0.0 else -v), (v1 if v1 >= 0.0 else -v1)
+            ev /= atol + rtol * (s1 if s1 > s0 else s0)
+            err_norm = sqrt(0.5 * (eu * eu + ev * ev))
         else:
             err_norm = math.inf
+        # The controller's max and min are written as the builtins pick:
+        # the first argument unless the second is strictly larger (smaller),
+        # so a NaN err_norm leaves factor 1.0 and a NaN factor becomes 0.2.
         if err_norm <= 1.0:
             t1 = horizon if clipped else t + h
-            records += _STEP_RECORD.pack(t1, h, *values)
+            records += pack(t1, h, *values)
             accepted += 1
             if section is not None:
-                g = direction * (_exp(v1 if comp == 1 else u1) - level)
+                g = direction * ((y1 if comp == 1 else x1) - level)
                 if g_prev < 0.0 <= g:
                     section = None
                     qc = h * (np.array(values[2 + comp :: 2]) @ _P)
                     period = _bisect_return((u, v)[comp], qc, t, t1, level, direction)
                     horizon = max(ivp.t_end, _CLOSURE_SPAN * period)
                 g_prev = g
-            safe = max(err_norm, 1e-10)
+            safe = 1e-10 if 1e-10 > err_norm else err_norm
             factor = _SAFETY * safe**-_ALPHA * err_prev**_BETA
             err_prev = safe
             t, u, v, fu, fv = t1, u1, v1, k7u, k7v
@@ -365,8 +389,10 @@ def solve(
             rejected += 1
             nonfinite += not finite
             rejected_nonfinite = not finite
-            factor = _MIN_FACTOR if not finite else min(1.0, _SAFETY * err_norm**-_ALPHA)
-        h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+            factor = _SAFETY * err_norm**-_ALPHA if finite else _MIN_FACTOR
+            factor = factor if factor < 1.0 else 1.0
+        factor = factor if factor > _MIN_FACTOR else _MIN_FACTOR
+        h *= factor if factor < _MAX_FACTOR else _MAX_FACTOR
     if t < horizon:
         raise StepSizeUnderflowError(f"step budget of {_MAX_STEPS} exceeded before t={horizon!r}")
 

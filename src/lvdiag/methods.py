@@ -145,16 +145,18 @@ def vim_iterates(ivp: InitialValueProblem, iterations: int) -> list[tuple[np.nda
     xp = np.array([ivp.initial.x])
     yp = np.array([ivp.initial.y])
     iterates = [(xp, yp)]
-    for k in range(1, iterations + 1):
-        degree = min(2 * xp.size - 1, max(k, min(2 * k, _VIM_DEGREE_CAP)))
-        xy = _pmul(xp, yp, degree - 1)
-        x, y = _padded(xp, degree + 1), _padded(yp, degree + 1)
-        n = np.arange(1, degree + 1)
-        # The residuals x' - x*(a - b*y) and y' + y*(c - d*x), through degree - 1.
-        residual_x = n * x[1:] - (p.a * x[:-1] - p.b * xy)
-        residual_y = n * y[1:] - (-p.c * y[:-1] + p.d * xy)
-        xp, yp = x - _pint(residual_x), y - _pint(residual_y)
-        iterates.append((xp, yp))
+    # Coefficients past the double range become inf or NaN, which sampling refuses.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, iterations + 1):
+            degree = min(2 * xp.size - 1, max(k, min(2 * k, _VIM_DEGREE_CAP)))
+            xy = _pmul(xp, yp, degree - 1)
+            x, y = _padded(xp, degree + 1), _padded(yp, degree + 1)
+            n = np.arange(1, degree + 1)
+            # The residuals x' - x*(a - b*y) and y' + y*(c - d*x), through degree - 1.
+            residual_x = n * x[1:] - (p.a * x[:-1] - p.b * xy)
+            residual_y = n * y[1:] - (-p.c * y[:-1] + p.d * xy)
+            xp, yp = x - _pint(residual_x), y - _pint(residual_y)
+            iterates.append((xp, yp))
     return iterates
 
 

@@ -314,6 +314,18 @@ def test_run_overflow_on_the_closure_grid_reads_as_not_closed(tmp_path, capsys):
     assert payload["closed_orbit_ref"] is True
 
 
+def test_run_overflowing_vim_iterates_warn_nothing(tmp_path, capsys):
+    """VIM's order-320 coefficients leave the double range; only the usage error is reported."""
+    out = tmp_path / "out"
+    args = ["run", "--preset", "case-I", "--method", "vim", "--order", "320", "--t-end", "0.01"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([*args, "--out", str(out)]) == 2
+    assert caught == []
+    assert capsys.readouterr().err == "error: vim order 320: series overflows at t=0.0\n"
+    assert not out.exists()
+
+
 def test_run_huge_adomian_approximant_raises_no_warning(tmp_path, capsys):
     assert _run(tmp_path, "--preset", "case-V", "--method", "adomian", "--order", "200") == 0
     assert capsys.readouterr().err == ""

@@ -33,24 +33,33 @@ def _ivp(case, t_end):
 
 
 class _FlowSpy:
-    """Counts stepping passes (one flow per pass) and right-hand-side calls."""
+    """Counts stepping passes (one flow per pass) and exponentials.
+
+    Each right-hand-side evaluation takes two exponentials, e^u and e^v,
+    whether it runs through ``_make_flow``'s closure or inline in a step.
+    """
 
     def __init__(self, monkeypatch):
         self.passes = 0
-        self.rhs_calls = 0
+        self.exp_calls = 0
         real = integrate_module._make_flow
 
         def make_flow(p, x0, y0):
             self.passes += 1
-            start, rhs = real(p, x0, y0)
+            return real(p, x0, y0)
 
-            def counted(u, v):
-                self.rhs_calls += 1
-                return rhs(u, v)
+        spy = self
 
-            return start, counted
+        class CountingMath:
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            def exp(self, z):
+                spy.exp_calls += 1
+                return math.exp(z)
 
         monkeypatch.setattr(integrate_module, "_make_flow", make_flow)
+        monkeypatch.setattr(integrate_module, "math", CountingMath())
 
 
 def test_lvdiag_integrate_is_the_module_that_solve_runs_in(monkeypatch):
@@ -76,7 +85,7 @@ def test_a_start_on_an_axis_raises_before_any_rhs_evaluation(monkeypatch, x0, y0
     for find_period in (False, True):
         with pytest.raises(PositivityError, match="positive populations"):
             solve(ivp, find_period=find_period)
-    assert spy.rhs_calls == 0
+    assert spy.exp_calls == 0
 
 
 def test_sampling_past_the_last_step_raises():
@@ -152,7 +161,7 @@ def test_rhs_evaluations_match_step_attempts(monkeypatch, case, cfg, trial_evals
     spy = _FlowSpy(monkeypatch)
     stats = solve(_ivp(case, 10.0), cfg).stats
     attempts = stats.accepted + stats.rejected
-    assert spy.rhs_calls == stats.rhs_evals == 1 + trial_evals + 6 * attempts
+    assert spy.exp_calls == 2 * stats.rhs_evals == 2 * (1 + trial_evals + 6 * attempts)
     assert 0 <= stats.nonfinite_rejected <= stats.rejected
     if case is FAR_OUT:
         assert stats.nonfinite_rejected >= 1
