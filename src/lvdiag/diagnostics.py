@@ -205,14 +205,14 @@ def conservation_drift(traj: Trajectory, p: ModelParams) -> float:
 def _closes(sample, period: float) -> bool:
     """Whether ``sample`` (time grid to trajectory) returns to its start around ``period``.
 
-    The curve is sampled on a uniform grid over [0, 1.2*T] and closes when its
-    polyline over t >= 0.5*T passes within 1e-6 of the first sample.
+    The curve closes when its polyline over the closure window, the points
+    t >= 0.5*T of a uniform grid over [0, 1.2*T], passes within 1e-6 of the
+    start.  Only the start and the window are sampled, in one call.
     """
     grid = np.linspace(0.0, _CLOSURE_SPAN * period, _CLOSURE_GRID_POINTS)
-    traj = sample(grid)
-    window = grid >= 0.5 * period
+    traj = sample(np.concatenate((grid[:1], grid[grid >= 0.5 * period])))
     px, py = traj.x[0], traj.y[0]
-    x, y = traj.x[window], traj.y[window]
+    x, y = traj.x[1:], traj.y[1:]
     ax, ay = x[:-1], y[:-1]
     # Huge but finite samples may overflow to non-finite distances, which are dropped.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -246,13 +246,14 @@ def failure_report(
 
     The approximant and the reference are sampled on a uniform grid of
     ``points`` samples over the problem's window [0, ivp.t_end].  Orbit
-    closure is judged on a separate period-aligned grid spanning 1.2
-    estimated periods; when no period can be found (e.g. decoupled dynamics)
-    both closure flags are False.  The reference is integrated once: the
-    period is an event on its steps and both grids sample the same pass.
+    closure is judged on the closure window, the second half of a separate
+    period-aligned grid spanning 1.2 estimated periods; when no period can
+    be found (e.g. decoupled dynamics) both closure flags are False.  The
+    reference is integrated once: the period is an event on its steps and
+    the grid and the window sample the same pass.
     An approximant that overflows on the report grid raises
     ``NonFiniteError``; one that is finite there but not on the closure
-    grid does not close, so ``closed_orbit`` is False.
+    window does not close, so ``closed_orbit`` is False.
     """
     return _compare_with_reference(ivp, method, order, points, cfg, delta)[0]
 

@@ -145,24 +145,31 @@ class DenseSolution:
 
         A grid point equal to a step boundary returns that boundary's stored
         state bit for bit; the others come from their step's interpolant.
+        Every point is interpolated, each on its own, so a sub-grid samples
+        the same bits as the full grid; the boundary hits are then
+        overwritten.
         """
         grid = _validated_grid(t_grid)
-        if grid[-1] > self.t[-1]:
+        t = self.t
+        if grid[-1] > t[-1]:
             raise ValueError(
-                f"grid point t={grid[-1]!r} lies past the last step, which ends at t={self.t[-1]!r}"
+                f"grid point t={grid[-1]!r} lies past the last step, which ends at t={t[-1]!r}"
             )
-        end = np.searchsorted(self.t, grid)
-        exact = self.t[end] == grid
-        out = self.states[end]
-        inner = ~exact
-        if inner.any():
-            step = end[inner] - 1
-            t0 = self.t[step]
-            theta = (grid[inner] - t0) / (self.t[step + 1] - t0)
-            powers = np.stack([theta, theta**2, theta**3, theta**4], axis=1)
-            w = self.w[step] + np.einsum("scj,sj->sc", self.q[step], powers)
-            with np.errstate(over="ignore"):
-                out[inner] = np.exp(w)
+        end = np.searchsorted(t, grid)
+        hits = np.flatnonzero(t.take(end) == grid)
+        boundary_states = self.states.take(end[hits], axis=0)
+        # Only grid[0] can be t[0] = 0, which ends no step; step 0 serves it.
+        end[0] = max(end[0], 1)
+        step = end - 1
+        t0 = t.take(step)
+        theta = grid - t0
+        theta /= t.take(end) - t0
+        powers = np.stack([theta, theta**2, theta**3, theta**4], axis=1)
+        out = np.einsum("scj,sj->sc", self.q.take(step, axis=0), powers)
+        out += self.w.take(step, axis=0)
+        with np.errstate(over="ignore"):
+            np.exp(out, out=out)
+        out[hits] = boundary_states
         if not np.all(np.isfinite(out)):
             raise DivergenceError("a sampled state left the finite range (blow-up)")
         return Trajectory(grid, out[:, 0], out[:, 1])

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .exceptions import NonFiniteError
 from .model import ModelParams, PopulationState, _as_finite_float
@@ -118,11 +117,25 @@ def _validated_grid(t_grid) -> np.ndarray:
     return grid
 
 
+def _horner(t, coeffs):
+    """The polynomial at every t, with the operations of ``numpy.polynomial``'s polyval.
+
+    The accumulator starts as c[-1] + t*0 and takes acc*t + c[k] from the top
+    coefficient down, in place, so each value has polyval's bits.
+    """
+    acc = t * 0.0
+    acc += coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc *= t
+        acc += c
+    return acc
+
+
 def sample_series(s: SeriesSolution, t_grid) -> Trajectory:
     """Evaluate the series on a grid; ``NonFiniteError`` names the first time that overflows."""
     grid = _validated_grid(t_grid)
     with np.errstate(over="ignore", invalid="ignore"):
-        x, y = npoly.polyval(grid, s.x_coeffs), npoly.polyval(grid, s.y_coeffs)
+        x, y = _horner(grid, s.x_coeffs), _horner(grid, s.y_coeffs)
     overflow = ~(np.isfinite(x) & np.isfinite(y))
     if overflow.any():
         raise NonFiniteError(f"series overflows at t={float(grid[overflow.argmax()])!r}")

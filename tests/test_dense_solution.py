@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lvdiag import (
     DivergenceError,
@@ -20,6 +22,8 @@ from lvdiag import (
     solve,
 )
 from lvdiag.cli import main
+from lvdiag.series import _validated_grid
+from lvdiag.trajectory import Trajectory
 import lvdiag.integrate as integrate_module
 
 CASE_V = preset("case-V")
@@ -98,11 +102,9 @@ def test_sampling_past_the_last_step_raises():
         solution.sample(np.linspace(0.0, 6.0, 7))
 
 
-def test_an_interpolant_past_the_double_range_raises_divergence_error():
-    """Two steps whose stored states are all 1, but the first step's interpolant
-    3600 theta (1 - theta) climbs to log-population 900 mid-step, where exp overflows."""
+def _bump_solution():
     bump = [3600.0, -3600.0, 0.0, 0.0]
-    solution = integrate_module.DenseSolution(
+    return integrate_module.DenseSolution(
         t=np.array([0.0, 1.0, 2.0]),
         w=np.zeros((3, 2)),
         q=np.array([[bump, bump], [[0.0] * 4, [0.0] * 4]]),
@@ -110,10 +112,106 @@ def test_an_interpolant_past_the_double_range_raises_divergence_error():
         period=None,
         stats=integrate_module.IntegratorStats(2, 0, 0, 14),
     )
+
+
+def test_an_interpolant_past_the_double_range_raises_divergence_error():
+    """Two steps whose stored states are all 1, but the first step's interpolant
+    3600 theta (1 - theta) climbs to log-population 900 mid-step, where exp overflows."""
+    solution = _bump_solution()
     traj = solution.sample([0.0, 1.0, 1.5, 2.0])
     assert np.array_equal(traj.x, np.ones(4)) and np.array_equal(traj.y, np.ones(4))
     with pytest.raises(DivergenceError, match="left the finite range"):
         solution.sample([0.0, 0.5, 2.0])
+
+
+def _masked_sample(solution, t_grid):
+    """``DenseSolution.sample`` as it read before it interpolated every point:
+    boundary hits take their stored states and only the other points go
+    through the interpolant, selected by a mask."""
+    grid = _validated_grid(t_grid)
+    if grid[-1] > solution.t[-1]:
+        raise ValueError(
+            f"grid point t={grid[-1]!r} lies past the last step, which ends at t={solution.t[-1]!r}"
+        )
+    end = np.searchsorted(solution.t, grid)
+    exact = solution.t[end] == grid
+    out = solution.states[end]
+    inner = ~exact
+    if inner.any():
+        step = end[inner] - 1
+        t0 = solution.t[step]
+        theta = (grid[inner] - t0) / (solution.t[step + 1] - t0)
+        powers = np.stack([theta, theta**2, theta**3, theta**4], axis=1)
+        w = solution.w[step] + np.einsum("scj,sj->sc", solution.q[step], powers)
+        with np.errstate(over="ignore"):
+            out[inner] = np.exp(w)
+    if not np.all(np.isfinite(out)):
+        raise DivergenceError("a sampled state left the finite range (blow-up)")
+    return Trajectory(grid, out[:, 0], out[:, 1])
+
+
+def _sampled(sample, grid):
+    """The sampled bytes, or the type and text of the error raised."""
+    try:
+        traj = sample(grid)
+    except (ValueError, DivergenceError) as exc:
+        return type(exc), str(exc)
+    return traj.t.tobytes(), traj.x.tobytes(), traj.y.tobytes()
+
+
+def assert_samples_like_the_masked_body(solution, grid):
+    got = _sampled(solution.sample, grid)
+    assert got == _sampled(lambda g: _masked_sample(solution, g), grid)
+    return got
+
+
+# The sweep's problems: rates in [1/2, 2], the start 1/3 to 3 times the
+# equilibrium in each coordinate, reported over [0, 10].
+@st.composite
+def sweep_problems(draw):
+    a, b, c, d = (draw(st.floats(0.5, 2.0)) for _ in range(4))
+    x0 = draw(st.floats(1.0 / 3.0, 3.0)) * c / d
+    y0 = draw(st.floats(1.0 / 3.0, 3.0)) * a / b
+    return InitialValueProblem(ModelParams(a, b, c, d), PopulationState(x0, y0), 10.0)
+
+
+def _oracle_grids(solution, t_end):
+    t = solution.t
+    for points in (2001, 2401, 5001):
+        yield np.linspace(0.0, t_end, points)
+        yield np.linspace(0.0, t[-1], points)
+    yield t
+    yield np.union1d(t[::3], 0.5 * (t[:-1] + t[1:]))
+    yield np.array([0.0])
+    yield np.array([-0.0])
+    yield t[-1:]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(sweep_problems(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_sample_matches_the_masked_body_bitwise(ivp, find_period, seed):
+    solution = solve(ivp, find_period=find_period)
+    for grid in _oracle_grids(solution, ivp.t_end):
+        assert_samples_like_the_masked_body(solution, grid)
+    # A sub-grid samples the matching entries of its full grid, bit for bit.
+    full = np.linspace(0.0, solution.t[-1], 2401)
+    keep = np.random.default_rng(seed).random(full.size) < 0.4
+    keep[0] = True
+    whole, part = solution.sample(full), solution.sample(full[keep])
+    assert whole.x[keep].tobytes() == part.x.tobytes()
+    assert whole.y[keep].tobytes() == part.y.tobytes()
+
+
+def test_sample_errors_match_the_masked_body():
+    solution = solve(_ivp(CASE_V, 5.0))
+    past = assert_samples_like_the_masked_body(solution, [0.0, math.nextafter(5.0, math.inf)])
+    assert past[0] is ValueError
+    assert assert_samples_like_the_masked_body(solution, np.linspace(0.0, 6.0, 7))[0] is ValueError
+    bump = _bump_solution()
+    for grid in ([0.0, 0.5, 2.0], [0.5], np.linspace(0.0, 2.0, 2001)):
+        got = assert_samples_like_the_masked_body(bump, grid)
+        assert got == (DivergenceError, "a sampled state left the finite range (blow-up)")
+    assert_samples_like_the_masked_body(bump, [0.0, 1.0, 1.5, 2.0])
 
 
 def test_the_step_budget_is_a_numeric_failure(monkeypatch, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Property tests over drawn problems: reference accuracy, one-pass consistency
-and the model's scaling symmetry; and self-crossings against an exact oracle
-and, bit for bit, against an all-pairs scan.
+and the model's scaling symmetry; self-crossings against an exact oracle
+and, bit for bit, against an all-pairs scan; and the closure verdict on its
+window against the verdict on the whole closure grid.
 
 Problems are drawn like the benchmark's sweep: rates in [1/2, 2] and a start
 at 1/3 to 3 times the interior equilibrium in each coordinate.  Runs are
@@ -11,6 +12,7 @@ import math
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,9 +21,11 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from lvdiag import (
+    DivergenceError,
     InitialValueProblem,
     MethodKind,
     ModelParams,
+    NonFiniteError,
     PopulationState,
     Trajectory,
     divergence_time,
@@ -368,3 +372,73 @@ def test_self_intersection_bounds_its_work_when_every_pair_overlaps_in_x():
     assert want is not None and repr(got) == repr(want)
     # Blocks of 2**16 pairs peak at about 2.3 MiB here; all 2 million pairs in one block, at 65 MiB.
     assert peak < 8 * 2**20
+
+
+def _full_grid_closes(sample, period):
+    """``_closes`` as it read before it sampled only its window: the whole
+    2401-point grid over [0, 1.2 T] is sampled and the window is masked out."""
+    grid = np.linspace(0.0, CLOSURE_SPAN * period, 2401)
+    traj = sample(grid)
+    window = grid >= 0.5 * period
+    px, py = traj.x[0], traj.y[0]
+    x, y = traj.x[window], traj.y[window]
+    ax, ay = x[:-1], y[:-1]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        dx, dy = np.diff(x), np.diff(y)
+        length_sq = dx * dx + dy * dy
+        s = np.where(length_sq > 0.0, ((px - ax) * dx + (py - ay) * dy) / length_sq, 0.0)
+        s = np.clip(s, 0.0, 1.0)
+        dist_sq = (ax + s * dx - px) ** 2 + (ay + s * dy - py) ** 2
+    best = float(np.min(dist_sq[np.isfinite(dist_sq)], initial=math.inf))
+    return best < 1e-6 * 1e-6
+
+
+def _verdict(closes, sample, period):
+    """The closure flag as ``failure_report`` reads it: a series that
+    overflows does not close, and any other error is kept with its text."""
+    try:
+        return closes(sample, period)
+    except NonFiniteError:
+        return False
+    except DivergenceError as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_closure_verdicts(ivp, method, order):
+    """The windowed ``_closes`` and the full-grid one agree on the reference and on the series."""
+    solution = solve(ivp, find_period=True)
+    period = solution.period
+    if period is None:  # no closure check runs
+        return None
+    series = method_series(ivp, method, order)
+    verdicts = []
+    for sample in (solution.sample, partial(sample_series, series)):
+        verdict = _verdict(_closes, sample, period)
+        assert verdict == _verdict(_full_grid_closes, sample, period)
+        verdicts.append(verdict)
+    return tuple(verdicts)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(problems(), st.sampled_from(list(MethodKind)), st.integers(2, 20))
+def test_closure_window_keeps_the_full_grid_verdict_on_drawn_problems(ivp, method, order):
+    assert_same_closure_verdicts(ivp, method, order)
+
+
+SMALL_ORBIT = InitialValueProblem(ModelParams(1.0, 1.0, 1.0, 1.0), PopulationState(1.0 + 3e-4, 1.0), 10.0)
+
+
+@pytest.mark.parametrize(
+    "ivp, order, verdicts",
+    [
+        (preset("case-V"), 5, (True, False)),
+        (replace(preset("case-I"), t_end=400.0), 5, (True, False)),
+        (SMALL_ORBIT, 40, (True, True)),
+        # Finite over [0, 1]; it overflows at t = 7.83, inside the window [3.80, 9.12].
+        (replace(preset("case-V"), t_end=1.0), 300, (True, False)),
+    ],
+    ids=["case-V", "case-I-400", "small-orbit", "case-V-order-300"],
+)
+def test_closure_window_keeps_the_full_grid_verdict_on_presets(ivp, order, verdicts):
+    for method in MethodKind if order <= 40 else [MethodKind.TAYLOR]:
+        assert assert_same_closure_verdicts(ivp, method, order) == verdicts, method

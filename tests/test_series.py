@@ -1,6 +1,9 @@
 """Power-series engine: recurrence, its rounding bound, and sampling."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
+import lvdiag
 from lvdiag import (
     InitialValueProblem,
     ModelParams,
@@ -18,6 +22,7 @@ from lvdiag import (
     preset,
     sample_series,
     taylor_coefficients,
+    vim_iterates,
 )
 
 CASE_V = preset("case-V")
@@ -206,3 +211,82 @@ def test_sample_series_grid_validation():
         sample_series(sol, [[0.0, 1.0]])
     with pytest.raises(NonFiniteError):
         sample_series(sol, [0.0, math.nan])
+
+
+def _polyval_outcome(x_coeffs, y_coeffs, grid):
+    """``sample_series`` written with numpy's polyval: the value bytes, or the
+    overflow error naming the first t where x or y is not finite."""
+    grid = np.asarray(grid, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, y = npoly.polyval(grid, x_coeffs), npoly.polyval(grid, y_coeffs)
+    overflow = ~(np.isfinite(x) & np.isfinite(y))
+    if overflow.any():
+        return NonFiniteError, f"series overflows at t={float(grid[overflow.argmax()])!r}"
+    return grid.tobytes(), x.tobytes(), y.tobytes()
+
+
+def assert_evaluates_like_polyval(x_coeffs, y_coeffs, grid):
+    try:
+        traj = sample_series(SeriesSolution(x_coeffs, y_coeffs), grid)
+        got = traj.t.tobytes(), traj.x.tobytes(), traj.y.tobytes()
+    except NonFiniteError as exc:
+        got = NonFiniteError, str(exc)
+    assert got == _polyval_outcome(np.asarray(x_coeffs, float), np.asarray(y_coeffs, float), grid)
+    return got
+
+
+HUGE = 1.7976931348623157e308
+coefficients = st.lists(
+    st.one_of(
+        st.sampled_from([0.0, -0.0]),
+        st.floats(-1e3, 1e3),
+        st.floats(1e300, HUGE),
+        st.floats(-HUGE, -1e300),
+    ),
+    min_size=1,
+    max_size=70,
+)
+time_grids = st.lists(st.floats(0.0, 4.0), min_size=1, max_size=40, unique=True).map(sorted)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(coefficients, coefficients, time_grids)
+def test_sample_series_is_numpys_polyval_bitwise(x_coeffs, y_coeffs, grid):
+    """Any two lengths, signed zeros and coefficients near the double range's
+    edge: the same values, or the same first overflowing t."""
+    assert_evaluates_like_polyval(x_coeffs, y_coeffs, grid)
+
+
+@pytest.mark.parametrize(
+    "x_coeffs, y_coeffs, grid",
+    [
+        ([3.0], [-2.0], [0.0]),
+        ([-0.0], [0.0, -0.0], [-0.0, 1.0, 2.0]),
+        ([0.0, -0.0, -0.0], [-0.0], [-0.0]),
+        ([1e308, 1e308], [1.0], [0.0, 0.5, 1.0, 2.0]),
+        ([HUGE, -HUGE], [HUGE], [0.0, 1.0, 2.0]),
+        ([1.0, -HUGE, HUGE], [1.0, 2.0, 3.0, 4.0, 5.0], [0.0, 0.5, 1.0, 1.5]),
+    ],
+)
+def test_sample_series_is_numpys_polyval_on_pinned_edges(x_coeffs, y_coeffs, grid):
+    assert_evaluates_like_polyval(x_coeffs, y_coeffs, grid)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(problems(), st.integers(1, 24), st.floats(0.5, 12.0))
+def test_vim_iterates_evaluate_like_polyval(ivp, order, t_end):
+    """VIM's arrays follow their degree rule, not the order: the approximant,
+    and the x of its iterate next to the y of the one before, whose lengths differ."""
+    *_, (x_prev, y_prev), (x, y) = vim_iterates(ivp, order)
+    for points in (2001, 2401):
+        grid = np.linspace(0.0, t_end, points)
+        assert_evaluates_like_polyval(x, y, grid)
+        assert_evaluates_like_polyval(x, y_prev, grid)
+
+
+def test_import_leaves_numpy_polynomial_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lvdiag.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, lvdiag; print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
