@@ -191,15 +191,23 @@ def conservation_drift(traj: Trajectory, p: ModelParams) -> float:
 
     Samples with a non-positive coordinate are outside the domain of the
     invariant and are skipped (their count is surfaced by failure_report).
-    The first sample anchors the comparison and must be positive.
+    The first sample anchors the comparison and must be positive.  An
+    invariant, or a drift from it, past the double range raises
+    ``NonFiniteError`` naming the first such sample's time.
     """
     inside = _in_domain(traj)
     if not inside[0]:
         raise PositivityError(
             f"first sample ({traj.x[0]}, {traj.y[0]}) must have positive populations"
         )
-    values = _first_integral(p, traj.x[inside], traj.y[inside])
-    return float(np.max(np.abs(values - values[0])))
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _first_integral(p, traj.x[inside], traj.y[inside])
+        drift = np.abs(values - values[0])
+    worst = float(np.max(drift))  # NaN or inf when any drift is
+    if not math.isfinite(worst):
+        t = float(traj.t[inside][np.argmin(np.isfinite(drift))])
+        raise NonFiniteError(f"first integral overflows at t={t!r}")
+    return worst
 
 
 def _closes(sample, period: float) -> bool:
@@ -276,8 +284,8 @@ def _compare_with_reference(
     with _named_overflow(scheme):
         series = method_series(ivp, method, order)
         approx = sample_series(series, grid)
+        drift_approx = conservation_drift(approx, ivp.params)
     drift_ref = conservation_drift(reference, ivp.params)
-    drift_approx = conservation_drift(approx, ivp.params)
     period = solution.period
     closed_ref = closed_approx = False
     if period is not None:

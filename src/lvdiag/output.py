@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 
 import numpy as np
@@ -20,14 +21,171 @@ _SVG_MARGIN = 0.05
 # The one cell format of both CSV tables: 17 significant digits round-trip
 # every IEEE-754 double.
 _CELL_FORMAT = "%.17g"
-# Rows formatted per pass; bounds the strings a table holds at once.
+# Rows formatted per pass; bounds the bytes a table holds at once.
 _BLOCK_ROWS = 512
 
+# A formatted cell is 48 bytes, six 8-byte words, with NUL in every unused slot:
+# the sign, the "0.000" lead of cells below 1, the 17 digits each followed by a
+# point slot, "e+XXX", the separator and two pad bytes.
+_CELL_BYTES = 48
+_SEPARATOR = 45
+# The kernel takes cells with 1e-250 <= |x| <= 1e250; its tables cover every
+# exponent guess X with |X| <= _X_RANGE.
+_KERNEL_MIN, _KERNEL_MAX = 1e-250, 1e250
+_X_RANGE = 260
+# 2**27 + 1: Veltkamp's constant, which splits a double into two 26-bit halves.
+_VELTKAMP = 134217729.0
 
-def _format_column(column: np.ndarray) -> list[str]:
-    """``_CELL_FORMAT`` of every cell in one formatting pass; NaN cells come out empty."""
-    text = "\n".join([_CELL_FORMAT] * len(column)) % tuple(column.tolist())
-    return text.replace("nan", "").split("\n")
+
+def _word(text: bytes) -> np.uint64:
+    """One 8-byte word holding ``text`` NUL-padded, in memory order."""
+    return np.frombuffer(text.ljust(8, b"\0"), np.uint64)[0]
+
+
+@functools.cache
+def _powers_of_ten():
+    """10**(16 - X) for each exponent guess X (index X + _X_RANGE), as hi + lo.
+
+    Built on first use, not at import.  Each part is rounded once from the
+    exact rational, through Python's exact integers.
+    """
+    hi, lo = np.empty(2 * _X_RANGE + 1), np.empty(2 * _X_RANGE + 1)
+    for i, x in enumerate(range(-_X_RANGE, _X_RANGE + 1)):
+        if x <= 16:
+            exact = 10 ** (16 - x)
+            hi[i] = float(exact)
+            lo[i] = float(exact - int(hi[i]))
+        else:
+            den = 10 ** (x - 16)
+            hi[i] = 1 / den
+            num, two = hi[i].as_integer_ratio()
+            lo[i] = (two - num * den) / (two * den)
+    return hi, lo
+
+
+@functools.cache
+def _slot_tables():
+    """The words that fill a cell's slots, built on first use.
+
+    Per exponent X (index X + _X_RANGE): word 0, holding the lead "0." to
+    "0.000" of fixed cells with X < 0, and word 5, holding "e+XXX" of exponent
+    cells.  Per 4-digit group: its ASCII digits in the even bytes of a word,
+    and its count of trailing zeros.  ``keep[j][m]`` masks group j's word down
+    to those of the m digits after the first that fall in it.
+    """
+    head = np.zeros(2 * _X_RANGE + 1, np.uint64)
+    tail = np.zeros(2 * _X_RANGE + 1, np.uint64)
+    for i, x in enumerate(range(-_X_RANGE, _X_RANGE + 1)):
+        if -4 <= x < 0:
+            head[i] = _word(b"\0" + b"0.000"[: 1 - x])
+        elif not 0 <= x <= 16:
+            text = b"e%+03d" % x
+            tail[i] = _word(text if len(text) == 5 else text[:2] + b"\0" + text[2:])
+    groups = np.arange(10000)
+    spread = np.zeros((10000, 8), np.uint8)
+    for place in range(4):
+        spread[:, 2 * place] = groups // 10 ** (3 - place) % 10 + ord("0")
+    zeros = sum((groups % 10**place == 0).astype(np.int8) for place in range(1, 5))
+    keep = np.array(
+        [[_word(b"\xff\0" * min(max(m - 4 * j, 0), 4)) for m in range(17)] for j in range(4)]
+    )
+    return head, tail, spread.view(np.uint64).ravel(), zeros, keep
+
+
+def _split(a):
+    """Veltkamp's split: big + small == a exactly, each with at most 26 significant bits."""
+    c = a * _VELTKAMP
+    big = c - (c - a)
+    return big, a - big
+
+
+def _decimal(mag):
+    """17 significant digits N and exponent X of each magnitude, and whether they are certain.
+
+    X = floor(log10(mag)) is a guess.  The product mag * 10**(16 - X) is formed
+    as an unevaluated sum p + lo from the tabulated hi + lo of the power:
+    Dekker's two-product makes mag * hi exact and mag * lo is added, so the
+    sum is within 1e-14 of the exact product.  N is the
+    sum rounded to the nearest integer.  A cell is certain when the sum lies in
+    [1e16, 1e17) before rounding, N < 1e17 after it, and the sum's fraction is
+    more than 1e-6 from 1/2: then the exact product rounds to the same N and
+    these are the digits and exponent of ``"%.17g" % mag``, whatever the guess
+    was.  IEEE additions, products and floors decide them, not ``np.log10``.
+    """
+    pow_hi, pow_lo = _powers_of_ten()
+    certain = (mag >= _KERNEL_MIN) & (mag <= _KERNEL_MAX)
+    mag = np.where(certain, mag, 1.0)
+    x = np.floor(np.log10(mag)).astype(np.intp)
+    ten_hi = pow_hi[x + _X_RANGE]
+    p = mag * ten_hi
+    # Dekker's two-product: the exact rounding error of p, summed in his
+    # order but in place, which bounds the block's temporaries.
+    (mag_big, mag_small), (hi_big, hi_small) = _split(mag), _split(ten_hi)
+    lo = mag_big * hi_big
+    lo -= p
+    lo += mag_big * hi_small
+    lo += mag_small * hi_big
+    lo += mag_small * hi_small
+    del mag_big, mag_small, hi_big, hi_small
+    lo += mag * pow_lo[x + _X_RANGE]
+    lo_floor = np.floor(lo)
+    frac = lo - lo_floor
+    n = p.astype(np.int64) + lo_floor.astype(np.int64)
+    certain &= (n >= 10**16) & (np.abs(frac - 0.5) > 1e-6)
+    n += frac > 0.5
+    certain &= n < 10**17
+    return n, x, certain
+
+
+def _cell_bytes(block: np.ndarray) -> np.ndarray:
+    """``_CELL_FORMAT`` of every cell of a (rows, columns) block, as NUL-padded bytes.
+
+    Returns a (rows, columns, _CELL_BYTES) uint8 array whose separator slot is
+    NUL; a NaN cell is all NUL, so it comes out empty.  Cells ``_decimal``
+    cannot certify, zeros and non-finite values among them, take the per-cell
+    ``%`` format.
+    """
+    values = block.ravel()
+    n, x, certain = _decimal(np.abs(values))
+    head, tail, spread, zeros, keep = _slot_tables()
+    # N's first digit, then four groups of four digits, split off in exact float arithmetic.
+    upper = n // 10**8
+    lower = (n - upper * 10**8).astype(np.float64)
+    upper = upper.astype(np.float64)
+    first = np.floor(upper / 1e8)
+    upper -= first * 1e8
+    groups = []
+    for part in (upper, lower):
+        quotient = np.floor(part / 1e4)
+        groups += [quotient.astype(np.intp), (part - quotient * 1e4).astype(np.intp)]
+    del n, upper, lower, quotient
+    trailing = zeros[groups[3]]
+    for j in (2, 1, 0):
+        rows = np.flatnonzero(trailing == 4 * (3 - j))
+        trailing[rows] += zeros[groups[j][rows]]
+    fixed = (x >= -4) & (x <= 16)
+    whole = fixed & (x >= 0)
+    significant = 17 - trailing
+    # Digits shown after the first: the significant ones, or all up to the units digit.
+    shown = np.where(whole, np.maximum(significant, x + 1), significant) - 1
+    words = np.empty((len(values), _CELL_BYTES // 8), np.uint64)
+    words[:, 0] = head[x + _X_RANGE]
+    words[:, 5] = tail[x + _X_RANGE]
+    for j in range(4):
+        words[:, 1 + j] = spread[groups[j]] & keep[j][shown]
+    del groups, trailing, shown
+    cells = words.view(np.uint8)
+    cells[:, 0] = (values < 0) * np.uint8(ord("-"))
+    cells[:, 6] = first.astype(np.uint8) + ord("0")
+    point = np.flatnonzero(np.where(fixed, whole & (significant > x + 1), significant > 1))
+    cells.reshape(-1)[point * _CELL_BYTES + 7 + 2 * np.where(whole, x, 0)[point]] = ord(".")
+    nan = np.isnan(values)
+    words[nan] = 0
+    for i in np.flatnonzero(~(certain | nan)):
+        text = (_CELL_FORMAT % values[i]).encode()
+        words[i] = 0
+        cells[i, : len(text)] = np.frombuffer(text, np.uint8)
+    return cells.reshape(*block.shape, _CELL_BYTES)
 
 
 def write_csv_tables(
@@ -35,21 +193,21 @@ def write_csv_tables(
 ) -> None:
     """Write the time-series and phase tables, formatting one block of rows at a time.
 
-    Each block's columns are formatted once; the phase rows reuse the
-    time-series cells of x_ref, y_ref, x_approx and y_approx.
+    Each block's cells are formatted once, into one byte matrix; the phase
+    rows are its x_ref, y_ref, x_approx and y_approx cells.
     """
     phase = (reference.x, reference.y, approx.x, approx.y)
     columns = (reference.t, *phase, _invariant_column(p, reference), _invariant_column(p, approx))
-    with (
-        open(timeseries_path, "w", newline="\n") as series_out,
-        open(phase_path, "w", newline="\n") as phase_out,
-    ):
-        series_out.write(TIMESERIES_HEADER + "\n")
-        phase_out.write(PHASE_HEADER + "\n")
+    with open(timeseries_path, "wb") as series_out, open(phase_path, "wb") as phase_out:
+        series_out.write(TIMESERIES_HEADER.encode() + b"\n")
+        phase_out.write(PHASE_HEADER.encode() + b"\n")
         for start in range(0, len(reference), _BLOCK_ROWS):
-            cells = [_format_column(column[start : start + _BLOCK_ROWS]) for column in columns]
-            series_out.write("\n".join(map(",".join, zip(*cells))) + "\n")
-            phase_out.write("\n".join(map(",".join, zip(*cells[1 : 1 + len(phase)]))) + "\n")
+            cells = _cell_bytes(np.column_stack([c[start : start + _BLOCK_ROWS] for c in columns]))
+            cells[:, :, _SEPARATOR] = ord(",")
+            cells[:, -1, _SEPARATOR] = ord("\n")
+            series_out.write(cells.tobytes().translate(None, b"\0"))
+            cells[:, len(phase), _SEPARATOR] = ord("\n")
+            phase_out.write(cells[:, 1 : 1 + len(phase)].tobytes().translate(None, b"\0"))
 
 
 def write_report_json(path, label: str, t_end: float, report: DiagnosticsReport) -> None:
@@ -71,9 +229,11 @@ def write_report_json(path, label: str, t_end: float, report: DiagnosticsReport)
         "period_estimate": report.period_estimate,
         "excluded_samples": report.excluded_samples,
     }
+    # Serialised before the file opens: a non-finite number, which JSON cannot
+    # hold, raises ValueError and leaves no file behind.
+    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     with open(path, "w", newline="\n") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+        handle.write(text)
 
 
 def _axis_range(values):

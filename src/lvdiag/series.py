@@ -94,13 +94,18 @@ def taylor_coefficients(ivp: InitialValueProblem, order: int) -> SeriesSolution:
     if order >= 1:
         X[1] = x0 * (p.a - p.b * y0)
         Y[1] = y0 * (p.d * x0 - p.c)
-    for n in range(1, order):
-        try:
-            conv = math.fsum(X[k] * Y[n - k] for k in range(n + 1))
-        except (OverflowError, ValueError):  # the sum overflows, or holds inf and -inf
-            raise NonFiniteError(f"series coefficient {n + 1} overflows") from None
-        X[n + 1] = (p.a * X[n] - p.b * conv) / (n + 1)
-        Y[n + 1] = (-p.c * Y[n] + p.d * conv) / (n + 1)
+    # A sum that fsum completes can still overflow once scaled, so each new
+    # pair is checked; under errstate that overflow raises no RuntimeWarning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, order):
+            try:
+                conv = math.fsum(X[k] * Y[n - k] for k in range(n + 1))
+            except (OverflowError, ValueError):  # the sum overflows, or holds inf and -inf
+                raise NonFiniteError(f"series coefficient {n + 1} overflows") from None
+            X[n + 1] = (p.a * X[n] - p.b * conv) / (n + 1)
+            Y[n + 1] = (-p.c * Y[n] + p.d * conv) / (n + 1)
+            if not (math.isfinite(X[n + 1]) and math.isfinite(Y[n + 1])):
+                raise NonFiniteError(f"series coefficient {n + 1} overflows")
     return SeriesSolution(X, Y)
 
 

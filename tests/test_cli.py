@@ -302,6 +302,36 @@ def test_run_overflowing_approximant_names_scheme_order_and_time(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args, cause",
+    [
+        # A Taylor coefficient overflows after its fsum, in d * conv.
+        (
+            ("--a", "2", "--b", "8", "--c", "1", "--d", "1000", "--x0", "0.5", "--y0", "2",
+             "--order", "150", "--t-end", "1"),
+            "taylor order 150: series coefficient 149 overflows",
+        ),
+        # The approximant is finite on the grid, but its first integral is not:
+        # the report's drift would be Infinity, which JSON cannot hold.
+        (
+            ("--a", "0.4643312958190819", "--b", "0.9771843395825697", "--c", "1.937565049492914",
+             "--d", "35.213767701185574", "--x0", "5.563192459176994", "--y0", "1.325847456018371",
+             "--method", "hpm", "--order", "92", "--t-end", "70.91234974992943", "--format", "all"),
+            "hpm order 92: first integral overflows at t=70.23868242730511",
+        ),
+    ],
+    ids=["taylor-coefficient", "hpm-invariant"],
+)
+def test_run_overflow_past_the_series_is_a_usage_error_with_no_warning(tmp_path, capsys, args, cause):
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", *args, "--out", str(out)]) == 2
+    assert caught == []
+    assert capsys.readouterr().err == f"error: {cause}\n"
+    assert not out.exists()
+
+
 def test_run_overflow_on_the_closure_grid_reads_as_not_closed(tmp_path, capsys):
     """Over [0, 1] the order-300 series stays finite; past 1.2 periods it does not, so it does not close."""
     with warnings.catch_warnings():

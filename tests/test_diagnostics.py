@@ -180,6 +180,13 @@ def test_conservation_drift_requires_positive_anchor():
         conservation_drift(traj, CASE_V.params)
 
 
+def test_conservation_drift_of_an_overflowing_invariant_is_nonfinite_not_a_warning():
+    # d * x overflows at t = 1, so the invariant there is -inf.
+    traj = Trajectory([0.0, 1.0, 2.0], [1.0, 1e307, 1.0], [1.0, 1.0, 1.0])
+    with pytest.raises(NonFiniteError, match=r"^first integral overflows at t=1\.0$"):
+        conservation_drift(traj, ModelParams(1.0, 1.0, 1.0, 100.0))
+
+
 def test_series_drift_dwarfs_the_reference_drift():
     short = _ivp(CASE_V, 3.0)
     grid = np.linspace(0.0, 3.0, 601)

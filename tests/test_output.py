@@ -13,12 +13,21 @@ import tracemalloc
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lvdiag import ModelParams, Trajectory
-from lvdiag.diagnostics import SegmentCrossing, _invariant_column
-from lvdiag.output import PHASE_HEADER, TIMESERIES_HEADER, write_csv_tables, write_phase_svg
+from lvdiag import MethodKind, ModelParams, Trajectory
+from lvdiag.diagnostics import DiagnosticsReport, SegmentCrossing, _invariant_column
+from lvdiag.output import (
+    _SEPARATOR,
+    PHASE_HEADER,
+    TIMESERIES_HEADER,
+    _cell_bytes,
+    write_csv_tables,
+    write_phase_svg,
+    write_report_json,
+)
 
 # The cell format the loop oracle applies one cell at a time: 17 significant
 # digits round-trip every double.
@@ -152,6 +161,64 @@ def test_writers_match_the_per_cell_loops(n, seed, special_share, flat, crossing
             assert _read(got + suffix) == _read(want + suffix), suffix
 
 
+def _neighbours(values, count):
+    """Each value with the ``count`` doubles on each side of it, in both signs."""
+    values = np.asarray(values, dtype=float)
+    out = [values]
+    up, down = values, values
+    for _ in range(count):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [up, down]
+    out = np.concatenate(out)
+    return np.concatenate([out, -out])
+
+
+def _assert_cells_match_the_per_cell_format(values):
+    values = np.asarray(values, dtype=float)
+    cells = _cell_bytes(values.reshape(-1, 1))
+    cells[:, :, _SEPARATOR] = ord("\n")
+    got = cells.tobytes().translate(None, b"\0").split(b"\n")[:-1]
+    want = [b"" if math.isnan(v) else (CELL_FORMAT % v).encode() for v in values.tolist()]
+    wrong = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
+    assert len(got) == len(want) and not wrong, wrong[:5]
+
+
+def test_cells_next_to_every_power_of_ten():
+    # The exponent guess from log10 is off by one on one side of a power of ten;
+    # checking the 17-digit range after rounding printed 9.9999999999999998e-249
+    # as 1e-248.  float() of "1e-324" is 0, so zero and the subnormals come in too.
+    powers = [float(f"1e{k}") for k in range(-324, 309)]
+    _assert_cells_match_the_per_cell_format(_neighbours(powers, 6))
+
+
+def test_cells_on_exact_17_digit_ties_round_half_even():
+    rng = np.random.default_rng(11)
+    # 15 integer digits and three binary places, or 16 and two: 18 significant
+    # digits ending in 5, a tie at 17.
+    eighths = rng.integers(10**14, 2**50, 2000) + rng.choice([0.125, 0.375, 0.625, 0.875], 2000)
+    quarters = rng.integers(10**15, 2**51, 2000) + rng.choice([0.25, 0.75], 2000)
+    _assert_cells_match_the_per_cell_format(np.concatenate([eighths, quarters]))
+    cells = _cell_bytes(np.array([[123456789012345.125]]))
+    assert cells.tobytes().translate(None, b"\0") == b"123456789012345.12"
+
+
+def test_cells_of_random_bit_patterns():
+    # Doubles of every exponent, both signs: NaN (empty), subnormals and
+    # magnitudes on both sides of the kernel's range.
+    rng = np.random.default_rng(12)
+    values = rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64)
+    assert np.isnan(values).any()
+    _assert_cells_match_the_per_cell_format(values)
+
+
+def test_cells_at_format_and_kernel_edges():
+    # Fixed notation from 1e-4 to below 1e17, exponent notation outside; the
+    # kernel's own range ends at 1e-250 and 1e250, the per-cell format takes the rest.
+    edges = [1e-5, 1e-4, 1e16, 1e17, 0.0, 5e-324, 1e-250, 1e250, 1.0, 0.1, 2.0**53]
+    specials = [np.inf, -np.inf, np.nan, -np.nan, -0.0]
+    _assert_cells_match_the_per_cell_format(np.concatenate([_neighbours(edges, 3), specials]))
+
+
 def test_csv_tables_hold_one_block_of_strings(tmp_path):
     n = 100001
     rng = np.random.default_rng(5)
@@ -186,3 +253,12 @@ def test_flat_axis_beyond_2_53_draws_finite_points(tmp_path):
         assert "nan" not in text and "inf" not in text
         # The flat coordinate lands mid-height.
         assert 'points="40.00,300.00 ' in text
+
+
+@pytest.mark.parametrize("drift", [math.inf, math.nan])
+def test_report_json_refuses_non_finite_numbers_and_writes_nothing(tmp_path, drift):
+    report = DiagnosticsReport(MethodKind.HPM, 92, None, drift, 1e-9, None, False, False, None, 0)
+    path = tmp_path / "report.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_report_json(path, "custom", 70.9, report)
+    assert not path.exists()

@@ -148,6 +148,15 @@ def test_overflowing_coefficients_raise_nonfinite():
         taylor_coefficients(huge, 3)  # the products are inf and -inf
 
 
+def test_a_coefficient_that_overflows_once_scaled_is_nonfinite_not_a_warning():
+    """fsum of coefficient 149's products is finite; d times it is not, so Y[149] would be inf."""
+    ivp = InitialValueProblem(ModelParams(2.0, 8.0, 1.0, 1000.0), PopulationState(0.5, 2.0), 1.0)
+    assert np.all(np.isfinite(taylor_coefficients(ivp, 148).y_coeffs))
+    for order in (149, 150):
+        with pytest.raises(NonFiniteError, match="series coefficient 149 overflows"):
+            taylor_coefficients(ivp, order)
+
+
 def test_sample_series_overflow_is_nonfinite_not_a_warning():
     with pytest.raises(NonFiniteError):
         sample_series(taylor_coefficients(IVP_I, 160), np.linspace(0.0, 10.0, 11))
