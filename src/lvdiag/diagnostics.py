@@ -179,10 +179,20 @@ def _in_domain(traj: Trajectory) -> np.ndarray:
 
 
 def _invariant_column(p: ModelParams, traj: Trajectory) -> np.ndarray:
-    """C per sample, NaN where a population is non-positive (outside its domain)."""
+    """C per sample, NaN where a population is non-positive (outside its domain).
+
+    An invariant past the double range inside the domain raises
+    ``NonFiniteError`` naming the first such sample's time.
+    """
     inside = _in_domain(traj)
+    with np.errstate(over="ignore", invalid="ignore"):
+        inner = _first_integral(p, traj.x[inside], traj.y[inside])
+    finite = np.isfinite(inner)
+    if not finite.all():
+        t = float(traj.t[inside][np.argmin(finite)])
+        raise NonFiniteError(f"first integral overflows at t={t!r}")
     values = np.full(len(traj), np.nan)
-    values[inside] = _first_integral(p, traj.x[inside], traj.y[inside])
+    values[inside] = inner
     return values
 
 

@@ -6,8 +6,10 @@ point at a time.  Both must write the same bytes.  Runs are derandomized,
 so every run checks the same examples.
 """
 
+import itertools
 import math
 import os
+import re
 import tempfile
 import tracemalloc
 import warnings
@@ -17,13 +19,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lvdiag import MethodKind, ModelParams, Trajectory
+from lvdiag import MethodKind, ModelParams, NonFiniteError, Trajectory
 from lvdiag.diagnostics import DiagnosticsReport, SegmentCrossing, _invariant_column
 from lvdiag.output import (
     _SEPARATOR,
     PHASE_HEADER,
     TIMESERIES_HEADER,
     _cell_bytes,
+    _points,
     write_csv_tables,
     write_phase_svg,
     write_report_json,
@@ -217,6 +220,72 @@ def test_cells_at_format_and_kernel_edges():
     edges = [1e-5, 1e-4, 1e16, 1e17, 0.0, 5e-324, 1e-250, 1e250, 1.0, 0.1, 2.0**53]
     specials = [np.inf, -np.inf, np.nan, -np.nan, -0.0]
     _assert_cells_match_the_per_cell_format(np.concatenate([_neighbours(edges, 3), specials]))
+
+
+def _assert_points_match_the_per_value_format(values):
+    values = np.asarray(values, dtype=float)
+    text = _points(values)
+    want = ["%.2f" % v for v in values.tolist()]
+    got = re.split("[, ]", text)
+    wrong = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
+    assert len(got) == len(want) and not wrong, wrong[:5]
+    assert text == "".join(w + sep for w, sep in zip(want, itertools.cycle(", ")))[:-1]
+
+
+def test_points_on_every_exact_binary_tie():
+    # m/8 below 1e4: 100*v is exact, and every odd m/8 is a tie at two
+    # decimals, which rounds half to even.
+    _assert_points_match_the_per_value_format(_neighbours(np.arange(80_000) / 8, 0))
+
+
+def test_points_next_to_half_cents():
+    # The doubles nearest k/100 + 0.005 and their neighbours, up to 1e4.
+    _assert_points_match_the_per_value_format(_neighbours(np.arange(1, 2 * 10**6, 58) / 200, 1))
+
+
+def test_points_of_uniform_values():
+    rng = np.random.default_rng(13)
+    _assert_points_match_the_per_value_format(rng.uniform(-1e4, 1e4, 200_000))
+
+
+def test_points_at_format_and_kernel_edges():
+    # -0.0 and tiny negatives print "-0.00"; the kernel takes |v| below
+    # 9999.99 and the per-value format the rest.
+    edges = [0.0, 0.004, 0.005, 0.995, 9999.99, 9999.994, 9999.995, 1e4, 1e5, 1e300, 5e-324]
+    specials = [np.nan, np.inf, -np.inf, np.finfo(float).max]
+    _assert_points_match_the_per_value_format(np.concatenate([_neighbours(edges, 2), specials]))
+
+
+def test_phase_svg_pixels_on_exact_ties_match_the_loop(tmp_path):
+    # Coordinates k/128 over [0, 1] map exactly onto the pixels 40 + 5.625k and
+    # 570 - 4.21875k, so many of them are exact ties at two decimals.
+    k = np.arange(129.0)
+    reference = Trajectory(k, k / 128, (128 - k) / 128)
+    approx = Trajectory(k, (128 - k) / 128, k * 37 % 129 / 128)
+    hit = SegmentCrossing(0, 2, (3 / 128, 0.5))
+    write_phase_svg(tmp_path / "got.svg", reference, approx, hit)
+    _loop_svg(tmp_path / "want.svg", reference, approx, hit)
+    got = _read(tmp_path / "got.svg")
+    assert got == _read(tmp_path / "want.svg")
+    # 45.625 rounds down and 56.875 up.
+    assert b" 45.62," in got and b" 56.88," in got
+
+
+@pytest.mark.parametrize(
+    "x, y, rates",
+    [
+        ([1.0, 1e307], [1.0, 1.0], (1.0, 1.0, 1.0, 100.0)),  # d * x is -inf
+        ([1.0, 1e-300], [1.0, 1e300], (1e308, 1.0, 1e308, 1.0)),  # -inf + inf is NaN
+    ],
+)
+def test_csv_tables_refuse_an_overflowing_invariant_and_write_nothing(tmp_path, x, y, rates):
+    traj = Trajectory([0.0, 1.0], x, y)
+    paths = tmp_path / "t.csv", tmp_path / "p.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match=r"^first integral overflows at t=1\.0$"):
+            write_csv_tables(*paths, traj, traj, ModelParams(*rates))
+    assert not any(path.exists() for path in paths)
 
 
 def test_csv_tables_hold_one_block_of_strings(tmp_path):
