@@ -147,7 +147,8 @@ class DenseSolution:
         state bit for bit; the others come from their step's interpolant.
         Every point is interpolated, each on its own, so a sub-grid samples
         the same bits as the full grid; the boundary hits are then
-        overwritten.
+        overwritten.  The grid and every sampled value are checked once,
+        here, and the trajectory is built without a second check.
         """
         grid = _validated_grid(t_grid)
         t = self.t
@@ -155,7 +156,7 @@ class DenseSolution:
             raise ValueError(
                 f"grid point t={grid[-1]!r} lies past the last step, which ends at t={t[-1]!r}"
             )
-        end = np.searchsorted(t, grid)
+        end = _step_ends(t, grid)
         hits = np.flatnonzero(t.take(end) == grid)
         boundary_states = self.states.take(end[hits], axis=0)
         # Only grid[0] can be t[0] = 0, which ends no step; step 0 serves it.
@@ -164,7 +165,14 @@ class DenseSolution:
         t0 = t.take(step)
         theta = grid - t0
         theta /= t.take(end) - t0
-        powers = np.stack([theta, theta**2, theta**3, theta**4], axis=1)
+        # theta**1..4 with the ufuncs of the ** operator, written straight into
+        # the rows the interpolant weighs.  theta keeps its own buffer: numpy's
+        # SIMD power loop falls back to libm's pow when input and output overlap.
+        powers = np.empty((grid.size, 4))
+        powers[:, 0] = theta
+        np.square(theta, out=powers[:, 1])
+        np.power(theta, 3, out=powers[:, 2])
+        np.power(theta, 4, out=powers[:, 3])
         out = np.einsum("scj,sj->sc", self.q.take(step, axis=0), powers)
         out += self.w.take(step, axis=0)
         with np.errstate(over="ignore"):
@@ -172,7 +180,19 @@ class DenseSolution:
         out[hits] = boundary_states
         if not np.all(np.isfinite(out)):
             raise DivergenceError("a sampled state left the finite range (blow-up)")
-        return Trajectory(grid, out[:, 0], out[:, 1])
+        return Trajectory._checked(grid, out[:, 0], out[:, 1])
+
+
+def _step_ends(t, grid):
+    """``np.searchsorted(t, grid)`` for a sorted t and a strictly increasing grid.
+
+    Each entry counts the boundaries t[i] < grid[j].  It is found from where
+    each boundary falls in the grid, a running sum over those positions, so
+    the binary searches run over the step boundaries, which a fine grid
+    outnumbers.
+    """
+    n = grid.size
+    return np.bincount(np.searchsorted(grid, t, "right"), minlength=n + 1)[:n].cumsum()
 
 
 def _exp(z):
@@ -241,12 +261,22 @@ def _start_section(p, x0, y0):
 
 
 def _bisect_return(w0, qc, t0, t1, level, direction):
-    """Section crossing inside one step, polished by bisection on its interpolant."""
+    """Section crossing inside one step, polished by bisection on its interpolant.
+
+    ``qc`` holds the step's theta^1..theta^4 weights of the crossing
+    component, whose log is ``w0`` at t0.  Each halving evaluates
+    w0 + (q1*theta + q2*theta**2 + q3*theta**3 + q4*theta**4) in Python
+    floats, summed left to right.  The bracket stops at 1e-10 in time, or
+    where lo and hi are adjacent doubles, so that the midpoint is one of them.
+    """
+    q1, q2, q3, q4 = qc.tolist()
     lo, hi = t0, t1
     while hi - lo > _PERIOD_BISECT_TOL:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         theta = (mid - t0) / (t1 - t0)
-        w = w0 + qc @ np.array([theta, theta**2, theta**3, theta**4])
+        w = w0 + (q1 * theta + q2 * theta**2 + q3 * theta**3 + q4 * theta**4)
         if direction * (_exp(w) - level) >= 0.0:
             hi = mid
         else:
@@ -268,11 +298,12 @@ def solve(
     steps: the section is the line through the initial state normal to the
     component whose logarithm changes faster at t=0 (y on ties), a return
     counts only when crossed in the same direction as at departure, and the
-    root is polished by bisection on the dense output to 1e-10 in time.  The
-    pass then ends at max(ivp.t_end, 1.2 * period), the closure window.  The
-    event is tested on every accepted step until it fires, so ``period`` is
-    None only when no return occurs by max(ivp.t_end, 100/sqrt(a*c)), where
-    that pass ends (100/sqrt(a*c) is about sixteen linearised revolutions).
+    root is polished by bisection on the dense output to 1e-10 in time, or to
+    adjacent doubles where those lie further apart.  The pass then ends at
+    max(ivp.t_end, 1.2 * period), the closure window.  The event is tested
+    on every accepted step until it fires, so ``period`` is None only when
+    no return occurs by max(ivp.t_end, 100/sqrt(a*c)), where that pass ends
+    (100/sqrt(a*c) is about sixteen linearised revolutions).
     No search runs where no orbit can close, at an equilibrium or when b or d
     is 0; that pass ends at ``ivp.t_end`` with ``period`` None.  Whichever
     window the pass spans, a step below 1e-14 of ``ivp.t_end`` is a failure.
@@ -307,6 +338,12 @@ def solve(
     rtol, atol = cfg.rel_tol, cfg.abs_tol
     a, b, c, d = p.a, p.b, p.c, p.d
     exp, isfinite, sqrt, pack = math.exp, math.isfinite, math.sqrt, _STEP_RECORD.pack
+    # The tableau, bound as locals like the functions above.
+    a21, a31, a32, a41, a42, a43 = _A21, _A31, _A32, _A41, _A42, _A43
+    a51, a52, a53, a54 = _A51, _A52, _A53, _A54
+    a61, a62, a63, a64, a65 = _A61, _A62, _A63, _A64, _A65
+    b1, b3, b4, b5, b6 = _B1, _B3, _B4, _B5, _B6
+    e1, e3, e4, e5, e6, e7 = _E1, _E3, _E4, _E5, _E6, _E7
     t = 0.0
     err_prev = 1.0
     rejected_nonfinite = False
@@ -328,28 +365,28 @@ def solve(
         # an expected, handled outcome: the attempt is rejected as non-finite.
         nfev += 6
         try:
-            w = u + h * (_A21 * fu)
-            z = v + h * (_A21 * fv)
+            w = u + h * (a21 * fu)
+            z = v + h * (a21 * fv)
             k2u = a - b * exp(z)
             k2v = -c + d * exp(w)
-            w = u + h * (_A31 * fu + _A32 * k2u)
-            z = v + h * (_A31 * fv + _A32 * k2v)
+            w = u + h * (a31 * fu + a32 * k2u)
+            z = v + h * (a31 * fv + a32 * k2v)
             k3u = a - b * exp(z)
             k3v = -c + d * exp(w)
-            w = u + h * (_A41 * fu + _A42 * k2u + _A43 * k3u)
-            z = v + h * (_A41 * fv + _A42 * k2v + _A43 * k3v)
+            w = u + h * (a41 * fu + a42 * k2u + a43 * k3u)
+            z = v + h * (a41 * fv + a42 * k2v + a43 * k3v)
             k4u = a - b * exp(z)
             k4v = -c + d * exp(w)
-            w = u + h * (_A51 * fu + _A52 * k2u + _A53 * k3u + _A54 * k4u)
-            z = v + h * (_A51 * fv + _A52 * k2v + _A53 * k3v + _A54 * k4v)
+            w = u + h * (a51 * fu + a52 * k2u + a53 * k3u + a54 * k4u)
+            z = v + h * (a51 * fv + a52 * k2v + a53 * k3v + a54 * k4v)
             k5u = a - b * exp(z)
             k5v = -c + d * exp(w)
-            w = u + h * (_A61 * fu + _A62 * k2u + _A63 * k3u + _A64 * k4u + _A65 * k5u)
-            z = v + h * (_A61 * fv + _A62 * k2v + _A63 * k3v + _A64 * k4v + _A65 * k5v)
+            w = u + h * (a61 * fu + a62 * k2u + a63 * k3u + a64 * k4u + a65 * k5u)
+            z = v + h * (a61 * fv + a62 * k2v + a63 * k3v + a64 * k4v + a65 * k5v)
             k6u = a - b * exp(z)
             k6v = -c + d * exp(w)
-            u1 = u + h * (_B1 * fu + _B3 * k3u + _B4 * k4u + _B5 * k5u + _B6 * k6u)
-            v1 = v + h * (_B1 * fv + _B3 * k3v + _B4 * k4v + _B5 * k5v + _B6 * k6v)
+            u1 = u + h * (b1 * fu + b3 * k3u + b4 * k4u + b5 * k5u + b6 * k6u)
+            v1 = v + h * (b1 * fv + b3 * k3v + b4 * k4v + b5 * k5v + b6 * k6v)
             x1 = exp(u1)
             y1 = exp(v1)
             k7u = a - b * y1
@@ -361,8 +398,8 @@ def solve(
         except OverflowError:
             finite = False
         if finite:
-            eu = h * (_E1 * fu + _E3 * k3u + _E4 * k4u + _E5 * k5u + _E6 * k6u + _E7 * k7u)
-            ev = h * (_E1 * fv + _E3 * k3v + _E4 * k4v + _E5 * k5v + _E6 * k6v + _E7 * k7v)
+            eu = h * (e1 * fu + e3 * k3u + e4 * k4u + e5 * k5u + e6 * k6u + e7 * k7u)
+            ev = h * (e1 * fv + e3 * k3v + e4 * k4v + e5 * k5v + e6 * k6v + e7 * k7v)
             # Scaled by atol + rtol * max(|u|, |u1|), abs and max written out;
             # a zero's sign cannot reach the scale, as atol > 0.
             s0, s1 = (u if u >= 0.0 else -u), (u1 if u1 >= 0.0 else -u1)

@@ -106,19 +106,21 @@ def adomian_components(ivp: InitialValueProblem, order: int):
     return list(zip(u, v))
 
 
-def _adomian_sums(ivp: InitialValueProblem, order: int):
-    """Yield, for n = 0..order, the sums (x, y) of decomposition components 0..n.
+def _adomian_sums(ivp: InitialValueProblem, order: int) -> np.ndarray:
+    """Row n holds the sums (x, y) of decomposition components 0..n, zero-padded.
 
-    Each pair views the first n + 1 entries of accumulators that the later
-    components keep adding into, so a caller that keeps one copies it.
+    One ``np.cumsum`` runs down the zero-padded components from a leading
+    zero row, so each entry's additions run one after another in component
+    order, 0 + u_0 + ... + u_n: every row has the bits of a running sum over
+    the components, signed zeros and non-finite entries included.
     """
     components = adomian_components(ivp, order)
-    x = np.zeros(len(components))
-    y = np.zeros(len(components))
-    for n, (u_n, v_n) in enumerate(components):
-        x[: n + 1] += u_n
-        y[: n + 1] += v_n
-        yield x[: n + 1], y[: n + 1]
+    size = len(components)
+    terms = np.zeros((size + 1, 2, size))
+    for n, (u_n, v_n) in enumerate(components, 1):
+        terms[n, 0, :n] = u_n
+        terms[n, 1, :n] = v_n
+    return np.cumsum(terms, axis=0)[1:]
 
 
 def vim_iterates(ivp: InitialValueProblem, iterations: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -179,12 +181,6 @@ def _nan_max(a: float, b: float) -> float:
     return a if a >= b or a != a else b
 
 
-def _max_relative_deviation(candidate, reference) -> float:
-    """Worst |c - r| / (1 + |r|) over two (x, y) coefficient pairs of equal lengths; NaN if any is."""
-    x, y = (float(np.max(np.abs(c - r) / (1.0 + np.abs(r)))) for c, r in zip(candidate, reference))
-    return _nan_max(x, y)
-
-
 def methods_agree(ivp: InitialValueProblem, order: int) -> list[AgreementReport]:
     """Compare all perturbation schemes against the Taylor coefficients, orders 0..order.
 
@@ -195,15 +191,24 @@ def methods_agree(ivp: InitialValueProblem, order: int) -> list[AgreementReport]
     variational iterate k, truncated to order k, since that is as far as it
     is guaranteed to agree.  The deviation metric per coefficient is
     |candidate - taylor| / (1 + |taylor|).  The list index is the order.
+
+    Every order is compared in one pass.  Row k of each scheme's matrix holds
+    its order-k coefficients, zero past degree k, where the Taylor rows are
+    zero too, so the padding deviates by exactly 0.  A NaN among a row's
+    coefficients makes that report's field NaN.
     """
     taylor = taylor_coefficients(ivp, order)
-    reports = []
-    for k, (adomian, iterate) in enumerate(zip(_adomian_sums(ivp, order), vim_iterates(ivp, order))):
-        reference = (taylor.x_coeffs[: k + 1], taylor.y_coeffs[: k + 1])
-        vim = [c[: k + 1] for c in iterate]
-        adm = _max_relative_deviation(adomian, reference)
-        reports.append(AgreementReport(adm, _max_relative_deviation(vim, reference)))
-    return reports
+    size = taylor.x_coeffs.size
+    candidates = np.zeros((2, size, 2, size))
+    candidates[0] = _adomian_sums(ivp, order)
+    for k, iterate in enumerate(vim_iterates(ivp, order)):
+        for c, coeffs in enumerate(iterate):
+            candidates[1, k, c, : k + 1] = coeffs[: k + 1]
+    within = np.tri(size, dtype=bool)[:, None, :]
+    reference = np.where(within, np.stack((taylor.x_coeffs, taylor.y_coeffs)), 0.0)
+    deviation = np.abs(candidates - reference)
+    deviation /= 1.0 + np.abs(reference)
+    return list(map(AgreementReport, *deviation.max(axis=(2, 3)).tolist()))
 
 
 def method_series(ivp: InitialValueProblem, method: MethodKind, order: int) -> SeriesSolution:
@@ -217,8 +222,7 @@ def method_series(ivp: InitialValueProblem, method: MethodKind, order: int) -> S
     if method is MethodKind.TAYLOR:
         return taylor_coefficients(ivp, order)
     if method in (MethodKind.ADOMIAN, MethodKind.HPM):
-        *_, (x, y) = _adomian_sums(ivp, order)
-        return SeriesSolution(x, y)
+        return SeriesSolution(*_adomian_sums(ivp, order)[-1].copy())
     if method is MethodKind.VIM:
         return SeriesSolution(*vim_iterates(ivp, order)[-1])
     raise ValueError(f"unknown method {method!r}")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 
 import numpy as np
 
@@ -41,30 +42,37 @@ _MINUS = np.frombuffer(b"\0\0\0-", np.uint32)[0]
 _MARKER = np.frombuffer(b"\1\0\0\0", np.uint32)[0]
 
 
-def _word(text: bytes) -> np.uint64:
-    """One 8-byte word holding ``text`` NUL-padded, in memory order."""
-    return np.frombuffer(text.ljust(8, b"\0"), np.uint64)[0]
+def _words(texts) -> np.ndarray:
+    """One 8-byte word per text, NUL-padded, in memory order, read from one joined buffer."""
+    return np.frombuffer(b"".join(text.ljust(8, b"\0") for text in texts), np.uint64)
 
 
 @functools.cache
 def _powers_of_ten():
     """10**(16 - X) for each exponent guess X (index X + _X_RANGE), as hi + lo.
 
-    Built on first use, not at import.  Each part is rounded once from the
-    exact rational, through Python's exact integers.
+    Built on first use, not at import, in Python floats converted once.  Each
+    part is rounded once from the exact rational, through Python's exact
+    integers.
     """
-    hi, lo = np.empty(2 * _X_RANGE + 1), np.empty(2 * _X_RANGE + 1)
-    for i, x in enumerate(range(-_X_RANGE, _X_RANGE + 1)):
+    hi, lo = [], []
+    for x in range(-_X_RANGE, _X_RANGE + 1):
         if x <= 16:
             exact = 10 ** (16 - x)
-            hi[i] = float(exact)
-            lo[i] = float(exact - int(hi[i]))
+            hi.append(float(exact))
+            lo.append(float(exact - int(hi[-1])))
         else:
             den = 10 ** (x - 16)
-            hi[i] = 1 / den
-            num, two = hi[i].as_integer_ratio()
-            lo[i] = (two - num * den) / (two * den)
-    return hi, lo
+            hi.append(1 / den)
+            num, two = hi[-1].as_integer_ratio()
+            lo.append((two - num * den) / (two * den))
+    return np.array(hi), np.array(lo)
+
+
+def _exponent_text(x: int) -> bytes:
+    """"e+XXX" of exponent x, NUL in the hundreds slot of a two-digit exponent."""
+    text = b"e%+03d" % x
+    return text if len(text) == 5 else text[:2] + b"\0" + text[2:]
 
 
 @functools.cache
@@ -77,23 +85,16 @@ def _slot_tables():
     and its count of trailing zeros.  ``keep[j][m]`` masks group j's word down
     to those of the m digits after the first that fall in it.
     """
-    head = np.zeros(2 * _X_RANGE + 1, np.uint64)
-    tail = np.zeros(2 * _X_RANGE + 1, np.uint64)
-    for i, x in enumerate(range(-_X_RANGE, _X_RANGE + 1)):
-        if -4 <= x < 0:
-            head[i] = _word(b"\0" + b"0.000"[: 1 - x])
-        elif not 0 <= x <= 16:
-            text = b"e%+03d" % x
-            tail[i] = _word(text if len(text) == 5 else text[:2] + b"\0" + text[2:])
+    exponents = range(-_X_RANGE, _X_RANGE + 1)
+    head = _words(b"\0" + b"0.000"[: 1 - x] if -4 <= x < 0 else b"" for x in exponents)
+    tail = _words(b"" if -4 <= x <= 16 else _exponent_text(x) for x in exponents)
     groups = np.arange(10000)
     spread = np.zeros((10000, 8), np.uint8)
     for place in range(4):
         spread[:, 2 * place] = groups // 10 ** (3 - place) % 10 + ord("0")
     zeros = sum((groups % 10**place == 0).astype(np.int8) for place in range(1, 5))
-    keep = np.array(
-        [[_word(b"\xff\0" * min(max(m - 4 * j, 0), 4)) for m in range(17)] for j in range(4)]
-    )
-    return head, tail, spread.view(np.uint64).ravel(), zeros, keep
+    keep = _words(b"\xff\0" * min(max(m - 4 * j, 0), 4) for j in range(4) for m in range(17))
+    return head, tail, spread.view(np.uint64).ravel(), zeros, keep.reshape(4, 17)
 
 
 def _split(a):
@@ -241,23 +242,33 @@ def write_report_json(path, label: str, t_end: float, report: DiagnosticsReport)
 
 
 def _axis_range(values):
-    """(lo, hi) of one axis; a flat one widens by 1, or by one ulp where 1 rounds away."""
+    """(scale, lo, hi) of one axis: its ends times scale, 1 or 1/2 where the range overflows.
+
+    A flat axis widens by 1, or by one ulp where 1 rounds away.  Halving
+    every coordinate first keeps the range of a curve that spans more than
+    the largest double finite; any other range keeps scale 1.
+    """
     lo, hi = float(np.min(values)), float(np.max(values))
-    if hi == lo:
-        pad = max(1.0, float(np.spacing(abs(lo))))
-        return lo - pad, hi + pad
-    return lo, hi
+    for scale in (1.0, 0.5):
+        a, b = scale * lo, scale * hi
+        if b == a:
+            pad = max(1.0, math.ulp(a))
+            a, b = a - pad, b + pad
+        if math.isfinite(b - a):
+            break
+    return scale, a, b
 
 
 def _svg_transform(curves):
-    x_lo, x_hi = _axis_range(np.concatenate([c[0] for c in curves]))
-    y_lo, y_hi = _axis_range(np.concatenate([c[1] for c in curves]))
+    x_scale, x_lo, x_hi = _axis_range(np.concatenate([c[0] for c in curves]))
+    y_scale, y_lo, y_hi = _axis_range(np.concatenate([c[1] for c in curves]))
     inner_w = _SVG_WIDTH * (1.0 - 2.0 * _SVG_MARGIN)
     inner_h = _SVG_HEIGHT * (1.0 - 2.0 * _SVG_MARGIN)
 
     def to_pixels(x, y):
-        px = _SVG_WIDTH * _SVG_MARGIN + (x - x_lo) / (x_hi - x_lo) * inner_w
-        py = _SVG_HEIGHT - (_SVG_HEIGHT * _SVG_MARGIN + (y - y_lo) / (y_hi - y_lo) * inner_h)
+        px = _SVG_WIDTH * _SVG_MARGIN + (x * x_scale - x_lo) / (x_hi - x_lo) * inner_w
+        py = (y * y_scale - y_lo) / (y_hi - y_lo) * inner_h
+        py = _SVG_HEIGHT - (_SVG_HEIGHT * _SVG_MARGIN + py)
         return px, py
 
     return to_pixels

@@ -144,4 +144,4 @@ def sample_series(s: SeriesSolution, t_grid) -> Trajectory:
     overflow = ~(np.isfinite(x) & np.isfinite(y))
     if overflow.any():
         raise NonFiniteError(f"series overflows at t={float(grid[overflow.argmax()])!r}")
-    return Trajectory(grid, x, y)
+    return Trajectory._checked(grid, x, y)

@@ -31,5 +31,16 @@ class Trajectory:
             if not np.all(np.isfinite(getattr(self, name))):
                 raise NonFiniteError(f"trajectory {name} values must be finite")
 
+    @classmethod
+    def _checked(cls, t: np.ndarray, x: np.ndarray, y: np.ndarray) -> Trajectory:
+        """A trajectory of float arrays already checked as ``__post_init__`` would check them.
+
+        The samplers validate their grid and test every value for finiteness
+        themselves, so their trajectories skip the second check.
+        """
+        traj = object.__new__(cls)
+        traj.__dict__.update(t=t, x=x, y=y)
+        return traj
+
     def __len__(self) -> int:
         return int(self.t.size)

@@ -1,6 +1,9 @@
 """Dense solution of one reference pass: sampling, period event, work counters."""
 
+import json
 import math
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -8,18 +11,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lvdiag
 from lvdiag import (
     DivergenceError,
     InitialValueProblem,
     IntegratorConfig,
     MethodKind,
     ModelParams,
+    NonFiniteError,
     PopulationState,
     PositivityError,
     StepSizeUnderflowError,
     failure_report,
     preset,
+    sample_series,
     solve,
+    taylor_coefficients,
 )
 from lvdiag.cli import main
 from lvdiag.series import _validated_grid
@@ -286,3 +293,186 @@ def test_failure_report_makes_one_stepping_pass(monkeypatch, case):
     report = failure_report(_ivp(case, 10.0), MethodKind.TAYLOR, 5)
     assert spy.passes == 1
     assert (report.period_estimate is None) == (case is CASE_I)
+
+
+# The step lookup: for sorted boundaries t and a strictly increasing grid,
+# the count of boundaries below each grid point.
+@st.composite
+def boundaries_and_grids(draw):
+    times = st.floats(0.0, 64.0)
+    t = np.unique(np.array([0.0] + draw(st.lists(times, min_size=1, max_size=30))))
+    if draw(st.booleans()):
+        grid = t.copy()
+    else:
+        pool = draw(st.lists(st.one_of(times, st.sampled_from(t.tolist())), min_size=1, max_size=50))
+        grid = np.unique(np.array(pool))
+    if grid[0] == 0.0 and draw(st.booleans()):
+        grid[0] = -0.0
+    return t, grid
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(boundaries_and_grids())
+def test_step_lookup_is_searchsorted(pair):
+    t, grid = pair
+    assert np.array_equal(integrate_module._step_ends(t, grid), np.searchsorted(t, grid))
+
+
+def test_step_lookup_on_single_points_and_boundary_hits():
+    t = np.array([0.0, 0.5, 1.0, 3.0])
+    for grid in ([0.0], [-0.0], [0.5], [3.0], [0.25], [-0.0, 0.5, 1.0, 3.0], t, [0.1, 0.5, 0.9, 1.0, 2.0]):
+        grid = np.array(grid, dtype=float)
+        assert np.array_equal(integrate_module._step_ends(t, grid), np.searchsorted(t, grid))
+
+
+# The period bisection.
+
+
+def _dot_bisect_return(w0, qc, t0, t1, level, direction):
+    """``_bisect_return`` as it read with a numpy dot product per halving (plus the adjacent-doubles stop)."""
+    lo, hi = t0, t1
+    while hi - lo > integrate_module._PERIOD_BISECT_TOL:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        theta = (mid - t0) / (t1 - t0)
+        w = w0 + qc @ np.array([theta, theta**2, theta**3, theta**4])
+        if direction * (integrate_module._exp(w) - level) >= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def _bisections(monkeypatch, ivp):
+    """The arguments of every period bisection that ``solve(ivp, find_period=True)`` runs."""
+    calls = []
+    real = integrate_module._bisect_return
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(integrate_module, "_bisect_return", recording)
+    period = solve(ivp, find_period=True).period
+    monkeypatch.undo()
+    assert len(calls) == (period is not None)
+    return calls
+
+
+def _custom(a, b, c, d, x0, y0, t_end):
+    return InitialValueProblem(ModelParams(a, b, c, d), PopulationState(x0, y0), t_end)
+
+
+# Every preset at its own horizon, and the custom problems of CI's identical-flags step.
+CI_PROBLEMS = [preset(name) for name in ("case-I", "case-V", "decoupled")] + [
+    _ivp(CASE_V, 25.0),
+    _ivp(CASE_V, 1.0),
+    _ivp(CASE_V, 3.0),
+    _ivp(CASE_I, 400.0),
+    _custom(1.5, 0.75, 2, 0.5, 3, 1.25, 10.0),
+    _custom(1, 0, 1, 1, 2, 1, 1.0),
+    _custom(1, 1, 1, 0, 2, 1, 1.0),
+    _custom(1e-300, 1, 1e-300, 1, 1, 1, 10.0),
+    _custom(2, 8, 1, 1000, 0.5, 2, 1.0),
+    _custom(
+        0.4643312958190819, 0.9771843395825697, 1.937565049492914, 35.213767701185574,
+        5.563192459176994, 1.325847456018371, 70.91234974992943,
+    ),
+    _custom(1e-5, 1, 1e-5, 1, 2e-5, 1e-5, 10.0),
+]
+
+
+def test_float_bisection_gives_the_dot_products_periods_bitwise(monkeypatch):
+    found = 0
+    for ivp in CI_PROBLEMS:
+        for args in _bisections(monkeypatch, ivp):
+            found += 1
+            got, want = integrate_module._bisect_return(*args), _dot_bisect_return(*args)
+            assert got.hex() == want.hex(), ivp
+    assert found >= 7
+
+
+def test_float_bisection_on_drawn_problems_is_within_1e_12(monkeypatch):
+    """On sweep-like problems the two evaluations of w may round apart: count it."""
+    rng = np.random.default_rng(2026)
+    found = moved = 0
+    for _ in range(200):
+        a, b, c, d = np.exp(rng.uniform(math.log(0.5), math.log(2.0), 4))
+        x0, y0 = np.exp(rng.uniform(-math.log(3.0), math.log(3.0), 2)) * (c / d, a / b)
+        for args in _bisections(monkeypatch, _custom(a, b, c, d, x0, y0, 10.0)):
+            found += 1
+            got, want = integrate_module._bisect_return(*args), _dot_bisect_return(*args)
+            assert abs(got - want) <= 1e-12 * want
+            moved += got != want
+    assert found >= 150
+    # Another BLAS kernel's dot may round a w apart, so a few moved periods are allowed.
+    assert moved <= 4, moved
+
+
+def test_bisection_stops_at_adjacent_doubles(monkeypatch):
+    """From t = 2**19 on, neighbouring doubles lie 2**-33 > 1e-10 apart, so the
+    bracket cannot shrink to 1e-10; it stops once lo and hi are neighbours."""
+    evaluations = []
+
+    def counting_exp(z):
+        evaluations.append(z)
+        assert len(evaluations) <= 60, "the bisection does not stop"
+        return math.exp(z)
+
+    monkeypatch.setattr(integrate_module, "_exp", counting_exp)
+    qc = np.array([1.0, 0.0, 0.0, 0.0])  # w = theta across the step
+    t0 = 2.0**19
+    t1 = math.nextafter(t0, math.inf)
+    assert t1 - t0 > integrate_module._PERIOD_BISECT_TOL
+    assert integrate_module._bisect_return(0.0, qc, t0, t1, 1.5, 1.0) in (t0, t1)
+    assert evaluations == []
+    # A one-unit step there halves down to neighbouring doubles around e^w = 1.5.
+    crossing = integrate_module._bisect_return(0.0, qc, t0, t0 + 1.0, 1.5, 1.0)
+    assert abs(crossing - (t0 + math.log(1.5))) <= 2 * math.ulp(t0)
+    assert len(evaluations) == 33
+
+
+def test_a_period_past_two_to_the_19_ends_the_run(tmp_path):
+    """With rates of 1e-5 the orbit returns at T = 660848.267: the run used to
+    bisect that return forever.  A subprocess bounds the wait."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lvdiag.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = "run --a 1e-5 --b 1 --c 1e-5 --d 1 --x0 2e-5 --y0 1e-5 --out".split() + [str(tmp_path)]
+    done = subprocess.run(
+        [sys.executable, "-m", "lvdiag.cli", *argv], env=env, capture_output=True, text=True, timeout=30
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads((tmp_path / "custom_taylor_order5_report.json").read_text())
+    assert report["period_estimate"] == pytest.approx(660848.267, abs=1e-3)
+    assert report["closed_orbit_ref"] is True
+
+
+BAD_GRIDS = [
+    ([], ValueError, "time grid must be a non-empty 1-d array"),
+    ([[0.0, 1.0]], ValueError, "time grid must be a non-empty 1-d array"),
+    ([-1.0, 0.0], ValueError, "time grid must start at or after 0, got -1.0"),
+    ([0.0, 1.0, 1.0], ValueError, "time grid must be strictly increasing"),
+    ([0.0, 2.0, 1.0], ValueError, "time grid must be strictly increasing"),
+    ([0.0, math.nan], NonFiniteError, "time grid must be finite"),
+    ([0.0, math.inf], NonFiniteError, "time grid must be finite"),
+]
+
+
+@pytest.mark.parametrize("grid, error, message", BAD_GRIDS)
+def test_public_samplers_check_their_grids(grid, error, message):
+    samplers = (solve(_ivp(CASE_V, 5.0)).sample, lambda g: sample_series(taylor_coefficients(CASE_V, 5), g))
+    for sample in samplers:
+        with pytest.raises(error) as excinfo:
+            sample(grid)
+        assert excinfo.type is error and str(excinfo.value) == message
+
+
+def test_sampled_trajectories_are_what_the_checked_constructor_builds():
+    """The samplers skip ``Trajectory``'s second check; what they return passes it unchanged."""
+    grid = np.linspace(0.0, 5.0, 11)
+    for traj in (solve(_ivp(CASE_V, 5.0)).sample(grid), sample_series(taylor_coefficients(CASE_V, 5), grid)):
+        checked = Trajectory(traj.t, traj.x, traj.y)
+        for name in ("t", "x", "y"):
+            got, want = getattr(traj, name), getattr(checked, name)
+            assert got is want and got.dtype == np.float64 and got.shape == (11,)

@@ -155,8 +155,10 @@ def test_reference_orbit_is_simple_over_one_period():
         ([0.0, 1.0], [1.0], [1.0, 2.0], ValueError, "t, x and y must be 1-d arrays of equal length"),
         ([0.0, 1.0, 1.0], [1.0, 2.0, 3.0], [1.0, 2.0, 3.0], ValueError, "sample times must be strictly increasing"),
         ([0.0, 1.0], [1.0, 2.0], [1.0, math.nan], NonFiniteError, "trajectory y values must be finite"),
+        ([0.0, 1.0], [1.0, math.inf], [1.0, 2.0], NonFiniteError, "trajectory x values must be finite"),
+        ([0.0, math.inf], [1.0, 2.0], [1.0, 2.0], NonFiniteError, "trajectory t values must be finite"),
     ],
-    ids=["empty", "unequal-lengths", "repeated-time", "nan-y"],
+    ids=["empty", "unequal-lengths", "repeated-time", "nan-y", "inf-x", "inf-t"],
 )
 def test_trajectory_refuses_malformed_samples(t, x, y, error, message):
     with pytest.raises(error) as excinfo:

@@ -17,6 +17,7 @@ from lvdiag import (
     MethodKind,
     ModelParams,
     PopulationState,
+    SeriesSolution,
     adomian_components,
     method_series,
     methods_agree,
@@ -27,7 +28,8 @@ from lvdiag import (
     taylor_coefficients,
     vim_iterates,
 )
-from lvdiag.methods import _max_relative_deviation, _pint, _pmul
+import lvdiag.methods as methods_module
+from lvdiag.methods import _pint, _pmul
 from test_series import problems
 
 CASE_V = preset("case-V")
@@ -103,6 +105,40 @@ def test_adomian_cascade_past_the_double_range_raises_no_warning():
     """Coefficients that overflow come out non-finite; sampling refuses them."""
     sol = method_series(IVP_I, MethodKind.ADOMIAN, 305)
     assert not np.all(np.isfinite(sol.x_coeffs))
+
+
+def _running_sums(components):
+    """The decomposition sums as a running loop forms them: 0 + u_0 + ... + u_n, one component at a time."""
+    x = np.zeros(len(components))
+    y = np.zeros(len(components))
+    for n, (u_n, v_n) in enumerate(components):
+        x[: n + 1] += u_n
+        y[: n + 1] += v_n
+        yield x[: n + 1].copy(), y[: n + 1].copy()
+
+
+@pytest.mark.parametrize(
+    "ivp, order",
+    [
+        (IVP_V, 30),
+        # A start of -0.0: the running sum's first entry is 0.0 + -0.0 = 0.0.
+        (InitialValueProblem(ModelParams(1.0, 0.5, 1.0, 2.0), PopulationState(-0.0, 1.0), 1.0), 12),
+        # Components from 305 on are inf or NaN.
+        (IVP_I, 305),
+    ],
+    ids=["case-V", "negative-zero-start", "case-I-overflow"],
+)
+def test_adomian_sums_are_the_running_sums_bitwise(monkeypatch, ivp, order):
+    components = adomian_components(ivp, order)
+    monkeypatch.setattr(methods_module, "adomian_components", lambda ivp, order: components)
+    sums = methods_module._adomian_sums(ivp, order)
+    assert sums.shape == (order + 1, 2, order + 1)
+    for n, (x, y) in enumerate(_running_sums(components)):
+        assert sums[n, 0, : n + 1].tobytes() == x.tobytes()
+        assert sums[n, 1, : n + 1].tobytes() == y.tobytes()
+        assert sums[n, :, n + 1 :].tobytes() == bytes(16 * (order - n))
+    approx = method_series(ivp, MethodKind.ADOMIAN, order)
+    assert (approx.x_coeffs.tobytes(), approx.y_coeffs.tobytes()) == (x.tobytes(), y.tobytes())
 
 
 def test_vim_iterate_sequence_shape():
@@ -187,13 +223,55 @@ def test_methods_agree_within_round_off():
     assert report_d.worst() <= 1e-14
 
 
-def test_a_nan_deviation_is_the_worst_in_either_place():
+def _copied(pairs):
+    return [tuple(c.copy() for c in pair) for pair in pairs]
+
+
+def test_a_nan_deviation_is_the_worst_in_either_place(monkeypatch):
+    """A NaN in a scheme's x or y coefficients, or in the Taylor reference, is a NaN row field."""
     assert math.isnan(AgreementReport(1e-16, math.nan).worst())
     assert math.isnan(AgreementReport(math.nan, 1e-16).worst())
-    finite, poisoned = np.array([1.0, 2.0]), np.array([1.0, math.nan])
-    for candidate in ((poisoned, finite), (finite, poisoned)):
-        assert math.isnan(_max_relative_deviation(candidate, (finite, finite)))
-        assert math.isnan(_max_relative_deviation((finite, finite), candidate))
+    clean = methods_agree(IVP_V, 6)
+    for component in (0, 1):
+
+        def poisoned_vim(ivp, iterations):
+            iterates = _copied(vim_iterates(ivp, iterations))
+            iterates[4][component][3] = math.nan
+            return iterates
+
+        # Row k reads VIM iterate k only, and iterate 4's degree-3 entry lies inside it.
+        monkeypatch.setattr(methods_module, "vim_iterates", poisoned_vim)
+        rows = methods_agree(IVP_V, 6)
+        assert [math.isnan(r.vim) for r in rows] == [k == 4 for k in range(7)]
+        assert [math.isnan(r.worst()) for r in rows] == [k == 4 for k in range(7)]
+        assert [r.adomian for r in rows] == [r.adomian for r in clean]
+        monkeypatch.undo()
+
+        def poisoned_adomian(ivp, order):
+            components = _copied(adomian_components(ivp, order))
+            components[2][component][1] = math.nan
+            return components
+
+        # Every running sum from component 2 on holds the NaN.
+        monkeypatch.setattr(methods_module, "adomian_components", poisoned_adomian)
+        rows = methods_agree(IVP_V, 6)
+        assert [math.isnan(r.adomian) for r in rows] == [k >= 2 for k in range(7)]
+        assert [math.isnan(r.worst()) for r in rows] == [k >= 2 for k in range(7)]
+        assert [r.vim for r in rows] == [r.vim for r in clean]
+        monkeypatch.undo()
+
+        def poisoned_taylor(ivp, order):
+            series = taylor_coefficients(ivp, order)
+            coeffs = [series.x_coeffs.copy(), series.y_coeffs.copy()]
+            coeffs[component][3] = math.nan
+            return SeriesSolution(*coeffs)
+
+        # The reference: rows from order 3 on compare both schemes with the NaN.
+        monkeypatch.setattr(methods_module, "taylor_coefficients", poisoned_taylor)
+        rows = methods_agree(IVP_V, 6)
+        assert [math.isnan(r.adomian) and math.isnan(r.vim) for r in rows] == [k >= 3 for k in range(7)]
+        assert rows[:3] == clean[:3]
+        monkeypatch.undo()
 
 
 def test_methods_agree_validates_order():
@@ -229,24 +307,24 @@ def _agreement_from_scratch(ivp, order):
     return AgreementReport(deviation((adomian.x_coeffs, adomian.y_coeffs)), deviation(vim))
 
 
-def _assert_sweep_matches_per_order_reports(ivp):
-    sweep = methods_agree(ivp, 20)
-    assert [repr(r) for r in sweep] == [repr(_agreement_from_scratch(ivp, k)) for k in range(21)]
+def _assert_sweep_matches_per_order_reports(ivp, top):
+    sweep = methods_agree(ivp, top)
+    assert [repr(r) for r in sweep] == [repr(_agreement_from_scratch(ivp, k)) for k in range(top + 1)]
     # A lower order's build is a prefix of a higher one's: no report depends on the top order.
-    for k in range(21):
+    for k in range(top + 1):
         assert methods_agree(ivp, k) == sweep[: k + 1]
 
 
 @pytest.mark.parametrize("name", preset_names())
 def test_agreement_sweep_matches_per_order_construction_on_presets(name):
     case = preset(name)
-    _assert_sweep_matches_per_order_reports(InitialValueProblem(case.params, case.initial, case.t_end))
+    _assert_sweep_matches_per_order_reports(InitialValueProblem(case.params, case.initial, case.t_end), 40)
 
 
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)
 @given(problems())
 def test_agreement_sweep_matches_per_order_construction_on_random_problems(ivp):
-    _assert_sweep_matches_per_order_reports(ivp)
+    _assert_sweep_matches_per_order_reports(ivp, 20)
 
 
 # Exact arithmetic: the identities that let one cascade serve every order.

@@ -25,8 +25,11 @@ from lvdiag.output import (
     _SEPARATOR,
     PHASE_HEADER,
     TIMESERIES_HEADER,
+    _X_RANGE,
     _cell_bytes,
     _points,
+    _powers_of_ten,
+    _slot_tables,
     write_csv_tables,
     write_phase_svg,
     write_report_json,
@@ -322,6 +325,76 @@ def test_flat_axis_beyond_2_53_draws_finite_points(tmp_path):
         assert "nan" not in text and "inf" not in text
         # The flat coordinate lands mid-height.
         assert 'points="40.00,300.00 ' in text
+
+
+def test_phase_svg_wider_than_the_largest_double_draws_finite_points(tmp_path):
+    """x spans 2e308, past the largest double: each coordinate is halved before
+    the axis range is taken, so every pixel is finite and in the order of its value."""
+    big = np.finfo(float).max
+    for x in ([-1e308, 0.0, 1e308, 5.0], [-big, big, 0.0, -1.0], [big, big, big, big], [-big] * 4):
+        curve = Trajectory(np.arange(4.0), np.array(x), np.array([1.0, 2.0, 3.0, 4.0]))
+        path = tmp_path / "wide.svg"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            write_phase_svg(path, curve, curve, SegmentCrossing(0, 2, (x[0], 1.0)))
+        text = path.read_text()
+        assert "nan" not in text and "inf" not in text
+        points = re.search(r'points="([^"]*)"', text).group(1).split()
+        px, py = np.array([[float(v) for v in point.split(",")] for point in points]).T
+        assert np.all((40.0 <= px) & (px <= 760.0)) and np.all((30.0 <= py) & (py <= 570.0))
+        assert np.all(np.diff(px[np.argsort(x)]) >= 0.0)
+        assert np.all(np.diff(py) < 0.0)
+        assert f'cx="{px[0]:.2f}"' in text
+
+
+def _word(text):
+    return np.frombuffer(text.ljust(8, b"\0"), np.uint64)[0]
+
+
+def _loop_powers_of_ten():
+    """``_powers_of_ten`` as it was, filled one numpy entry at a time."""
+    hi, lo = np.empty(2 * _X_RANGE + 1), np.empty(2 * _X_RANGE + 1)
+    for i, x in enumerate(range(-_X_RANGE, _X_RANGE + 1)):
+        if x <= 16:
+            exact = 10 ** (16 - x)
+            hi[i] = float(exact)
+            lo[i] = float(exact - int(hi[i]))
+        else:
+            den = 10 ** (x - 16)
+            hi[i] = 1 / den
+            num, two = hi[i].as_integer_ratio()
+            lo[i] = (two - num * den) / (two * den)
+    return hi, lo
+
+
+def _loop_slot_tables():
+    """``_slot_tables`` as it was, one word at a time."""
+    head = np.zeros(2 * _X_RANGE + 1, np.uint64)
+    tail = np.zeros(2 * _X_RANGE + 1, np.uint64)
+    for i, x in enumerate(range(-_X_RANGE, _X_RANGE + 1)):
+        if -4 <= x < 0:
+            head[i] = _word(b"\0" + b"0.000"[: 1 - x])
+        elif not 0 <= x <= 16:
+            text = b"e%+03d" % x
+            tail[i] = _word(text if len(text) == 5 else text[:2] + b"\0" + text[2:])
+    groups = np.arange(10000)
+    spread = np.zeros((10000, 8), np.uint8)
+    for place in range(4):
+        spread[:, 2 * place] = groups // 10 ** (3 - place) % 10 + ord("0")
+    zeros = sum((groups % 10**place == 0).astype(np.int8) for place in range(1, 5))
+    keep = np.array(
+        [[_word(b"\xff\0" * min(max(m - 4 * j, 0), 4)) for m in range(17)] for j in range(4)]
+    )
+    return head, tail, spread.view(np.uint64).ravel(), zeros, keep
+
+
+@pytest.mark.parametrize(
+    "built, loop", [(_powers_of_ten, _loop_powers_of_ten), (_slot_tables, _loop_slot_tables)]
+)
+def test_kernel_tables_match_their_loops_bitwise(built, loop):
+    for got, want in zip(built(), loop(), strict=True):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("drift", [math.inf, math.nan])
