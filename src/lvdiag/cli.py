@@ -112,7 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument(
         "--order",
         type=_nonnegative_int,
-        help=f"truncation order (default: {_DEFAULT_ORDER}); adomian, hpm and vim cost O(order^3) time",
+        help=f"truncation order (default: {_DEFAULT_ORDER}); taylor, adomian and hpm cost O(order^2) time, "
+        "vim O(order^3)",
     )
     cmd.add_argument(
         "--t-end", type=_positive_float, help="report horizon (default: the preset's, 10 for custom)"

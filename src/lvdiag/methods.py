@@ -1,12 +1,30 @@
 """Adomian decomposition, homotopy perturbation and variational iteration.
 
-The schemes are built over polynomial arithmetic on plain float arrays,
-coefficients lowest degree first, each array as long as its degree rule says.
-Adomian decomposition and homotopy perturbation reduce to one cascade, coded
-once; variational iteration has its own recursion.  Applied to the prey-predator equations with the constant
-initial state as starting guess, all of them reproduce the Taylor
-coefficients of the true solution; ``methods_agree`` quantifies that
+The schemes' polynomials are plain float arrays, coefficients lowest degree
+first, each array as long as its degree rule says.  Adomian decomposition and
+homotopy perturbation reduce to one cascade, coded once; variational
+iteration has its own recursion.  Applied to the prey-predator equations with
+the constant initial state as starting guess, all of them reproduce the
+Taylor coefficients of the true solution; ``methods_agree`` quantifies that
 coefficient-level agreement.
+
+For this bilinear model every decomposition component is a single term,
+u_n = U_n t**n and v_n = V_n t**n, so the cascade is a scalar recurrence,
+O(order**2) in all:
+
+    U_0 = x0,  V_0 = y0
+    A_n = ((0.0 + U_0 V_n) + U_1 V_{n-1}) + ... + U_n V_0
+    U_{n+1} = (a U_n - b A_n) / (n + 1),   V_{n+1} = (-c V_n + d A_n) / (n + 1)
+
+These are the top entries, bit for bit, of the polynomial cascade that forms
+A_n as the sum, for k = 0..n, of the ``np.convolve`` products of u_k and
+v_{n-k}.  The top entry
+of each product has the one term U_k V_{n-k}, which the dot product behind
+``np.convolve`` adds to a +0.0 start, and the cascade adds those tops left
+to right.  Adding 0.0 first changes only a -0.0 product, to +0.0, and a sum
+that starts 0.0 + U_0 V_n is never -0.0, so one +0.0 start gives the same
+additions.  No BLAS kernel is involved.  The tests keep the polynomial
+cascade as the recurrence's oracle.
 """
 
 from __future__ import annotations
@@ -30,9 +48,10 @@ class MethodKind(enum.Enum):
     VIM = "vim"
 
 
-# Polynomial kernels over plain float arrays, lowest degree first.  Each
-# scheme fixes the degree of every polynomial it builds, so an array's length
-# is its degree plus one and sums and differences are plain array arithmetic.
+# Polynomial kernels of the variational iteration over plain float arrays,
+# lowest degree first.  The iteration fixes the degree of every polynomial it
+# builds, so an array's length is its degree plus one and sums and
+# differences are plain array arithmetic.
 
 
 def _pmul(c1, c2, degree):
@@ -59,18 +78,6 @@ def _padded(c, length):
     return out
 
 
-def _adomian_polynomial(u, v, n):
-    """n-th Adomian polynomial of the product nonlinearity x*y, of degree n.
-
-    For a bilinear nonlinearity the derivative construction collapses to the
-    Cauchy product of the component sequences.
-    """
-    acc = _pmul(u[0], v[n], n)
-    for k in range(1, n + 1):
-        acc += _pmul(u[k], v[n - k], n)
-    return acc
-
-
 def adomian_components(ivp: InitialValueProblem, order: int):
     """Decomposition components (u_n, v_n) for n = 0..order; also the HPM terms.
 
@@ -92,18 +99,28 @@ def adomian_components(ivp: InitialValueProblem, order: int):
     for n >= 1, and setting q = 1 recovers the approximant.  For the bilinear
     coupling A_n is exactly that Cauchy sum, so the two schemes build the same
     polynomials term by term.
+
+    Every component is a single term, u_n = U_n t**n and v_n = V_n t**n, so
+    the cascade runs as the scalar recurrence of the module docstring.
+    Component n comes back as n + 1 coefficients, U_n on top of n entries of
+    +0.0.  Coefficients past the double range come out inf or NaN, which
+    sampling refuses.  The polynomial cascade has the same top entries; below
+    them it holds NaN once a coefficient overflows (inf * 0), and -0.0 in
+    places when d is -0.0.
     """
     order = _check_order(order)
     p = ivp.params
-    u = [np.array([ivp.initial.x])]
-    v = [np.array([ivp.initial.y])]
-    # Coefficients past the double range become inf or NaN, which sampling refuses.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(order):
-            a_n = _adomian_polynomial(u, v, n)
-            u.append(_pint(p.a * u[n] - p.b * a_n))
-            v.append(_pint(-p.c * v[n] + p.d * a_n))
-    return list(zip(u, v))
+    U = [ivp.initial.x]
+    V = [ivp.initial.y]
+    for n in range(order):
+        # A_n = U_0 V_n + ... + U_n V_0, added left to right from +0.0.
+        coupling = 0.0
+        for u_k, v_n_k in zip(U, reversed(V)):
+            coupling += u_k * v_n_k
+        U.append((p.a * U[n] - p.b * coupling) / (n + 1))
+        V.append((-p.c * V[n] + p.d * coupling) / (n + 1))
+    # Row n of np.diag(U) is U_n at column n and +0.0 elsewhere.
+    return [(u[: n + 1], v[: n + 1]) for n, (u, v) in enumerate(zip(np.diag(U), np.diag(V)))]
 
 
 def _adomian_sums(ivp: InitialValueProblem, order: int) -> np.ndarray:

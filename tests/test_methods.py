@@ -196,6 +196,147 @@ def test_every_polynomial_has_the_length_of_its_degree_rule(ivp):
         assert xk.size == yk.size == _vim_length(k)
 
 
+def _convolve_cascade(ivp, order):
+    """The decomposition cascade as polynomial arithmetic, O(order**3): A_n as
+    the sum of the ``np.convolve`` products of the components, each update
+    integrated as a polynomial.  The bitwise oracle of the scalar recurrence
+    in ``adomian_components``."""
+    p = ivp.params
+    u = [np.array([ivp.initial.x])]
+    v = [np.array([ivp.initial.y])]
+    # Coefficients past the double range become inf or NaN, which sampling refuses.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(order):
+            a_n = _pmul(u[0], v[n], n)
+            for k in range(1, n + 1):
+                a_n += _pmul(u[k], v[n - k], n)
+            u.append(_pint(p.a * u[n] - p.b * a_n))
+            v.append(_pint(-p.c * v[n] + p.d * a_n))
+    return list(zip(u, v))
+
+
+def _is_finite(components):
+    return all(np.isfinite(c).all() for pair in components for c in pair)
+
+
+def _assert_same_tops_and_positive_zeros_below(components, oracle):
+    """Top entries equal the oracle's bit for bit; every entry below them is +0.0."""
+    assert len(components) == len(oracle)
+    for n, (pair, oracle_pair) in enumerate(zip(components, oracle)):
+        for c, o in zip(pair, oracle_pair):
+            assert c.dtype == np.float64 and c.size == o.size == n + 1
+            assert c[n:].tobytes() == o[n:].tobytes(), n
+            assert c[:n].tobytes() == bytes(8 * n), n
+
+
+def _assert_same_approximant(ivp, order, oracle):
+    """The ADM approximant has the bits of the oracle components' running sum."""
+    *_, (x, y) = _running_sums(oracle)
+    approx = method_series(ivp, MethodKind.ADOMIAN, order)
+    assert (approx.x_coeffs.tobytes(), approx.y_coeffs.tobytes()) == (x.tobytes(), y.tobytes())
+
+
+def _assert_convolve_cascade_bits(ivp, order):
+    """Finite cascades equal the oracle byte for byte, and so do their
+    approximants.  An overflowing cascade keeps its top entries.  Its
+    approximant keeps every entry that the oracle's running sum has finite;
+    where the oracle's lower NaNs reach the sum, it may hold inf or a finite
+    sum instead of NaN, but sampling still refuses it."""
+    components, oracle = adomian_components(ivp, order), _convolve_cascade(ivp, order)
+    _assert_same_tops_and_positive_zeros_below(components, oracle)
+    if _is_finite(oracle):
+        assert [c.tobytes() for pair in components for c in pair] == [
+            o.tobytes() for pair in oracle for o in pair
+        ]
+        _assert_same_approximant(ivp, order, oracle)
+        return
+    with np.errstate(over="ignore", invalid="ignore"):
+        *_, sums = _running_sums(oracle)
+    approx = method_series(ivp, MethodKind.ADOMIAN, order)
+    for got, want in zip((approx.x_coeffs, approx.y_coeffs), sums):
+        finite = np.isfinite(want)
+        assert got[finite].tobytes() == want[finite].tobytes()
+    assert not (np.isfinite(approx.x_coeffs).all() and np.isfinite(approx.y_coeffs).all())
+
+
+def _ivp(a, b, c, d, x0, y0):
+    return InitialValueProblem(ModelParams(a, b, c, d), PopulationState(x0, y0), 1.0)
+
+
+CASCADE_STARTS = {
+    **{name: InitialValueProblem(preset(name).params, preset(name).initial, 1.0) for name in preset_names()},
+    **DEGENERATE,
+    "x0=-0": _ivp(1.0, 0.5, 1.0, 2.0, -0.0, 1.0),
+    "y0=-0": _ivp(1.0, 0.5, 1.0, 2.0, 1.0, -0.0),
+    # At the equilibrium (c/d, a/b) every component past the start is zero.
+    "equilibrium": _ivp(1.5, 0.75, 2.0, 0.5, 4.0, 2.0),
+}
+
+
+@pytest.mark.parametrize("order", [0, 1, 40])
+@pytest.mark.parametrize("ivp", CASCADE_STARTS.values(), ids=CASCADE_STARTS)
+def test_adomian_components_are_the_convolve_cascade_bitwise(ivp, order):
+    assert _is_finite(_convolve_cascade(ivp, order))
+    _assert_convolve_cascade_bits(ivp, order)
+
+
+def test_overflowing_cascade_keeps_its_top_entries():
+    """From component 305 on case-I's tops are inf or NaN.  From component 307
+    on the convolve cascade holds NaN (inf * 0) below them, the recurrence
+    +0.0; those entries sit where the running sums are already NaN."""
+    oracle = _convolve_cascade(IVP_I, 307)
+    assert [_is_finite(oracle[:n]) for n in (305, 306)] == [True, False]
+    assert [any(np.isnan(c[:-1]).any() for c in pair) for pair in oracle[305:]] == [False, False, True]
+    _assert_convolve_cascade_bits(IVP_I, 307)
+    _assert_same_approximant(IVP_I, 307, oracle)
+
+
+def test_a_negative_zero_coupling_leaves_positive_zeros_below_the_tops():
+    """With d = -0.0 the convolve cascade leaves -0.0 below some tops of v
+    ((-c) * +0.0 + -0.0 * +0.0); the recurrence leaves +0.0.  Running sums
+    start at +0.0, so the approximant has the same bits either way."""
+    ivp = _ivp(1.0, 1.0, 1.0, -0.0, 2.0, 1.0)
+    oracle = _convolve_cascade(ivp, 20)
+    assert any(np.signbit(v_n[:-1]).any() for _, v_n in oracle)
+    _assert_same_tops_and_positive_zeros_below(adomian_components(ivp, 20), oracle)
+    _assert_same_approximant(ivp, 20, oracle)
+
+
+def _decades(low, high):
+    """Positive floats m * 10**e, m in [1, 10), e in [low, high]."""
+    return st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 10.0, exclude_max=True), st.integers(low, high))
+
+
+@st.composite
+def cascade_problems(draw):
+    """Rates and starts over 60 decades, couplings and starts sometimes 0: some
+    cascades stay normal, some reach subnormals, some overflow."""
+    a, c = draw(_decades(-30, 30)), draw(_decades(-30, 30))
+    b, d = (draw(st.one_of(st.just(0.0), _decades(-30, 30))) for _ in range(2))
+    x0, y0 = (draw(st.one_of(st.just(0.0), _decades(-30, 30))) for _ in range(2))
+    return _ivp(a, b, c, d, x0, y0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(cascade_problems(), st.integers(0, 40))
+def test_adomian_components_are_the_convolve_cascade_on_drawn_problems(ivp, order):
+    _assert_convolve_cascade_bits(ivp, order)
+
+
+@pytest.mark.parametrize("method", [MethodKind.ADOMIAN, MethodKind.HPM], ids=lambda m: m.value)
+def test_the_cascade_multiplies_no_polynomials(monkeypatch, method):
+    """Order 1000 without a polynomial product: the cascade is O(order**2) scalar work."""
+
+    def refuse(*args):
+        raise AssertionError("_pmul called")
+
+    monkeypatch.setattr(methods_module, "_pmul", refuse)
+    components = adomian_components(IVP_V, 1000)
+    assert len(components) == 1001 and components[-1][0].size == 1001
+    series = method_series(IVP_V, method, 1000)
+    assert series.x_coeffs.size == series.y_coeffs.size == 1001
+
+
 @pytest.mark.parametrize("ivp", [IVP_I, IVP_V], ids=["case-I", "case-V"])
 def test_vim_past_the_degree_cap_still_reproduces_the_series(ivp):
     """Iterate 80 keeps its terms through degree 80, so it agrees like the ADM sum."""
@@ -505,11 +646,12 @@ def test_adomian_and_vim_steps_meet_their_rounding_bound(name):
 
 
 # SHA-256 of the order-20 coefficient bytes, x then y, as little-endian doubles.
-# Taylor sums its products with math.fsum, and each product of the decomposition
-# cascade has a single non-zero term, so no BLAS kernel's summation order can
-# reach these bytes; CI reruns this test under OpenBLAS's Prescott and Haswell
-# kernels.  VIM is left out: its products are dot products (np.convolve calls
-# ddot) of many non-zero terms, whose grouping the kernel chooses.
+# Taylor sums its products with math.fsum, and the decomposition cascade is a
+# scalar recurrence in Python floats that makes no BLAS call, so no BLAS
+# kernel's summation order can reach these bytes; CI reruns this test under
+# OpenBLAS's Prescott and Haswell kernels.  VIM is left out: its products are
+# dot products (np.convolve calls ddot) of many non-zero terms, whose grouping
+# the kernel chooses.
 SERIES_SHA256 = {
     ("case-I", "taylor"): "383551951f7e167602afa115136b11fcd9f8302cee9287bdf176fa893c53fafd",
     ("case-I", "adomian"): "d820f82f6784b859e6d250ba60b4429e2836c339bef69d1a24a3a7277f2a49e2",
