@@ -171,7 +171,7 @@ def cmd_run(args) -> int:
     label, ivp, order = _resolve_problem(args)
     method = MethodKind(args.method)
     cfg = IntegratorConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
-    report, reference, approx = _compare_with_reference(
+    report, reference, approx, c_ref, c_approx = _compare_with_reference(
         ivp, method, order, points=args.points, cfg=cfg, delta=args.delta
     )
 
@@ -179,7 +179,7 @@ def cmd_run(args) -> int:
     base = os.path.join(args.out, f"{label}_{method.value}_order{order}")
     written = []
     if args.format in ("csv", "all"):
-        write_csv_tables(base + "_timeseries.csv", base + "_phase.csv", reference, approx, ivp.params)
+        write_csv_tables(base + "_timeseries.csv", base + "_phase.csv", reference, approx, c_ref, c_approx)
         written += [base + "_timeseries.csv", base + "_phase.csv"]
     write_report_json(base + "_report.json", label, ivp.t_end, report)
     written.append(base + "_report.json")

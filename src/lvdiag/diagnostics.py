@@ -62,8 +62,9 @@ def divergence_time(approx: Trajectory, reference: Trajectory, delta: float = 1.
     """First grid time where the approximant leaves the reference by more than delta.
 
     The deviation at a sample is max(|dx|, |dy|) / (1 + max(|x_ref|, |y_ref|)).
-    Returns None when the whole grid stays within delta.  Both trajectories
-    must share the identical time grid.
+    That scale mixes absolute and relative error, so t_div is not invariant
+    under the model's scalings x -> lambda*x, y -> mu*y.  Returns None when
+    the whole grid stays within delta.  Both trajectories must share one grid.
     """
     if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
@@ -173,18 +174,14 @@ def self_intersection(traj: Trajectory) -> SegmentCrossing | None:
     return SegmentCrossing(first_i, first_j, _crossing_point(ax, ay, dx, dy, first_i, first_j))
 
 
-def _in_domain(traj: Trajectory) -> np.ndarray:
-    """Mask of the samples inside the invariant's domain: both populations positive."""
-    return (traj.x > 0.0) & (traj.y > 0.0)
-
-
 def _invariant_column(p: ModelParams, traj: Trajectory) -> np.ndarray:
     """C per sample, NaN where a population is non-positive (outside its domain).
 
-    An invariant past the double range inside the domain raises
+    The drifts, the excluded samples and the report tables all read this
+    column.  An invariant past the double range inside the domain raises
     ``NonFiniteError`` naming the first such sample's time.
     """
-    inside = _in_domain(traj)
+    inside = (traj.x > 0.0) & (traj.y > 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         inner = _first_integral(p, traj.x[inside], traj.y[inside])
     finite = np.isfinite(inner)
@@ -196,6 +193,19 @@ def _invariant_column(p: ModelParams, traj: Trajectory) -> np.ndarray:
     return values
 
 
+def _drift(t: np.ndarray, column: np.ndarray) -> float:
+    """Largest |C - C[0]| of an ``_invariant_column`` with a finite C[0], skipping its NaNs.
+
+    A drift past the double range raises ``NonFiniteError`` naming its first time.
+    """
+    with np.errstate(over="ignore"):
+        drift = np.abs(column - column[0])
+    worst = float(np.fmax.reduce(drift))
+    if worst == math.inf:
+        raise NonFiniteError(f"first integral overflows at t={float(t[np.argmax(drift == worst)])!r}")
+    return worst
+
+
 def conservation_drift(traj: Trajectory, p: ModelParams) -> float:
     """Largest drift of the first integral across the trajectory samples.
 
@@ -205,19 +215,9 @@ def conservation_drift(traj: Trajectory, p: ModelParams) -> float:
     invariant, or a drift from it, past the double range raises
     ``NonFiniteError`` naming the first such sample's time.
     """
-    inside = _in_domain(traj)
-    if not inside[0]:
-        raise PositivityError(
-            f"first sample ({traj.x[0]}, {traj.y[0]}) must have positive populations"
-        )
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = _first_integral(p, traj.x[inside], traj.y[inside])
-        drift = np.abs(values - values[0])
-    worst = float(np.max(drift))  # NaN or inf when any drift is
-    if not math.isfinite(worst):
-        t = float(traj.t[inside][np.argmin(np.isfinite(drift))])
-        raise NonFiniteError(f"first integral overflows at t={t!r}")
-    return worst
+    if not (traj.x[0] > 0.0 and traj.y[0] > 0.0):
+        raise PositivityError(f"first sample ({traj.x[0]}, {traj.y[0]}) must have positive populations")
+    return _drift(traj.t, _invariant_column(p, traj))
 
 
 def _closes(sample, period: float) -> bool:
@@ -283,8 +283,8 @@ def _compare_with_reference(
     points: int = 2001,
     cfg: IntegratorConfig = IntegratorConfig(),
     delta: float = 1.0,
-) -> tuple[DiagnosticsReport, Trajectory, Trajectory]:
-    """``failure_report`` with the reference and approximant trajectories it compared."""
+) -> tuple[DiagnosticsReport, Trajectory, Trajectory, np.ndarray, np.ndarray]:
+    """``failure_report`` and what it read: (report, reference, approx, c_ref, c_approx)."""
     if not isinstance(points, numbers.Integral) or points < 4:
         raise ValueError(f"need at least 4 grid points, got {points}")
     grid = np.linspace(0.0, ivp.t_end, points)
@@ -294,8 +294,11 @@ def _compare_with_reference(
     with _named_overflow(scheme):
         series = method_series(ivp, method, order)
         approx = sample_series(series, grid)
-        drift_approx = conservation_drift(approx, ivp.params)
-    drift_ref = conservation_drift(reference, ivp.params)
+        # Both C columns start at the problem's start, which solve found positive.
+        c_approx = _invariant_column(ivp.params, approx)
+        drift_approx = _drift(approx.t, c_approx)
+    c_ref = _invariant_column(ivp.params, reference)
+    drift_ref = _drift(reference.t, c_ref)
     period = solution.period
     closed_ref = closed_approx = False
     if period is not None:
@@ -312,6 +315,6 @@ def _compare_with_reference(
         closed_orbit=closed_approx,
         closed_orbit_ref=closed_ref,
         period_estimate=period,
-        excluded_samples=int(np.count_nonzero(~_in_domain(approx))),
+        excluded_samples=int(np.count_nonzero(np.isnan(c_approx))),
     )
-    return report, reference, approx
+    return report, reference, approx, c_ref, c_approx

@@ -10,7 +10,8 @@ coefficient-level agreement.
 
 For this bilinear model every decomposition component is a single term,
 u_n = U_n t**n and v_n = V_n t**n, so the cascade is a scalar recurrence,
-O(order**2) in all:
+O(order**2) time and O(order) memory in all, and the approximant of order n
+holds U_0..U_n:
 
     U_0 = x0,  V_0 = y0
     A_n = ((0.0 + U_0 V_n) + U_1 V_{n-1}) + ... + U_n V_0
@@ -18,13 +19,12 @@ O(order**2) in all:
 
 These are the top entries, bit for bit, of the polynomial cascade that forms
 A_n as the sum, for k = 0..n, of the ``np.convolve`` products of u_k and
-v_{n-k}.  The top entry
-of each product has the one term U_k V_{n-k}, which the dot product behind
-``np.convolve`` adds to a +0.0 start, and the cascade adds those tops left
-to right.  Adding 0.0 first changes only a -0.0 product, to +0.0, and a sum
-that starts 0.0 + U_0 V_n is never -0.0, so one +0.0 start gives the same
-additions.  No BLAS kernel is involved.  The tests keep the polynomial
-cascade as the recurrence's oracle.
+v_{n-k}.  The top entry of each product has the one term U_k V_{n-k}, which
+the dot product behind ``np.convolve`` adds to a +0.0 start, and the cascade
+adds those tops left to right.  Adding 0.0 first changes only a -0.0
+product, to +0.0, and a sum that starts 0.0 + U_0 V_n is never -0.0, so one
++0.0 start gives the same additions.  No BLAS kernel is involved.  The tests
+keep the polynomial cascade as the recurrence's oracle.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exceptions import NonFiniteError
 from .series import InitialValueProblem, SeriesSolution, _check_order, taylor_coefficients
 
 # A variational iterate k is only trustworthy through order k, so its
@@ -100,13 +101,22 @@ def adomian_components(ivp: InitialValueProblem, order: int):
     coupling A_n is exactly that Cauchy sum, so the two schemes build the same
     polynomials term by term.
 
-    Every component is a single term, u_n = U_n t**n and v_n = V_n t**n, so
-    the cascade runs as the scalar recurrence of the module docstring.
-    Component n comes back as n + 1 coefficients, U_n on top of n entries of
-    +0.0.  Coefficients past the double range come out inf or NaN, which
-    sampling refuses.  The polynomial cascade has the same top entries; below
-    them it holds NaN once a coefficient overflows (inf * 0), and -0.0 in
-    places when d is -0.0.
+    Component n comes back as n + 1 coefficients: U_n of the module
+    docstring's scalar recurrence on top of n entries of +0.0.  Coefficients
+    past the double range come out inf or NaN.  The polynomial cascade has
+    the same top entries; below them it holds NaN once a coefficient
+    overflows (inf * 0), and -0.0 in places when d is -0.0.
+    """
+    U, V = _cascade(ivp, order)
+    # Row n of np.diag(U) is U_n at column n and +0.0 elsewhere.
+    return [(u[: n + 1], v[: n + 1]) for n, (u, v) in enumerate(zip(np.diag(U), np.diag(V)))]
+
+
+def _cascade(ivp: InitialValueProblem, order: int) -> np.ndarray:
+    """The (2, order + 1) coefficients U_n, V_n of decomposition components 0..order.
+
+    The sum of components 0..n is ``U[:n + 1] + 0.0``: each entry is U_j plus
+    the other components' +0.0, which turns -0.0 into +0.0 and keeps inf and NaN.
     """
     order = _check_order(order)
     p = ivp.params
@@ -119,25 +129,7 @@ def adomian_components(ivp: InitialValueProblem, order: int):
             coupling += u_k * v_n_k
         U.append((p.a * U[n] - p.b * coupling) / (n + 1))
         V.append((-p.c * V[n] + p.d * coupling) / (n + 1))
-    # Row n of np.diag(U) is U_n at column n and +0.0 elsewhere.
-    return [(u[: n + 1], v[: n + 1]) for n, (u, v) in enumerate(zip(np.diag(U), np.diag(V)))]
-
-
-def _adomian_sums(ivp: InitialValueProblem, order: int) -> np.ndarray:
-    """Row n holds the sums (x, y) of decomposition components 0..n, zero-padded.
-
-    One ``np.cumsum`` runs down the zero-padded components from a leading
-    zero row, so each entry's additions run one after another in component
-    order, 0 + u_0 + ... + u_n: every row has the bits of a running sum over
-    the components, signed zeros and non-finite entries included.
-    """
-    components = adomian_components(ivp, order)
-    size = len(components)
-    terms = np.zeros((size + 1, 2, size))
-    for n, (u_n, v_n) in enumerate(components, 1):
-        terms[n, 0, :n] = u_n
-        terms[n, 1, :n] = v_n
-    return np.cumsum(terms, axis=0)[1:]
+    return np.array((U, V))
 
 
 def vim_iterates(ivp: InitialValueProblem, iterations: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -204,7 +196,7 @@ def methods_agree(ivp: InitialValueProblem, order: int) -> list[AgreementReport]
     The Taylor recurrence, the decomposition cascade and the variational
     iterates are built once, to ``order``.  Report k reads the first k + 1
     Taylor coefficients, the running sum of decomposition components 0..k
-    (the approximant ``method_series(ivp, MethodKind.ADOMIAN, k)``) and
+    (``method_series(ivp, MethodKind.ADOMIAN, k)``'s coefficients) and
     variational iterate k, truncated to order k, since that is as far as it
     is guaranteed to agree.  The deviation metric per coefficient is
     |candidate - taylor| / (1 + |taylor|).  The list index is the order.
@@ -216,12 +208,12 @@ def methods_agree(ivp: InitialValueProblem, order: int) -> list[AgreementReport]
     """
     taylor = taylor_coefficients(ivp, order)
     size = taylor.x_coeffs.size
+    within = np.tri(size, dtype=bool)[:, None, :]
     candidates = np.zeros((2, size, 2, size))
-    candidates[0] = _adomian_sums(ivp, order)
+    candidates[0] = np.where(within, _cascade(ivp, order) + 0.0, 0.0)
     for k, iterate in enumerate(vim_iterates(ivp, order)):
         for c, coeffs in enumerate(iterate):
             candidates[1, k, c, : k + 1] = coeffs[: k + 1]
-    within = np.tri(size, dtype=bool)[:, None, :]
     reference = np.where(within, np.stack((taylor.x_coeffs, taylor.y_coeffs)), 0.0)
     deviation = np.abs(candidates - reference)
     deviation /= 1.0 + np.abs(reference)
@@ -234,12 +226,19 @@ def method_series(ivp: InitialValueProblem, method: MethodKind, order: int) -> S
     For decomposition and homotopy perturbation this is the sum of the
     components 0..order, the homotopy approximant at q = 1.  For the
     variational scheme it is the final iterate, whose polynomial degree may
-    exceed the iteration count (up to the degree cap).
+    exceed the iteration count (up to the degree cap).  A coefficient past
+    the double range raises ``NonFiniteError`` naming the lowest such
+    degree, as ``taylor_coefficients`` does.
     """
     if method is MethodKind.TAYLOR:
         return taylor_coefficients(ivp, order)
     if method in (MethodKind.ADOMIAN, MethodKind.HPM):
-        return SeriesSolution(*_adomian_sums(ivp, order)[-1].copy())
-    if method is MethodKind.VIM:
-        return SeriesSolution(*vim_iterates(ivp, order)[-1])
-    raise ValueError(f"unknown method {method!r}")
+        x, y = _cascade(ivp, order) + 0.0
+    elif method is MethodKind.VIM:
+        x, y = vim_iterates(ivp, order)[-1]
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    overflow = ~(np.isfinite(x) & np.isfinite(y))
+    if overflow.any():
+        raise NonFiniteError(f"series coefficient {int(overflow.argmax())} overflows")
+    return SeriesSolution(x, y)

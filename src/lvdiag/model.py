@@ -7,8 +7,7 @@ The populations x (prey) and y (predator) evolve under
 
 with growth rate a, predation rate b, predator decay c and conversion rate d.
 The module holds the validated parameters and states, and a private kernel
-that skips validation: the first integral that closed orbits conserve, which
-the drift diagnostic and the report tables evaluate.
+that skips validation: the first integral that closed orbits conserve.
 """
 
 from __future__ import annotations
@@ -68,9 +67,8 @@ class PopulationState:
 def _first_integral(p, x, y):
     """C = c*ln(x) + a*ln(y) - d*x - b*y on floats or arrays, with no domain check.
 
-    The one evaluation of the invariant: the drift diagnostic and the report
-    tables both call it, so they agree bit for bit.  The logarithms are kept as
-    a sum rather than ln(x**c * y**a) so that large populations do not overflow
-    the power.
+    ``diagnostics._invariant_column`` evaluates it once per trajectory.  The
+    logarithms are kept as a sum rather than ln(x**c * y**a) so that large
+    populations do not overflow the power.
     """
     return p.c * np.log(x) + p.a * np.log(y) - p.d * x - p.b * y

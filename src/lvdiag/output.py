@@ -8,8 +8,7 @@ import math
 
 import numpy as np
 
-from .diagnostics import DiagnosticsReport, SegmentCrossing, _invariant_column
-from .model import ModelParams
+from .diagnostics import DiagnosticsReport, SegmentCrossing
 from .trajectory import Trajectory
 
 TIMESERIES_HEADER = "t,x_ref,y_ref,x_approx,y_approx,C_ref,C_approx"
@@ -194,15 +193,16 @@ def _cell_bytes(block: np.ndarray) -> np.ndarray:
 
 
 def write_csv_tables(
-    timeseries_path, phase_path, reference: Trajectory, approx: Trajectory, p: ModelParams
+    timeseries_path, phase_path, reference: Trajectory, approx: Trajectory, c_ref, c_approx
 ) -> None:
     """Write the time-series and phase tables, formatting one block of rows at a time.
 
+    ``c_ref`` and ``c_approx`` fill the C columns, a NaN as an empty cell.
     Each block's cells are formatted once, into one byte matrix; the phase
     rows are its x_ref, y_ref, x_approx and y_approx cells.
     """
     phase = (reference.x, reference.y, approx.x, approx.y)
-    columns = (reference.t, *phase, _invariant_column(p, reference), _invariant_column(p, approx))
+    columns = (reference.t, *phase, c_ref, c_approx)
     with open(timeseries_path, "wb") as series_out, open(phase_path, "wb") as phase_out:
         series_out.write(TIMESERIES_HEADER.encode() + b"\n")
         phase_out.write(PHASE_HEADER.encode() + b"\n")

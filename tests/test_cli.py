@@ -8,6 +8,7 @@ import warnings
 import pytest
 
 from lvdiag import InitialValueProblem, MethodKind, SeriesSolution, failure_report, preset, preset_names, solve
+from lvdiag import diagnostics
 from lvdiag.cli import _verification_groups, main
 from lvdiag.output import PHASE_HEADER, TIMESERIES_HEADER
 
@@ -287,18 +288,20 @@ def test_run_overflowing_series_is_a_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "method, order, first_overflow",
-    # ADM coefficients from 305 on are inf, so even the sample at t=0 is not finite.
-    [("adomian", "400", 0.0), ("taylor", "300", 1.055)],
+    "method, order, cause",
+    [
+        # ADM coefficients from 305 on are inf: the first one is named, not a time.
+        ("adomian", "400", "series coefficient 305 overflows"),
+        # Every coefficient is finite, but the polynomial overflows on the grid.
+        ("taylor", "300", "series overflows at t=1.055"),
+    ],
+    ids=["adomian-400", "taylor-300-1.055"],
 )
-def test_run_overflowing_approximant_names_scheme_order_and_time(
-    tmp_path, capsys, method, order, first_overflow
-):
+def test_run_overflowing_approximant_names_scheme_order_and_time(tmp_path, capsys, method, order, cause):
     out = tmp_path / "out"
     args = ["run", "--preset", "case-I", "--method", method, "--order", order, "--out", str(out)]
     assert main(args) == 2
-    want = f"error: {method} order {order}: series overflows at t={first_overflow!r}\n"
-    assert capsys.readouterr().err == want
+    assert capsys.readouterr().err == f"error: {method} order {order}: {cause}\n"
     assert not out.exists()
 
 
@@ -352,13 +355,29 @@ def test_run_overflowing_vim_iterates_warn_nothing(tmp_path, capsys):
         warnings.simplefilter("always")
         assert main([*args, "--out", str(out)]) == 2
     assert caught == []
-    assert capsys.readouterr().err == "error: vim order 320: series overflows at t=0.0\n"
+    assert capsys.readouterr().err == "error: vim order 320: series coefficient 305 overflows\n"
     assert not out.exists()
 
 
 def test_run_huge_adomian_approximant_raises_no_warning(tmp_path, capsys):
     assert _run(tmp_path, "--preset", "case-V", "--method", "adomian", "--order", "200") == 0
     assert capsys.readouterr().err == ""
+
+
+def test_run_evaluates_the_first_integral_once_per_trajectory(tmp_path, monkeypatch, capsys):
+    """The drifts, the excluded samples and the CSV's C columns all read one
+    column per trajectory: two evaluations per run, one per trajectory."""
+    calls = []
+
+    def counted(*args, kernel=diagnostics._first_integral):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(diagnostics, "_first_integral", counted)
+    assert _run(tmp_path, "--preset", "case-I", "--method", "hpm", "--format", "all") == 0
+    assert len(calls) == 2
+    with open(tmp_path / "case-I_hpm_order5_report.json") as handle:
+        assert json.load(handle)["excluded_samples"] > 0
 
 
 def test_verify_overflowing_order_is_a_usage_error(capsys):

@@ -1,6 +1,7 @@
 """Failure detectors: divergence time, self-crossing, drift, bundled report."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from lvdiag import (
     solve,
     taylor_coefficients,
 )
+from lvdiag.diagnostics import _invariant_column
 
 CASE_V = preset("case-V")
 CASE_I = preset("case-I")
@@ -174,6 +176,10 @@ def test_conservation_drift_constant_trajectory_is_zero():
 def test_conservation_drift_skips_nonpositive_samples():
     traj = Trajectory([0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [1.0, 1.0, 1.0])
     assert conservation_drift(traj, CASE_V.params) == 0.0
+    # The column it reads is NaN outside the domain, -0.0 and negatives included.
+    traj = Trajectory([0.0, 1.0, 2.0, 3.0], [3.0, 0.0, 3.0, -1.0], [2.0, 2.0, -0.0, 2.0])
+    assert np.isnan(_invariant_column(CASE_V.params, traj)).tolist() == [False, True, True, True]
+    assert conservation_drift(traj, CASE_V.params) == 0.0
 
 
 def test_conservation_drift_requires_positive_anchor():
@@ -187,6 +193,37 @@ def test_conservation_drift_of_an_overflowing_invariant_is_nonfinite_not_a_warni
     traj = Trajectory([0.0, 1.0, 2.0], [1.0, 1e307, 1.0], [1.0, 1.0, 1.0])
     with pytest.raises(NonFiniteError, match=r"^first integral overflows at t=1\.0$"):
         conservation_drift(traj, ModelParams(1.0, 1.0, 1.0, 100.0))
+
+
+@pytest.mark.parametrize(
+    "x, y, rates",
+    [
+        ([1.0, 1e307], [1.0, 1.0], (1.0, 1.0, 1.0, 100.0)),  # d * x is -inf
+        ([1.0, 1e-300], [1.0, 1e300], (1e308, 1.0, 1e308, 1.0)),  # -inf + inf is NaN
+    ],
+    ids=["d-x-is-inf", "inf-minus-inf"],
+)
+def test_an_overflowing_invariant_is_refused_with_no_warning(x, y, rates):
+    """The column and the drift read from it name the first sample whose C is not finite."""
+    traj = Trajectory([0.0, 1.0], x, y)
+    p = ModelParams(*rates)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match=r"^first integral overflows at t=1\.0$"):
+            _invariant_column(p, traj)
+        with pytest.raises(NonFiniteError, match=r"^first integral overflows at t=1\.0$"):
+            conservation_drift(traj, p)
+
+
+def test_a_drift_past_the_double_range_names_its_time():
+    """C is about 1e308 at the start and -1e308 at t = 2: both finite, their difference not."""
+    traj = Trajectory([0.0, 1.0, 2.0, 3.0], [math.e, 1.0, 1.0 / math.e, 1.0], [1.0, 1.0, 1.0, 1.0])
+    p = ModelParams(1e308, 1.0, 1e308, 1.0)
+    assert np.isfinite(_invariant_column(p, traj)).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match=r"^first integral overflows at t=2\.0$"):
+            conservation_drift(traj, p)
 
 
 def test_series_drift_dwarfs_the_reference_drift():

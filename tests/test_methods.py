@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from lvdiag import (
     IntegratorConfig,
     MethodKind,
     ModelParams,
+    NonFiniteError,
     PopulationState,
     SeriesSolution,
     adomian_components,
@@ -102,9 +104,12 @@ def test_hpm_sum_reproduces_taylor():
 
 
 def test_adomian_cascade_past_the_double_range_raises_no_warning():
-    """Coefficients that overflow come out non-finite; sampling refuses them."""
-    sol = method_series(IVP_I, MethodKind.ADOMIAN, 305)
-    assert not np.all(np.isfinite(sol.x_coeffs))
+    """Coefficients that overflow come out non-finite; the approximant names the first one."""
+    u_305, v_305 = adomian_components(IVP_I, 305)[-1]
+    assert not (math.isfinite(u_305[-1]) and math.isfinite(v_305[-1]))
+    for method, order in ((MethodKind.ADOMIAN, 305), (MethodKind.HPM, 400), (MethodKind.VIM, 320)):
+        with pytest.raises(NonFiniteError, match=r"^series coefficient 305 overflows$"):
+            method_series(IVP_I, method, order)
 
 
 def _running_sums(components):
@@ -128,17 +133,37 @@ def _running_sums(components):
     ],
     ids=["case-V", "negative-zero-start", "case-I-overflow"],
 )
-def test_adomian_sums_are_the_running_sums_bitwise(monkeypatch, ivp, order):
-    components = adomian_components(ivp, order)
-    monkeypatch.setattr(methods_module, "adomian_components", lambda ivp, order: components)
-    sums = methods_module._adomian_sums(ivp, order)
-    assert sums.shape == (order + 1, 2, order + 1)
-    for n, (x, y) in enumerate(_running_sums(components)):
-        assert sums[n, 0, : n + 1].tobytes() == x.tobytes()
-        assert sums[n, 1, : n + 1].tobytes() == y.tobytes()
-        assert sums[n, :, n + 1 :].tobytes() == bytes(16 * (order - n))
-    approx = method_series(ivp, MethodKind.ADOMIAN, order)
-    assert (approx.x_coeffs.tobytes(), approx.y_coeffs.tobytes()) == (x.tobytes(), y.tobytes())
+def test_adomian_sums_are_the_running_sums_bitwise(ivp, order):
+    """``method_series`` at every order n is the running sum of components 0..n,
+    or names the first coefficient that overflows; ``methods_agree`` rows read
+    those same sums."""
+    sums = list(_running_sums(adomian_components(ivp, order)))
+    for n, (x, y) in enumerate(sums):
+        overflow = ~(np.isfinite(x) & np.isfinite(y))
+        if overflow.any():
+            with pytest.raises(NonFiniteError, match=rf"^series coefficient {overflow.argmax()} overflows$"):
+                method_series(ivp, MethodKind.ADOMIAN, n)
+            continue
+        approx = method_series(ivp, MethodKind.ADOMIAN, n)
+        assert (approx.x_coeffs.tobytes(), approx.y_coeffs.tobytes()) == (x.tobytes(), y.tobytes())
+    top = min(order, 304)  # case-I's Taylor coefficient 305 overflows
+    taylor = taylor_coefficients(ivp, top)
+    for k, report in enumerate(methods_agree(ivp, top)):
+        want = np.stack((taylor.x_coeffs[: k + 1], taylor.y_coeffs[: k + 1]))
+        deviation = np.max(np.abs(np.stack(sums[k]) - want) / (1.0 + np.abs(want)))
+        assert report.adomian.hex() == float(deviation).hex(), k
+
+
+def test_adomian_approximant_at_order_1000_stays_under_a_megabyte():
+    """The approximant is the recurrence's coefficients: no (order + 1)**2 array is built."""
+    tracemalloc.start()
+    try:
+        series = method_series(IVP_V, MethodKind.ADOMIAN, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert series.x_coeffs.size == 1001
+    assert peak < 2**20
 
 
 def test_vim_iterate_sequence_shape():
@@ -230,18 +255,23 @@ def _assert_same_tops_and_positive_zeros_below(components, oracle):
 
 
 def _assert_same_approximant(ivp, order, oracle):
-    """The ADM approximant has the bits of the oracle components' running sum."""
-    *_, (x, y) = _running_sums(oracle)
-    approx = method_series(ivp, MethodKind.ADOMIAN, order)
-    assert (approx.x_coeffs.tobytes(), approx.y_coeffs.tobytes()) == (x.tobytes(), y.tobytes())
+    """The ADM coefficient sums have the bits of the oracle components' running
+    sum, and so has the approximant when they are finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        *_, (x, y) = _running_sums(oracle)
+    assert (methods_module._cascade(ivp, order) + 0.0).tobytes() == x.tobytes() + y.tobytes()
+    if _is_finite(oracle):
+        approx = method_series(ivp, MethodKind.ADOMIAN, order)
+        assert (approx.x_coeffs.tobytes(), approx.y_coeffs.tobytes()) == (x.tobytes(), y.tobytes())
 
 
 def _assert_convolve_cascade_bits(ivp, order):
     """Finite cascades equal the oracle byte for byte, and so do their
     approximants.  An overflowing cascade keeps its top entries.  Its
-    approximant keeps every entry that the oracle's running sum has finite;
-    where the oracle's lower NaNs reach the sum, it may hold inf or a finite
-    sum instead of NaN, but sampling still refuses it."""
+    coefficient sums keep every entry that the oracle's running sum has
+    finite; where the oracle's lower NaNs reach the sum, they may hold inf or
+    a finite sum instead of NaN.  The approximant names the first coefficient
+    that the oracle's sum has non-finite."""
     components, oracle = adomian_components(ivp, order), _convolve_cascade(ivp, order)
     _assert_same_tops_and_positive_zeros_below(components, oracle)
     if _is_finite(oracle):
@@ -252,11 +282,12 @@ def _assert_convolve_cascade_bits(ivp, order):
         return
     with np.errstate(over="ignore", invalid="ignore"):
         *_, sums = _running_sums(oracle)
-    approx = method_series(ivp, MethodKind.ADOMIAN, order)
-    for got, want in zip((approx.x_coeffs, approx.y_coeffs), sums):
+    for got, want in zip(methods_module._cascade(ivp, order) + 0.0, sums):
         finite = np.isfinite(want)
         assert got[finite].tobytes() == want[finite].tobytes()
-    assert not (np.isfinite(approx.x_coeffs).all() and np.isfinite(approx.y_coeffs).all())
+    overflow = ~(np.isfinite(sums[0]) & np.isfinite(sums[1]))
+    with pytest.raises(NonFiniteError, match=rf"^series coefficient {overflow.argmax()} overflows$"):
+        method_series(ivp, MethodKind.ADOMIAN, order)
 
 
 def _ivp(a, b, c, d, x0, y0):
@@ -388,13 +419,13 @@ def test_a_nan_deviation_is_the_worst_in_either_place(monkeypatch):
         assert [r.adomian for r in rows] == [r.adomian for r in clean]
         monkeypatch.undo()
 
-        def poisoned_adomian(ivp, order):
-            components = _copied(adomian_components(ivp, order))
-            components[2][component][1] = math.nan
-            return components
+        def poisoned_cascade(ivp, order, cascade=methods_module._cascade):
+            coeffs = cascade(ivp, order)
+            coeffs[component][2] = math.nan
+            return coeffs
 
         # Every running sum from component 2 on holds the NaN.
-        monkeypatch.setattr(methods_module, "adomian_components", poisoned_adomian)
+        monkeypatch.setattr(methods_module, "_cascade", poisoned_cascade)
         rows = methods_agree(IVP_V, 6)
         assert [math.isnan(r.adomian) for r in rows] == [k >= 2 for k in range(7)]
         assert [math.isnan(r.worst()) for r in rows] == [k >= 2 for k in range(7)]

@@ -28,6 +28,7 @@ from lvdiag import (
     NonFiniteError,
     PopulationState,
     Trajectory,
+    conservation_drift,
     divergence_time,
     method_series,
     preset,
@@ -37,7 +38,7 @@ from lvdiag import (
     solve,
     taylor_coefficients,
 )
-from lvdiag.diagnostics import _closes, _compare_with_reference
+from lvdiag.diagnostics import _closes, _compare_with_reference, _invariant_column
 
 T_END = 10.0
 # The report's closure window, in periods, restated so that the standalone
@@ -100,12 +101,18 @@ def test_reference_and_period_match_an_independent_dop853(ivp):
 @given(problems(), st.sampled_from(list(MethodKind)), st.integers(2, 12))
 def test_one_pass_report_agrees_with_standalone_passes(ivp, method, order):
     points = 401
-    report, reference, approx = _compare_with_reference(ivp, method, order, points=points)
+    report, reference, approx, c_ref, c_approx = _compare_with_reference(ivp, method, order, points=points)
     grid = np.linspace(0.0, T_END, points)
     standalone = solve(ivp).sample(grid)
     np.testing.assert_allclose(reference.x, standalone.x, rtol=1e-8)
     np.testing.assert_allclose(reference.y, standalone.y, rtol=1e-8)
     assert report.divergence_time == divergence_time(approx, standalone)
+    # The drifts and the excluded samples are read from the invariant columns.
+    assert c_ref.tobytes() == _invariant_column(ivp.params, reference).tobytes()
+    assert c_approx.tobytes() == _invariant_column(ivp.params, approx).tobytes()
+    assert report.max_invariant_drift == conservation_drift(approx, ivp.params)
+    assert report.max_invariant_drift_ref == conservation_drift(reference, ivp.params)
+    assert report.excluded_samples == np.count_nonzero((approx.x <= 0.0) | (approx.y <= 0.0))
 
     period = solve(ivp, find_period=True).period
     if report.period_estimate is None:

@@ -92,6 +92,21 @@ def test_coefficients_meet_their_rounding_bound(ivp, order):
             assert abs(coeffs[n + 1] - exact) <= bound
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(problems(), st.integers(0, 40))
+def test_swapping_the_populations_reverses_time_bitwise(ivp, order):
+    """(x, y, a, b, c, d) -> (y, x, c, d, a, b) maps x(t) to y(-t), so the
+    swapped problem's coefficients are X'_n = (-1)**n Y_n and Y'_n = (-1)**n X_n,
+    bit for bit: fsum does not depend on the order of its terms and every
+    negation is exact.  Adding 0.0 sets aside the sign of a zero coefficient."""
+    p, start = ivp.params, ivp.initial
+    swapped = InitialValueProblem(ModelParams(p.c, p.d, p.a, p.b), PopulationState(start.y, start.x), 1.0)
+    series, mirrored = taylor_coefficients(ivp, order), taylor_coefficients(swapped, order)
+    sign = (-1.0) ** np.arange(order + 1)
+    assert (mirrored.x_coeffs + 0.0).tobytes() == (sign * series.y_coeffs + 0.0).tobytes()
+    assert (mirrored.y_coeffs + 0.0).tobytes() == (sign * series.x_coeffs + 0.0).tobytes()
+
+
 def test_decoupled_coefficients_are_exponential_series():
     p = ModelParams(0.7, 0.0, 1.3, 0.0)
     ivp = InitialValueProblem(p, PopulationState(2.0, 5.0), 1.0)
