@@ -28,10 +28,8 @@ from .integrate import IntegratorConfig, solve
 from .methods import (
     AgreementReport,
     MethodKind,
-    adomian_components,
     method_series,
     methods_agree,
-    vim_iterates,
 )
 from .model import ModelParams, PopulationState
 from .presets import preset, preset_names
@@ -62,7 +60,6 @@ __all__ = [
     "StepSizeUnderflowError",
     "Trajectory",
     "UnknownPresetError",
-    "adomian_components",
     "conservation_drift",
     "divergence_time",
     "failure_report",
@@ -74,5 +71,4 @@ __all__ = [
     "self_intersection",
     "solve",
     "taylor_coefficients",
-    "vim_iterates",
 ]

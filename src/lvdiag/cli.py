@@ -94,44 +94,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = cmd = sub.add_parser("run", help="compare one scheme against the reference and write reports")
-    cmd.add_argument("--preset", help=f"named case ({', '.join(preset_names())})")
-    group = cmd.add_argument_group("custom problem (all six required together)")
+    run = sub.add_parser("run", help="compare one scheme against the reference and write reports")
+    run.add_argument("--preset", help=f"named case ({', '.join(preset_names())})")
+    group = run.add_argument_group("custom problem (all six required together)")
     group.add_argument("--a", type=_positive_float, help="prey growth rate")
     group.add_argument("--b", type=float, help="predation rate (>= 0)")
     group.add_argument("--c", type=_positive_float, help="predator decay rate")
     group.add_argument("--d", type=float, help="conversion rate (>= 0)")
     group.add_argument("--x0", type=_positive_float, help="initial prey population (> 0)")
     group.add_argument("--y0", type=_positive_float, help="initial predator population (> 0)")
-    cmd.add_argument(
+    run.add_argument(
         "--method",
         choices=[m.value for m in MethodKind],
         default=MethodKind.TAYLOR.value,
         help="approximation scheme (default: taylor)",
     )
-    cmd.add_argument(
+    run.add_argument(
         "--order",
         type=_nonnegative_int,
         help=f"truncation order (default: {_DEFAULT_ORDER}); taylor, adomian and hpm cost O(order^2) time, "
         "vim O(order^3)",
     )
-    cmd.add_argument(
+    run.add_argument(
         "--t-end", type=_positive_float, help="report horizon (default: the preset's, 10 for custom)"
     )
-    cmd.add_argument(
+    run.add_argument(
         "--points", type=_nonnegative_int, default=2001,
         help="grid samples (default: 2001); the self-crossing scan costs O(points^2) at worst",
     )
-    cmd.add_argument("--rel-tol", type=_positive_float, help="reference relative tolerance")
-    cmd.add_argument("--abs-tol", type=_positive_float, help="reference absolute tolerance")
-    cmd.add_argument("--delta", type=_positive_float, default=1.0, help="divergence threshold (default: 1)")
-    cmd.add_argument(
+    run.add_argument("--rel-tol", type=_positive_float, help="reference relative tolerance")
+    run.add_argument("--abs-tol", type=_positive_float, help="reference absolute tolerance")
+    run.add_argument("--delta", type=_positive_float, default=1.0, help="divergence threshold (default: 1)")
+    run.add_argument(
         "--format",
         choices=("csv", "json", "svg", "all"),
         default="csv",
         help="outputs next to the always-written JSON report (default: csv)",
     )
-    cmd.add_argument("--out", default=".", help="output directory (default: current)")
+    run.add_argument("--out", default=".", help="output directory (default: current)")
     run.set_defaults(handler=cmd_run, rel_tol=IntegratorConfig.rel_tol, abs_tol=IntegratorConfig.abs_tol)
 
     verify = sub.add_parser("verify", help="re-run the library's headline claims")

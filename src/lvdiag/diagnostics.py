@@ -280,9 +280,9 @@ def _compare_with_reference(
     ivp: InitialValueProblem,
     method: MethodKind,
     order: int,
-    points: int = 2001,
-    cfg: IntegratorConfig = IntegratorConfig(),
-    delta: float = 1.0,
+    points: int,
+    cfg: IntegratorConfig,
+    delta: float,
 ) -> tuple[DiagnosticsReport, Trajectory, Trajectory, np.ndarray, np.ndarray]:
     """``failure_report`` and what it read: (report, reference, approx, c_ref, c_approx)."""
     if not isinstance(points, numbers.Integral) or points < 4:

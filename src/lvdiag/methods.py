@@ -25,6 +25,11 @@ adds those tops left to right.  Adding 0.0 first changes only a -0.0
 product, to +0.0, and a sum that starts 0.0 + U_0 V_n is never -0.0, so one
 +0.0 start gives the same additions.  No BLAS kernel is involved.  The tests
 keep the polynomial cascade as the recurrence's oracle.
+
+``method_series`` is the one public way to a scheme's polynomials.  ADM/HPM
+component n is U_n t**n, with U_n coefficient n of
+``method_series(ivp, MethodKind.ADOMIAN, n)`` (a -0.0 reads +0.0), and
+variational iterate k is ``method_series(ivp, MethodKind.VIM, k)``.
 """
 
 from __future__ import annotations
@@ -79,8 +84,8 @@ def _padded(c, length):
     return out
 
 
-def adomian_components(ivp: InitialValueProblem, order: int):
-    """Decomposition components (u_n, v_n) for n = 0..order; also the HPM terms.
+def _cascade(ivp: InitialValueProblem, order: int) -> np.ndarray:
+    """The (2, order + 1) coefficients of the decomposition approximant of ``order``.
 
     Adomian decomposition: u_0, v_0 are the initial populations and each
     update integrates the linear part plus the Adomian polynomial A_n of the
@@ -101,22 +106,10 @@ def adomian_components(ivp: InitialValueProblem, order: int):
     coupling A_n is exactly that Cauchy sum, so the two schemes build the same
     polynomials term by term.
 
-    Component n comes back as n + 1 coefficients: U_n of the module
-    docstring's scalar recurrence on top of n entries of +0.0.  Coefficients
-    past the double range come out inf or NaN.  The polynomial cascade has
-    the same top entries; below them it holds NaN once a coefficient
-    overflows (inf * 0), and -0.0 in places when d is -0.0.
-    """
-    U, V = _cascade(ivp, order)
-    # Row n of np.diag(U) is U_n at column n and +0.0 elsewhere.
-    return [(u[: n + 1], v[: n + 1]) for n, (u, v) in enumerate(zip(np.diag(U), np.diag(V)))]
-
-
-def _cascade(ivp: InitialValueProblem, order: int) -> np.ndarray:
-    """The (2, order + 1) coefficients U_n, V_n of decomposition components 0..order.
-
-    The sum of components 0..n is ``U[:n + 1] + 0.0``: each entry is U_j plus
-    the other components' +0.0, which turns -0.0 into +0.0 and keeps inf and NaN.
+    Component n is U_n t**n, with U_n from the module docstring's scalar
+    recurrence, so the sum of components 0..n is U_0..U_n, each plus the other
+    components' +0.0: that turns -0.0 into +0.0 and keeps inf and NaN.
+    Coefficients past the double range come out inf or NaN.
     """
     order = _check_order(order)
     p = ivp.params
@@ -129,10 +122,10 @@ def _cascade(ivp: InitialValueProblem, order: int) -> np.ndarray:
             coupling += u_k * v_n_k
         U.append((p.a * U[n] - p.b * coupling) / (n + 1))
         V.append((-p.c * V[n] + p.d * coupling) / (n + 1))
-    return np.array((U, V))
+    return np.array((U, V)) + 0.0
 
 
-def vim_iterates(ivp: InitialValueProblem, iterations: int) -> list[tuple[np.ndarray, np.ndarray]]:
+def _vim_iterates(ivp: InitialValueProblem, iterations: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Variational iterates with Lagrange multiplier -1.
 
     The correction functional
@@ -210,8 +203,8 @@ def methods_agree(ivp: InitialValueProblem, order: int) -> list[AgreementReport]
     size = taylor.x_coeffs.size
     within = np.tri(size, dtype=bool)[:, None, :]
     candidates = np.zeros((2, size, 2, size))
-    candidates[0] = np.where(within, _cascade(ivp, order) + 0.0, 0.0)
-    for k, iterate in enumerate(vim_iterates(ivp, order)):
+    candidates[0] = np.where(within, _cascade(ivp, order), 0.0)
+    for k, iterate in enumerate(_vim_iterates(ivp, order)):
         for c, coeffs in enumerate(iterate):
             candidates[1, k, c, : k + 1] = coeffs[: k + 1]
     reference = np.where(within, np.stack((taylor.x_coeffs, taylor.y_coeffs)), 0.0)
@@ -233,9 +226,9 @@ def method_series(ivp: InitialValueProblem, method: MethodKind, order: int) -> S
     if method is MethodKind.TAYLOR:
         return taylor_coefficients(ivp, order)
     if method in (MethodKind.ADOMIAN, MethodKind.HPM):
-        x, y = _cascade(ivp, order) + 0.0
+        x, y = _cascade(ivp, order)
     elif method is MethodKind.VIM:
-        x, y = vim_iterates(ivp, order)[-1]
+        x, y = _vim_iterates(ivp, order)[-1]
     else:
         raise ValueError(f"unknown method {method!r}")
     overflow = ~(np.isfinite(x) & np.isfinite(y))

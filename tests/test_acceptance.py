@@ -12,17 +12,18 @@ import numpy as np
 
 from lvdiag import (
     InitialValueProblem,
+    MethodKind,
     ModelParams,
     PopulationState,
     conservation_drift,
     divergence_time,
+    method_series,
     methods_agree,
     preset,
     sample_series,
     self_intersection,
     solve,
     taylor_coefficients,
-    vim_iterates,
 )
 from lvdiag.cli import main as cli_main
 from lvdiag.diagnostics import _closes
@@ -77,7 +78,8 @@ def test_criterion_2_method_equivalence_orders_1_to_20():
             if not agreement.worst() <= tol:
                 ok = False
             # The variational iterate must agree through its iteration order.
-            xk, yk = vim_iterates(ivp, order)[-1]
+            vim = method_series(ivp, MethodKind.VIM, order)
+            xk, yk = vim.x_coeffs, vim.y_coeffs
             tay = taylor_coefficients(ivp, order)
             gap = max(
                 float(np.max(np.abs(xk[: order + 1] - tay.x_coeffs))),

@@ -20,7 +20,6 @@ from lvdiag import (
     NonFiniteError,
     PopulationState,
     SeriesSolution,
-    adomian_components,
     method_series,
     methods_agree,
     preset,
@@ -28,10 +27,9 @@ from lvdiag import (
     sample_series,
     solve,
     taylor_coefficients,
-    vim_iterates,
 )
 import lvdiag.methods as methods_module
-from lvdiag.methods import _pint, _pmul
+from lvdiag.methods import _cascade, _pint, _pmul, _vim_iterates
 from test_series import problems
 
 CASE_V = preset("case-V")
@@ -44,15 +42,27 @@ def test_method_kind_wire_names():
     assert [m.value for m in MethodKind] == ["taylor", "adomian", "hpm", "vim"]
 
 
+def _components(ivp, order):
+    """Decomposition components u_n = U_n t**n, n = 0..order, as polynomials:
+    n zeros, then U_n, read from the approximant's coefficients (so a -0.0
+    U_n reads +0.0)."""
+    components = []
+    for n, (u_top, v_top) in enumerate(_cascade(ivp, order).T.tolist()):
+        u_n, v_n = np.zeros((2, n + 1))
+        u_n[n], v_n[n] = u_top, v_top
+        components.append((u_n, v_n))
+    return components
+
+
 def test_adomian_component_n_is_the_degree_n_term():
-    """Component n of the decomposition carries exactly the t**n term."""
-    components = adomian_components(IVP_V, 6)
+    """Component n of the decomposition carries exactly the t**n term: U_n,
+    coefficient n of the order-n approximant."""
     taylor = taylor_coefficients(IVP_V, 6)
-    for n, (u_n, v_n) in enumerate(components):
-        assert u_n.size == n + 1
+    for n in range(7):
+        adm = method_series(IVP_V, MethodKind.ADOMIAN, n)
         # Lower-degree parts cancel; what is left is the series coefficient.
-        assert u_n[-1] == pytest.approx(taylor.x_coeffs[n], rel=1e-13, abs=1e-13)
-        assert v_n[-1] == pytest.approx(taylor.y_coeffs[n], rel=1e-13, abs=1e-13)
+        assert adm.x_coeffs[n] == pytest.approx(taylor.x_coeffs[n], rel=1e-13, abs=1e-13)
+        assert adm.y_coeffs[n] == pytest.approx(taylor.y_coeffs[n], rel=1e-13, abs=1e-13)
 
 
 def test_adomian_sum_reproduces_taylor():
@@ -71,17 +81,16 @@ def test_adomian_sum_reproduces_taylor():
 
 
 def test_hpm_terms_start_at_the_initial_state_and_vanish_at_zero():
-    terms = adomian_components(IVP_V, 5)
-    x0_term, y0_term = terms[0]
-    assert x0_term.tolist() == [3.0]
-    assert y0_term.tolist() == [2.0]
-    for x_n, y_n in terms[1:]:
-        assert x_n[0] == 0.0 and y_n[0] == 0.0
+    """Term 0 is the start and every later term vanishes at t = 0, so the
+    approximant of every order starts exactly there."""
+    for n in range(6):
+        hpm = method_series(IVP_V, MethodKind.HPM, n)
+        assert (hpm.x_coeffs[0], hpm.y_coeffs[0]) == (3.0, 2.0)
 
 
 def test_hpm_cascade_solves_the_order_by_order_equations():
     p = CASE_V.params
-    terms = adomian_components(IVP_V, 6)
+    terms = _components(IVP_V, 6)
     for n in range(1, 7):
         coupling = np.zeros(1)
         for k in range(n):
@@ -105,8 +114,8 @@ def test_hpm_sum_reproduces_taylor():
 
 def test_adomian_cascade_past_the_double_range_raises_no_warning():
     """Coefficients that overflow come out non-finite; the approximant names the first one."""
-    u_305, v_305 = adomian_components(IVP_I, 305)[-1]
-    assert not (math.isfinite(u_305[-1]) and math.isfinite(v_305[-1]))
+    u, v = _cascade(IVP_I, 305)
+    assert not (math.isfinite(u[305]) and math.isfinite(v[305]))
     for method, order in ((MethodKind.ADOMIAN, 305), (MethodKind.HPM, 400), (MethodKind.VIM, 320)):
         with pytest.raises(NonFiniteError, match=r"^series coefficient 305 overflows$"):
             method_series(IVP_I, method, order)
@@ -136,8 +145,9 @@ def _running_sums(components):
 def test_adomian_sums_are_the_running_sums_bitwise(ivp, order):
     """``method_series`` at every order n is the running sum of components 0..n,
     or names the first coefficient that overflows; ``methods_agree`` rows read
-    those same sums."""
-    sums = list(_running_sums(adomian_components(ivp, order)))
+    those same sums.  The components are the polynomial cascade's."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = list(_running_sums(_convolve_cascade(ivp, order)))
     for n, (x, y) in enumerate(sums):
         overflow = ~(np.isfinite(x) & np.isfinite(y))
         if overflow.any():
@@ -167,7 +177,7 @@ def test_adomian_approximant_at_order_1000_stays_under_a_megabyte():
 
 
 def test_vim_iterate_sequence_shape():
-    iterates = vim_iterates(IVP_V, 4)
+    iterates = _vim_iterates(IVP_V, 4)
     assert len(iterates) == 5
     x0, y0 = iterates[0]
     assert x0.tolist() == [3.0]
@@ -175,15 +185,18 @@ def test_vim_iterate_sequence_shape():
 
 
 def test_vim_first_iterate_is_the_linear_correction():
-    x1, y1 = vim_iterates(IVP_V, 1)[1]
-    assert x1.tolist() == [3.0, -3.0]
-    assert y1.tolist() == [2.0, 4.0]
+    first = method_series(IVP_V, MethodKind.VIM, 1)
+    assert first.x_coeffs.tolist() == [3.0, -3.0]
+    assert first.y_coeffs.tolist() == [2.0, 4.0]
 
 
 def test_vim_iterate_k_matches_series_through_order_k():
-    iterates = vim_iterates(IVP_V, 10)
+    """Iterate k is the order-k approximant, bit for bit, and agrees with the series through order k."""
+    iterates = _vim_iterates(IVP_V, 10)
     for k in (3, 6, 10):
         xk, yk = iterates[k]
+        approx = method_series(IVP_V, MethodKind.VIM, k)
+        assert (approx.x_coeffs.tobytes(), approx.y_coeffs.tobytes()) == (xk.tobytes(), yk.tobytes())
         tay = taylor_coefficients(IVP_V, k)
         np.testing.assert_allclose(xk[: k + 1], tay.x_coeffs, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(yk[: k + 1], tay.y_coeffs, rtol=1e-12, atol=1e-12)
@@ -195,7 +208,7 @@ def _vim_length(k):
 
 
 def test_vim_degree_is_capped():
-    iterates = vim_iterates(IVP_V, 100)
+    iterates = _vim_iterates(IVP_V, 100)
     for k, (xk, yk) in enumerate(iterates):
         assert xk.size == yk.size == _vim_length(k)
     assert iterates[40][0].size == 65
@@ -215,9 +228,10 @@ DEGENERATE = {
 @pytest.mark.parametrize("ivp", DEGENERATE.values(), ids=DEGENERATE)
 def test_every_polynomial_has_the_length_of_its_degree_rule(ivp):
     """Zero coefficients stay in place: no scheme's arrays shrink or lag their degree."""
-    for n, (u_n, v_n) in enumerate(adomian_components(ivp, 12)):
-        assert u_n.size == v_n.size == n + 1
-    for k, (xk, yk) in enumerate(vim_iterates(ivp, 70)):
+    for n in range(13):
+        adm = method_series(ivp, MethodKind.ADOMIAN, n)
+        assert adm.x_coeffs.size == adm.y_coeffs.size == n + 1
+    for k, (xk, yk) in enumerate(_vim_iterates(ivp, 70)):
         assert xk.size == yk.size == _vim_length(k)
 
 
@@ -225,7 +239,7 @@ def _convolve_cascade(ivp, order):
     """The decomposition cascade as polynomial arithmetic, O(order**3): A_n as
     the sum of the ``np.convolve`` products of the components, each update
     integrated as a polynomial.  The bitwise oracle of the scalar recurrence
-    in ``adomian_components``."""
+    in ``_cascade``."""
     p = ivp.params
     u = [np.array([ivp.initial.x])]
     v = [np.array([ivp.initial.y])]
@@ -244,14 +258,13 @@ def _is_finite(components):
     return all(np.isfinite(c).all() for pair in components for c in pair)
 
 
-def _assert_same_tops_and_positive_zeros_below(components, oracle):
-    """Top entries equal the oracle's bit for bit; every entry below them is +0.0."""
-    assert len(components) == len(oracle)
-    for n, (pair, oracle_pair) in enumerate(zip(components, oracle)):
-        for c, o in zip(pair, oracle_pair):
-            assert c.dtype == np.float64 and c.size == o.size == n + 1
-            assert c[n:].tobytes() == o[n:].tobytes(), n
-            assert c[:n].tobytes() == bytes(8 * n), n
+def _assert_same_tops(ivp, order, oracle):
+    """The recurrence's coefficients are the oracle components' top entries,
+    bit for bit up to the sign of a zero (both plus 0.0), inf and NaN included."""
+    tops = np.array([[pair[c][n] for n, pair in enumerate(oracle)] for c in (0, 1)]) + 0.0
+    coeffs = _cascade(ivp, order)
+    assert coeffs.dtype == np.float64 and coeffs.shape == tops.shape == (2, order + 1)
+    assert coeffs.tobytes() == tops.tobytes()
 
 
 def _assert_same_approximant(ivp, order, oracle):
@@ -259,30 +272,28 @@ def _assert_same_approximant(ivp, order, oracle):
     sum, and so has the approximant when they are finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         *_, (x, y) = _running_sums(oracle)
-    assert (methods_module._cascade(ivp, order) + 0.0).tobytes() == x.tobytes() + y.tobytes()
+    assert _cascade(ivp, order).tobytes() == x.tobytes() + y.tobytes()
     if _is_finite(oracle):
         approx = method_series(ivp, MethodKind.ADOMIAN, order)
         assert (approx.x_coeffs.tobytes(), approx.y_coeffs.tobytes()) == (x.tobytes(), y.tobytes())
 
 
 def _assert_convolve_cascade_bits(ivp, order):
-    """Finite cascades equal the oracle byte for byte, and so do their
-    approximants.  An overflowing cascade keeps its top entries.  Its
-    coefficient sums keep every entry that the oracle's running sum has
-    finite; where the oracle's lower NaNs reach the sum, they may hold inf or
-    a finite sum instead of NaN.  The approximant names the first coefficient
-    that the oracle's sum has non-finite."""
-    components, oracle = adomian_components(ivp, order), _convolve_cascade(ivp, order)
-    _assert_same_tops_and_positive_zeros_below(components, oracle)
+    """The coefficients are the oracle's tops, overflowing ones included.
+    Finite cascades' coefficients and approximants are the oracle's running
+    sum byte for byte.  An overflowing cascade's coefficients keep every
+    entry that the oracle's running sum has finite; where the oracle's lower
+    NaNs reach the sum, they may hold inf or a finite sum instead of NaN.
+    The approximant names the first coefficient that the oracle's sum has
+    non-finite."""
+    oracle = _convolve_cascade(ivp, order)
+    _assert_same_tops(ivp, order, oracle)
     if _is_finite(oracle):
-        assert [c.tobytes() for pair in components for c in pair] == [
-            o.tobytes() for pair in oracle for o in pair
-        ]
         _assert_same_approximant(ivp, order, oracle)
         return
     with np.errstate(over="ignore", invalid="ignore"):
         *_, sums = _running_sums(oracle)
-    for got, want in zip(methods_module._cascade(ivp, order) + 0.0, sums):
+    for got, want in zip(_cascade(ivp, order), sums):
         finite = np.isfinite(want)
         assert got[finite].tobytes() == want[finite].tobytes()
     overflow = ~(np.isfinite(sums[0]) & np.isfinite(sums[1]))
@@ -313,8 +324,9 @@ def test_adomian_components_are_the_convolve_cascade_bitwise(ivp, order):
 
 def test_overflowing_cascade_keeps_its_top_entries():
     """From component 305 on case-I's tops are inf or NaN.  From component 307
-    on the convolve cascade holds NaN (inf * 0) below them, the recurrence
-    +0.0; those entries sit where the running sums are already NaN."""
+    on the convolve cascade holds NaN (inf * 0) below them, where the
+    recurrence's components U_n t**n hold +0.0; those entries sit where the
+    running sums are already NaN."""
     oracle = _convolve_cascade(IVP_I, 307)
     assert [_is_finite(oracle[:n]) for n in (305, 306)] == [True, False]
     assert [any(np.isnan(c[:-1]).any() for c in pair) for pair in oracle[305:]] == [False, False, True]
@@ -324,12 +336,13 @@ def test_overflowing_cascade_keeps_its_top_entries():
 
 def test_a_negative_zero_coupling_leaves_positive_zeros_below_the_tops():
     """With d = -0.0 the convolve cascade leaves -0.0 below some tops of v
-    ((-c) * +0.0 + -0.0 * +0.0); the recurrence leaves +0.0.  Running sums
-    start at +0.0, so the approximant has the same bits either way."""
+    ((-c) * +0.0 + -0.0 * +0.0); the recurrence's components U_n t**n hold
+    +0.0 there.  Running sums start at +0.0, so the approximant has the same
+    bits either way."""
     ivp = _ivp(1.0, 1.0, 1.0, -0.0, 2.0, 1.0)
     oracle = _convolve_cascade(ivp, 20)
     assert any(np.signbit(v_n[:-1]).any() for _, v_n in oracle)
-    _assert_same_tops_and_positive_zeros_below(adomian_components(ivp, 20), oracle)
+    _assert_same_tops(ivp, 20, oracle)
     _assert_same_approximant(ivp, 20, oracle)
 
 
@@ -362,8 +375,7 @@ def test_the_cascade_multiplies_no_polynomials(monkeypatch, method):
         raise AssertionError("_pmul called")
 
     monkeypatch.setattr(methods_module, "_pmul", refuse)
-    components = adomian_components(IVP_V, 1000)
-    assert len(components) == 1001 and components[-1][0].size == 1001
+    assert _cascade(IVP_V, 1000).shape == (2, 1001)
     series = method_series(IVP_V, method, 1000)
     assert series.x_coeffs.size == series.y_coeffs.size == 1001
 
@@ -407,12 +419,12 @@ def test_a_nan_deviation_is_the_worst_in_either_place(monkeypatch):
     for component in (0, 1):
 
         def poisoned_vim(ivp, iterations):
-            iterates = _copied(vim_iterates(ivp, iterations))
+            iterates = _copied(_vim_iterates(ivp, iterations))
             iterates[4][component][3] = math.nan
             return iterates
 
         # Row k reads VIM iterate k only, and iterate 4's degree-3 entry lies inside it.
-        monkeypatch.setattr(methods_module, "vim_iterates", poisoned_vim)
+        monkeypatch.setattr(methods_module, "_vim_iterates", poisoned_vim)
         rows = methods_agree(IVP_V, 6)
         assert [math.isnan(r.vim) for r in rows] == [k == 4 for k in range(7)]
         assert [math.isnan(r.worst()) for r in rows] == [k == 4 for k in range(7)]
@@ -469,7 +481,8 @@ def _agreement_from_scratch(ivp, order):
     taylor = taylor_coefficients(ivp, order)
     adomian = method_series(ivp, MethodKind.ADOMIAN, order)
     vim = (np.zeros(order + 1), np.zeros(order + 1))
-    for padded, coeffs in zip(vim, vim_iterates(ivp, order)[-1]):
+    iterate = method_series(ivp, MethodKind.VIM, order)
+    for padded, coeffs in zip(vim, (iterate.x_coeffs, iterate.y_coeffs)):
         padded[: min(coeffs.size, order + 1)] = coeffs[: order + 1]
 
     def deviation(candidate):
@@ -650,7 +663,7 @@ def test_adomian_and_vim_steps_meet_their_rounding_bound(name):
     case = preset(name)
     ivp = InitialValueProblem(case.params, case.initial, case.t_end)
     a, b, c, d = (Fraction(v) for v in (ivp.params.a, ivp.params.b, ivp.params.c, ivp.params.d))
-    components = adomian_components(ivp, 20)
+    components = _components(ivp, 20)
     u = [_fractions(u_n) for u_n, _ in components]
     v = [_fractions(v_n) for _, v_n in components]
     abs_u, abs_v = [_absolute(p) for p in u], [_absolute(p) for p in v]
@@ -662,7 +675,7 @@ def test_adomian_and_vim_steps_meet_their_rounding_bound(name):
         pairs = zip((u[n + 1], v[n + 1]), (exact_u, exact_v), (magnitude_u, magnitude_v))
         for got, want, magnitude in pairs:
             _assert_within(got, want, [(n + 4) * U * m for m in magnitude], (name, "component", n + 1))
-    iterates = [tuple(map(_fractions, pair)) for pair in vim_iterates(ivp, 20)]
+    iterates = [tuple(map(_fractions, pair)) for pair in _vim_iterates(ivp, 20)]
     for k in range(1, 21):
         x, y = iterates[k - 1]
         exact_x, exact_y = _q_vim_step(a, b, c, d, x, y, k)

@@ -16,13 +16,14 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from lvdiag import (
     DivergenceError,
     InitialValueProblem,
+    IntegratorConfig,
     MethodKind,
     ModelParams,
     NonFiniteError,
@@ -30,6 +31,7 @@ from lvdiag import (
     Trajectory,
     conservation_drift,
     divergence_time,
+    failure_report,
     method_series,
     preset,
     preset_names,
@@ -101,7 +103,9 @@ def test_reference_and_period_match_an_independent_dop853(ivp):
 @given(problems(), st.sampled_from(list(MethodKind)), st.integers(2, 12))
 def test_one_pass_report_agrees_with_standalone_passes(ivp, method, order):
     points = 401
-    report, reference, approx, c_ref, c_approx = _compare_with_reference(ivp, method, order, points=points)
+    report, reference, approx, c_ref, c_approx = _compare_with_reference(
+        ivp, method, order, points, IntegratorConfig(), 1.0
+    )
     grid = np.linspace(0.0, T_END, points)
     standalone = solve(ivp).sample(grid)
     np.testing.assert_allclose(reference.x, standalone.x, rtol=1e-8)
@@ -167,6 +171,51 @@ def test_taylor_coefficients_obey_the_scaling_symmetry(ivp):
         (mine.y_coeffs, (p.a / p.b) * powers * unit.y_coeffs),
     ):
         assert np.max(np.abs(coeffs - expected) / (1.0 + np.abs(coeffs))) <= 1e-11
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(problems(), st.sampled_from(list(MethodKind)), st.integers(2, 20), st.integers(-6, 6), st.integers(-6, 6))
+# Drawn approximants seldom cross themselves; these presets' do.
+@example(preset("case-V"), MethodKind.TAYLOR, 5, 3, -2)
+@example(preset("case-V"), MethodKind.ADOMIAN, 5, -1, 1)
+@example(preset("case-I"), MethodKind.HPM, 7, 5, -4)
+@example(preset("case-I"), MethodKind.VIM, 9, -6, 6)
+def test_power_of_two_scalings_map_series_and_reports_exactly(ivp, method, order, k, m):
+    """x -> 2**k x, y -> 2**m y, b -> b / 2**m, d -> d / 2**k maps orbits onto
+    orbits.  A power of 2 scales every rounding exactly, barring overflow and
+    underflow, and in any grouping of a sum, so every scheme's coefficients
+    scale by the bytes, VIM's dot products included, and so do the sampled
+    approximant, its self-crossing point and the signs its excluded samples
+    read.  The reference steps in log coordinates, where the shift k*ln 2
+    rounds, so the period agrees only to 1e-9 relative.
+
+    The closure flags and ``divergence_time`` are left out: neither is
+    scale-invariant.  Closure is judged against the absolute
+    ``_CLOSED_ORBIT_EPS``, and the divergence scale 1 + max(|x|, |y|) mixes
+    absolute and relative error."""
+    lam, mu = 2.0**k, 2.0**m
+    p = ivp.params
+    scaled = InitialValueProblem(
+        ModelParams(p.a, p.b / mu, p.c, p.d / lam),
+        PopulationState(lam * ivp.initial.x, mu * ivp.initial.y),
+        ivp.t_end,
+    )
+    for kind in MethodKind:
+        mine, theirs = method_series(ivp, kind, order), method_series(scaled, kind, order)
+        assert theirs.x_coeffs.tobytes() == (lam * mine.x_coeffs).tobytes(), kind
+        assert theirs.y_coeffs.tobytes() == (mu * mine.y_coeffs).tobytes(), kind
+    report, scaled_report = (failure_report(problem, method, order) for problem in (ivp, scaled))
+    assert scaled_report.excluded_samples == report.excluded_samples
+    crossing, scaled_crossing = report.self_intersection, scaled_report.self_intersection
+    if crossing is None:
+        assert scaled_crossing is None
+    else:
+        assert (scaled_crossing.i, scaled_crossing.j) == (crossing.i, crossing.j)
+        assert scaled_crossing.point == (lam * crossing.point[0], mu * crossing.point[1])
+    period, scaled_period = report.period_estimate, scaled_report.period_estimate
+    assert (period is None) == (scaled_period is None)
+    if period is not None:
+        assert abs(scaled_period - period) <= 1e-9 * period
 
 
 def _cross(u, v):

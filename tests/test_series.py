@@ -22,8 +22,8 @@ from lvdiag import (
     preset,
     sample_series,
     taylor_coefficients,
-    vim_iterates,
 )
+from lvdiag.methods import _vim_iterates
 
 CASE_V = preset("case-V")
 CASE_I = preset("case-I")
@@ -301,7 +301,7 @@ def test_sample_series_is_numpys_polyval_on_pinned_edges(x_coeffs, y_coeffs, gri
 def test_vim_iterates_evaluate_like_polyval(ivp, order, t_end):
     """VIM's arrays follow their degree rule, not the order: the approximant,
     and the x of its iterate next to the y of the one before, whose lengths differ."""
-    *_, (x_prev, y_prev), (x, y) = vim_iterates(ivp, order)
+    *_, (x_prev, y_prev), (x, y) = _vim_iterates(ivp, order)
     for points in (2001, 2401):
         grid = np.linspace(0.0, t_end, points)
         assert_evaluates_like_polyval(x, y, grid)

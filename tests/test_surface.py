@@ -3,6 +3,7 @@ and the code's hygiene (no unused import, no private function that nothing calls
 
 import ast
 import dataclasses
+import inspect
 import pathlib
 import re
 
@@ -32,7 +33,6 @@ PUBLIC_NAMES = [
     "StepSizeUnderflowError",
     "Trajectory",
     "UnknownPresetError",
-    "adomian_components",
     "conservation_drift",
     "divergence_time",
     "failure_report",
@@ -44,7 +44,6 @@ PUBLIC_NAMES = [
     "self_intersection",
     "solve",
     "taylor_coefficients",
-    "vim_iterates",
 ]
 
 
@@ -52,7 +51,7 @@ def test_public_names_are_pinned_and_resolve():
     assert sorted(lvdiag.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(lvdiag, name) is not None, name
-    assert len(PUBLIC_NAMES) == 29
+    assert len(PUBLIC_NAMES) == 27
 
 
 def test_agreement_report_has_one_field_per_cascade():
@@ -61,13 +60,18 @@ def test_agreement_report_has_one_field_per_cascade():
     assert fields == ["adomian", "vim"]
 
 
-def test_readme_library_example_runs():
+def _library_example():
+    """The python block under the README's ``## Library`` heading."""
     text = README.read_text()
     section = text[text.index("\n## Library\n") :]
     section = section[: section.index("\n## ", 1)]
     block = re.search(r"```python\n(.*?)```", section, flags=re.S)
     assert block is not None, "no python block under ## Library"
-    exec(compile(block.group(1), "README.md", "exec"), {})
+    return block.group(1)
+
+
+def test_readme_library_example_runs():
+    exec(compile(_library_example(), "README.md", "exec"), {})
 
 
 def _parse(path):
@@ -108,18 +112,40 @@ def test_every_import_is_used(path):
     assert sorted(name for name in imported if name not in used) == []
 
 
-def test_every_private_function_is_called_from_src():
-    """A top-level ``_name`` function that only the tests (or itself) use is dead code."""
-    defined = {}
+def _src_callers():
+    """Each name that src/ loads, mapped to the top-level functions that load it
+    (None for module-level code and classes)."""
     callers = {}
     for path in SOURCES:
         for node in _parse(path).body:
-            owner = None
-            if isinstance(node, ast.FunctionDef):
-                owner = node.name
-                if node.name.startswith("_") and not node.name.startswith("__"):
-                    defined[node.name] = path.name
+            owner = node.name if isinstance(node, ast.FunctionDef) else None
             for name in _referenced_names(node):
                 callers.setdefault(name, set()).add(owner)
+    return callers
+
+
+def test_every_private_function_is_called_from_src():
+    """A top-level ``_name`` function that only the tests (or itself) use is dead code."""
+    defined = {
+        node.name: path.name
+        for path in SOURCES
+        for node in _parse(path).body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_") and not node.name.startswith("__")
+    }
+    callers = _src_callers()
     unused = [f"{module}:{name}" for name, module in defined.items() if not callers.get(name, set()) - {name}]
     assert sorted(unused) == []
+
+
+def test_every_public_function_is_used_by_src_or_the_readme():
+    """A public function that no other src/ function uses and the README's
+    library example does not call is surface that only the tests need."""
+    callers = _src_callers()
+    example = {
+        node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+        for node in ast.walk(ast.parse(_library_example()))
+        if isinstance(node, ast.Call)
+    }
+    functions = [name for name in lvdiag.__all__ if inspect.isfunction(getattr(lvdiag, name))]
+    unused = [name for name in functions if not callers.get(name, set()) - {name} and name not in example]
+    assert unused == []
