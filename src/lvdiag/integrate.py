@@ -323,7 +323,7 @@ def solve(
         g_prev = 0.0
 
     records = bytearray()
-    accepted = rejected = nonfinite = 0
+    rejected = nonfinite = 0
     period = None
     fu, fv = rhs(u, v)
     if not (math.isfinite(fu) and math.isfinite(fv)):
@@ -333,20 +333,27 @@ def solve(
         raise StepSizeUnderflowError(
             f"the field at the start ({x0!r}, {y0!r}) is too large to take a first step"
         )
-    nfev = 2
     floor = _MIN_STEP_FRACTION * ivp.t_end
     rtol, atol = cfg.rel_tol, cfg.abs_tol
     a, b, c, d = p.a, p.b, p.c, p.d
     exp, isfinite, sqrt, pack = math.exp, math.isfinite, math.sqrt, _STEP_RECORD.pack
-    # The tableau, bound as locals like the functions above.
+    # The tableau and the controller's constants, bound as locals like the
+    # functions above; -alpha is an exact negation, so safe**neg_alpha is
+    # safe**-_ALPHA.
     a21, a31, a32, a41, a42, a43 = _A21, _A31, _A32, _A41, _A42, _A43
     a51, a52, a53, a54 = _A51, _A52, _A53, _A54
     a61, a62, a63, a64, a65 = _A61, _A62, _A63, _A64, _A65
     b1, b3, b4, b5, b6 = _B1, _B3, _B4, _B5, _B6
     e1, e3, e4, e5, e6, e7 = _E1, _E3, _E4, _E5, _E6, _E7
+    safety, min_factor, max_factor = _SAFETY, _MIN_FACTOR, _MAX_FACTOR
+    neg_alpha, beta = -_ALPHA, _BETA
     t = 0.0
     err_prev = 1.0
     rejected_nonfinite = False
+    # |u| and |v| at the step's start, abs written out; an accepted step hands
+    # on its end's, which it has already computed for its own error scale.
+    su = u if u >= 0.0 else -u
+    sv = v if v >= 0.0 else -v
     for _ in range(_MAX_STEPS):
         if t >= horizon:
             break
@@ -363,7 +370,6 @@ def solve(
         # Each stage is the field a - b*e^v, -c + d*e^u, written out.  A stage
         # that overflows (OverflowError, or an inf or NaN reaching the sums) is
         # an expected, handled outcome: the attempt is rejected as non-finite.
-        nfev += 6
         try:
             w = u + h * (a21 * fu)
             z = v + h * (a21 * fv)
@@ -391,10 +397,16 @@ def solve(
             y1 = exp(v1)
             k7u = a - b * y1
             k7v = -c + d * x1
-            values = (u1, v1, fu, fv, k2u, k2v, k3u, k3v, k4u, k4v, k5u, k5v, k6u, k6v, k7u, k7v)
-            # A sum of finite floats is finite unless it overflows, so the
-            # exact test runs only when the cheap one fails.
-            finite = isfinite(sum(values)) or all(map(isfinite, values))
+            # Any inf or NaN among the stored values makes their sum inf or
+            # NaN, and a sum of finite floats is finite unless it overflows,
+            # so the exact per-value test runs only when this sum is not finite.
+            total = (
+                u1 + v1 + fu + fv + k2u + k2v + k3u + k3v + k4u + k4v + k5u + k5v
+                + k6u + k6v + k7u + k7v
+            )
+            finite = isfinite(total) or all(map(isfinite, (
+                u1, v1, fu, fv, k2u, k2v, k3u, k3v, k4u, k4v, k5u, k5v, k6u, k6v, k7u, k7v,
+            )))
         except OverflowError:
             finite = False
         if finite:
@@ -402,10 +414,10 @@ def solve(
             ev = h * (e1 * fv + e3 * k3v + e4 * k4v + e5 * k5v + e6 * k6v + e7 * k7v)
             # Scaled by atol + rtol * max(|u|, |u1|), abs and max written out;
             # a zero's sign cannot reach the scale, as atol > 0.
-            s0, s1 = (u if u >= 0.0 else -u), (u1 if u1 >= 0.0 else -u1)
-            eu /= atol + rtol * (s1 if s1 > s0 else s0)
-            s0, s1 = (v if v >= 0.0 else -v), (v1 if v1 >= 0.0 else -v1)
-            ev /= atol + rtol * (s1 if s1 > s0 else s0)
+            su1 = u1 if u1 >= 0.0 else -u1
+            sv1 = v1 if v1 >= 0.0 else -v1
+            eu /= atol + rtol * (su1 if su1 > su else su)
+            ev /= atol + rtol * (sv1 if sv1 > sv else sv)
             err_norm = sqrt(0.5 * (eu * eu + ev * ev))
         else:
             err_norm = math.inf
@@ -414,29 +426,34 @@ def solve(
         # so a NaN err_norm leaves factor 1.0 and a NaN factor becomes 0.2.
         if err_norm <= 1.0:
             t1 = horizon if clipped else t + h
-            records += pack(t1, h, *values)
-            accepted += 1
+            records += pack(
+                t1, h, u1, v1, fu, fv, k2u, k2v, k3u, k3v, k4u, k4v, k5u, k5v, k6u, k6v, k7u, k7v
+            )
             if section is not None:
                 g = direction * ((y1 if comp == 1 else x1) - level)
                 if g_prev < 0.0 <= g:
                     section = None
-                    qc = h * (np.array(values[2 + comp :: 2]) @ _P)
+                    if comp:
+                        stages = (fv, k2v, k3v, k4v, k5v, k6v, k7v)
+                    else:
+                        stages = (fu, k2u, k3u, k4u, k5u, k6u, k7u)
+                    qc = h * (np.array(stages) @ _P)
                     period = _bisect_return((u, v)[comp], qc, t, t1, level, direction)
                     horizon = max(ivp.t_end, _CLOSURE_SPAN * period)
                 g_prev = g
             safe = 1e-10 if 1e-10 > err_norm else err_norm
-            factor = _SAFETY * safe**-_ALPHA * err_prev**_BETA
+            factor = safety * safe**neg_alpha * err_prev**beta
             err_prev = safe
-            t, u, v, fu, fv = t1, u1, v1, k7u, k7v
+            t, u, v, fu, fv, su, sv = t1, u1, v1, k7u, k7v, su1, sv1
             rejected_nonfinite = False
         else:
             rejected += 1
             nonfinite += not finite
             rejected_nonfinite = not finite
-            factor = _SAFETY * err_norm**-_ALPHA if finite else _MIN_FACTOR
+            factor = safety * err_norm**neg_alpha if finite else min_factor
             factor = factor if factor < 1.0 else 1.0
-        factor = factor if factor > _MIN_FACTOR else _MIN_FACTOR
-        h *= factor if factor < _MAX_FACTOR else _MAX_FACTOR
+        factor = factor if factor > min_factor else min_factor
+        h *= factor if factor < max_factor else max_factor
     if t < horizon:
         raise StepSizeUnderflowError(f"step budget of {_MAX_STEPS} exceeded before t={horizon!r}")
 
@@ -447,6 +464,8 @@ def solve(
     with np.errstate(over="ignore"):
         states = np.exp(w_arr)
     states[0] = (x0, y0)
-    stats = IntegratorStats(accepted, rejected, nonfinite, nfev)
+    # Two evaluations sized the first step; each attempt makes six more.
+    accepted = len(steps)
+    stats = IntegratorStats(accepted, rejected, nonfinite, 2 + 6 * (accepted + rejected))
     return DenseSolution(t_arr, w_arr, q_arr, states, period, stats)
 

@@ -14,6 +14,7 @@ those expressions bit for bit.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,10 @@ import numpy as np
 from .exceptions import NonFiniteError
 from .model import ModelParams, PopulationState, _as_finite_float
 from .trajectory import Trajectory
+
+# The scaled retry of a coefficient whose plain evaluation overflows.
+_DOWN, _UP = 2.0**-64, 2.0**64
+
 
 def _check_order(order, name="order"):
     try:
@@ -84,29 +89,41 @@ def taylor_coefficients(ivp: InitialValueProblem, order: int) -> SeriesSolution:
     five roundings allow at most 2.5*eps to first order; on random
     problems the error stays below 1.7*eps, and the tests check 2*eps
     against a rational-arithmetic recurrence.
+
+    The recurrence runs on Python floats, one IEEE double operation per
+    arithmetic step, so it rounds as a loop over numpy float64 scalars
+    would; the arrays are built once at the end.  Where a term overflows
+    although the coefficient does not (d*conv past the double range with
+    Y[n+1] inside it), the expression is evaluated once more on X[n] or
+    Y[n] and conv scaled by 2**-64 and the result scaled back: a power of
+    two scales every rounding exactly, so the bound above still holds.
+    A coefficient that is not finite either way raises ``NonFiniteError``.
     """
     order = _check_order(order)
     p = ivp.params
+    a, b, c, d = p.a, p.b, p.c, p.d
     x0, y0 = ivp.initial.x, ivp.initial.y
-    X = np.zeros(order + 1)
-    Y = np.zeros(order + 1)
-    X[0], Y[0] = x0, y0
+    X, Y = [x0], [y0]
     if order >= 1:
-        X[1] = x0 * (p.a - p.b * y0)
-        Y[1] = y0 * (p.d * x0 - p.c)
-    # A sum that fsum completes can still overflow once scaled, so each new
-    # pair is checked; under errstate that overflow raises no RuntimeWarning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, order):
-            try:
-                conv = math.fsum(X[k] * Y[n - k] for k in range(n + 1))
-            except (OverflowError, ValueError):  # the sum overflows, or holds inf and -inf
-                raise NonFiniteError(f"series coefficient {n + 1} overflows") from None
-            X[n + 1] = (p.a * X[n] - p.b * conv) / (n + 1)
-            Y[n + 1] = (-p.c * Y[n] + p.d * conv) / (n + 1)
-            if not (math.isfinite(X[n + 1]) and math.isfinite(Y[n + 1])):
-                raise NonFiniteError(f"series coefficient {n + 1} overflows")
-    return SeriesSolution(X, Y)
+        X.append(x0 * (a - b * y0))
+        Y.append(y0 * (d * x0 - c))
+    fsum, isfinite, mul = math.fsum, math.isfinite, operator.mul
+    for n in range(1, order):
+        try:
+            conv = fsum(map(mul, X, reversed(Y)))
+        except (OverflowError, ValueError):  # the sum overflows, or holds inf and -inf
+            raise NonFiniteError(f"series coefficient {n + 1} overflows") from None
+        xn = (a * X[n] - b * conv) / (n + 1)
+        yn = (-c * Y[n] + d * conv) / (n + 1)
+        if not isfinite(xn):
+            xn = (a * (X[n] * _DOWN) - b * (conv * _DOWN)) / (n + 1) * _UP
+        if not isfinite(yn):
+            yn = (-c * (Y[n] * _DOWN) + d * (conv * _DOWN)) / (n + 1) * _UP
+        if not (isfinite(xn) and isfinite(yn)):
+            raise NonFiniteError(f"series coefficient {n + 1} overflows")
+        X.append(xn)
+        Y.append(yn)
+    return SeriesSolution(np.array(X), np.array(Y))
 
 
 def _validated_grid(t_grid) -> np.ndarray:

@@ -308,11 +308,12 @@ def test_run_overflowing_approximant_names_scheme_order_and_time(tmp_path, capsy
 @pytest.mark.parametrize(
     "args, cause",
     [
-        # A Taylor coefficient overflows after its fsum, in d * conv.
+        # A Taylor coefficient's fsum overflows; the two before it are finite
+        # only because d * conv is retried on scaled operands.
         (
             ("--a", "2", "--b", "8", "--c", "1", "--d", "1000", "--x0", "0.5", "--y0", "2",
-             "--order", "150", "--t-end", "1"),
-            "taylor order 150: series coefficient 149 overflows",
+             "--order", "151", "--t-end", "1"),
+            "taylor order 151: series coefficient 151 overflows",
         ),
         # The approximant is finite on the grid, but its first integral is not:
         # the report's drift would be Infinity, which JSON cannot hold.
@@ -333,6 +334,15 @@ def test_run_overflow_past_the_series_is_a_usage_error_with_no_warning(tmp_path,
     assert caught == []
     assert capsys.readouterr().err == f"error: {cause}\n"
     assert not out.exists()
+
+
+def test_run_past_an_overflowing_term_of_the_recurrence_succeeds(tmp_path, capsys):
+    """Coefficients 149 and 150 are finite although d * conv overflows for them."""
+    argv = ("--a", "2", "--b", "8", "--c", "1", "--d", "1000", "--x0", "0.5", "--y0", "2")
+    assert _run(tmp_path, *argv, "--order", "150", "--t-end", "1") == 0
+    assert capsys.readouterr().err == ""
+    with open(tmp_path / "custom_taylor_order150_report.json") as handle:
+        assert json.load(handle)["order"] == 150
 
 
 def test_run_overflow_on_the_closure_grid_reads_as_not_closed(tmp_path, capsys):

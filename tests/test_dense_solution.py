@@ -476,3 +476,39 @@ def test_sampled_trajectories_are_what_the_checked_constructor_builds():
         for name in ("t", "x", "y"):
             got, want = getattr(traj, name), getattr(checked, name)
             assert got is want and got.dtype == np.float64 and got.shape == (11,)
+
+
+def _time_reversal_gap(ivp):
+    """Largest relative gap between the swapped problem's pass at s and the
+    original's at T - s, over one period T, with x and y swapped."""
+    p, start = ivp.params, ivp.initial
+    solution = solve(ivp, find_period=True)
+    period = solution.period
+    swapped = InitialValueProblem(ModelParams(p.c, p.d, p.a, p.b), PopulationState(start.y, start.x), period)
+    s = np.linspace(0.0, period, 2001)
+    mirrored = solve(swapped).sample(s)
+    back = solution.sample((period - s)[::-1])
+    x, y = back.x[::-1], back.y[::-1]
+    return max(np.max(np.abs(mirrored.y - x) / x), np.max(np.abs(mirrored.x - y) / y))
+
+
+# (x, y, a, b, c, d, t) -> (y, x, c, d, a, b, -t) maps orbits onto orbits, so
+# the swapped problem, started at (y0, x0), runs the original orbit backwards:
+# sampled at s it must match the original at T - s, T its period.  This needs
+# neither scipy nor another Runge-Kutta method.  Both passes carry their own
+# global error and T its own, so each tolerance is three to five times the
+# largest gap measured at the default tolerances: 2.9e-10 on case-V; 2.2e-7
+# on case-I over [0, 400], whose period is 43 times case-V's and whose prey
+# dips to 1e-84; at most 2.2e-9 over 100 sweep-like problems drawn with
+# random.Random, and 1.2e-9 over the 100 drawn here.
+@pytest.mark.parametrize(
+    "ivp, tol", [(CASE_V, 1e-9), (_ivp(CASE_I, 400.0), 1e-6)], ids=["case-V", "case-I-400"]
+)
+def test_the_swapped_problem_runs_the_orbit_backwards(ivp, tol):
+    assert _time_reversal_gap(ivp) <= tol
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(sweep_problems())
+def test_the_swapped_problem_runs_drawn_orbits_backwards(ivp):
+    assert _time_reversal_gap(ivp) <= 1e-8

@@ -163,13 +163,121 @@ def test_overflowing_coefficients_raise_nonfinite():
         taylor_coefficients(huge, 3)  # the products are inf and -inf
 
 
+# Coefficient 149 of this problem is finite, but d * conv is not.
+D_1000 = InitialValueProblem(ModelParams(2.0, 8.0, 1.0, 1000.0), PopulationState(0.5, 2.0), 1.0)
+
+
 def test_a_coefficient_that_overflows_once_scaled_is_nonfinite_not_a_warning():
-    """fsum of coefficient 149's products is finite; d times it is not, so Y[149] would be inf."""
-    ivp = InitialValueProblem(ModelParams(2.0, 8.0, 1.0, 1000.0), PopulationState(0.5, 2.0), 1.0)
-    assert np.all(np.isfinite(taylor_coefficients(ivp, 148).y_coeffs))
-    for order in (149, 150):
-        with pytest.raises(NonFiniteError, match="series coefficient 149 overflows"):
+    """fsum of coefficient 66's products is finite, but d = 1e6 times it puts
+    the coefficient itself past the double range, so the scaled retry
+    overflows too; the d = 1000 problem first overflows inside fsum, at 151."""
+    ivp = InitialValueProblem(ModelParams(2.0, 8.0, 1.0, 1e6), PopulationState(0.5, 2.0), 1.0)
+    sol = taylor_coefficients(ivp, 65)
+    X, Y = sol.x_coeffs.tolist(), sol.y_coeffs.tolist()
+    conv = math.fsum(X[k] * Y[65 - k] for k in range(66))
+    exact = (-Fraction(Y[65]) + Fraction(1e6) * Fraction(conv)) / 66
+    assert math.isfinite(conv) and abs(exact) > Fraction(HUGE)
+    for order in (66, 67):
+        with pytest.raises(NonFiniteError, match="^series coefficient 66 overflows$"):
             taylor_coefficients(ivp, order)
+    with pytest.raises(NonFiniteError, match="^series coefficient 151 overflows$"):
+        taylor_coefficients(D_1000, 151)
+
+
+def test_a_coefficient_past_an_overflowing_term_is_retried_within_its_bound():
+    """Coefficients 149 and 150 of the d = 1000 problem overflow in d * conv,
+    not in value: retried on operands scaled by 2**-64, each is within the
+    docstring's 2*eps bound of the rational recurrence on the stored values."""
+    sol = taylor_coefficients(D_1000, 150)
+    assert sol.y_coeffs[150] == 8.858024204726518e307
+    X = [Fraction(v) for v in sol.x_coeffs.tolist()]
+    Y = [Fraction(v) for v in sol.y_coeffs.tolist()]
+    p = D_1000.params
+    a, b, c, d = (Fraction(v) for v in (p.a, p.b, p.c, p.d))
+    for n in (148, 149):
+        conv = math.fsum(sol.x_coeffs[k] * sol.y_coeffs[n - k] for k in range(n + 1))
+        assert p.d * conv == math.inf
+        products = [X[k] * Y[n - k] for k in range(n + 1)]
+        magnitude = sum(abs(q) for q in products)
+        for coeffs, lin, coef in ((X, a * X[n], -b), (Y, -c * Y[n], d)):
+            exact = (lin + coef * sum(products)) / (n + 1)
+            assert abs(coeffs[n + 1] - exact) <= 2 * EPS * (abs(lin) + abs(coef) * magnitude) / (n + 1)
+
+
+def _numpy_scalar_taylor(ivp, order):
+    """``taylor_coefficients`` as a loop over numpy float64 scalars in
+    preallocated arrays, scaled retry included: the bytes of both arrays, or
+    the ``NonFiniteError`` text."""
+    p = ivp.params
+    x0, y0 = ivp.initial.x, ivp.initial.y
+    X = np.zeros(order + 1)
+    Y = np.zeros(order + 1)
+    X[0], Y[0] = x0, y0
+    if order >= 1:
+        X[1] = x0 * (p.a - p.b * y0)
+        Y[1] = y0 * (p.d * x0 - p.c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, order):
+            try:
+                conv = math.fsum(X[k] * Y[n - k] for k in range(n + 1))
+            except (OverflowError, ValueError):
+                return NonFiniteError, f"series coefficient {n + 1} overflows"
+            X[n + 1] = (p.a * X[n] - p.b * conv) / (n + 1)
+            Y[n + 1] = (-p.c * Y[n] + p.d * conv) / (n + 1)
+            if not math.isfinite(X[n + 1]):
+                X[n + 1] = (p.a * (X[n] * 2.0**-64) - p.b * (conv * 2.0**-64)) / (n + 1) * 2.0**64
+            if not math.isfinite(Y[n + 1]):
+                Y[n + 1] = (-p.c * (Y[n] * 2.0**-64) + p.d * (conv * 2.0**-64)) / (n + 1) * 2.0**64
+            if not (math.isfinite(X[n + 1]) and math.isfinite(Y[n + 1])):
+                return NonFiniteError, f"series coefficient {n + 1} overflows"
+    return X.tobytes(), Y.tobytes()
+
+
+def assert_taylor_like_numpy_scalars(ivp, order):
+    try:
+        sol = taylor_coefficients(ivp, order)
+        got = sol.x_coeffs.tobytes(), sol.y_coeffs.tobytes()
+    except NonFiniteError as exc:
+        got = NonFiniteError, str(exc)
+    assert got == _numpy_scalar_taylor(ivp, order)
+
+
+def _with_start(ivp, x0, y0):
+    return InitialValueProblem(ivp.params, PopulationState(x0, y0), 1.0)
+
+
+@pytest.mark.parametrize(
+    "ivp, orders",
+    [
+        *[(preset(name), [*range(41), 305, 400]) for name in lvdiag.preset_names()],
+        (_with_start(CASE_V, 0.0, 2.0), range(12)),
+        (_with_start(CASE_V, -0.0, 0.0), range(12)),
+        (_with_start(CASE_V, 3.0, -0.0), range(12)),
+        (_with_start(CASE_V, 1e200, 1e200), range(5)),
+        (_with_start(CASE_V, 1e200, 1.0), range(12)),
+        (InitialValueProblem(ModelParams(0.7, 0.0, 1.3, 2.0), PopulationState(2.0, 5.0), 1.0), range(41)),
+        (InitialValueProblem(ModelParams(0.7, 2.0, 1.3, 0.0), PopulationState(2.0, 5.0), 1.0), range(41)),
+        (D_1000, range(148, 152)),
+    ],
+    ids=["case-I", "case-V", "decoupled", "x0-zero", "zeros", "y0-negative-zero", "huge", "huge-x0",
+         "b-zero", "d-zero", "d-1000"],
+)
+def test_taylor_is_the_numpy_scalar_loop_bitwise(ivp, orders):
+    for order in orders:
+        assert_taylor_like_numpy_scalars(ivp, order)
+
+
+@st.composite
+def wide_problems(draw):
+    """Rates and starts log-uniform over twelve decades, 1e-6 to 1e6."""
+    a, b, c, d, x0, y0 = (10.0 ** draw(st.floats(-6.0, 6.0)) for _ in range(6))
+    return InitialValueProblem(ModelParams(a, b, c, d), PopulationState(x0, y0), 1.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(wide_problems(), st.integers(0, 80))
+def test_taylor_is_the_numpy_scalar_loop_on_wide_problems(ivp, order):
+    assert_taylor_like_numpy_scalars(ivp, order)
 
 
 def test_sample_series_overflow_is_nonfinite_not_a_warning():

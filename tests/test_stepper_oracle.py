@@ -208,3 +208,74 @@ def test_solve_matches_the_readable_loop_on_a_blow_up():
     for find_period in (False, True):
         kind, text = assert_same_pass(blow_up, STRICT, find_period)
         assert kind is DivergenceError and text.startswith("state left the finite range near t=")
+
+
+class _SqrtSpy:
+    """``math`` as ``lvdiag.integrate`` reads it, except that the ``nan_at``-th
+    ``sqrt`` call of each pass returns NaN.
+
+    A pass is counted from the sizing of its first step, which ``solve`` and
+    the readable loop both do through ``_initial_step``, and each pass's
+    arguments are kept.  The search window's two roots come before it, and
+    only ``solve`` takes them from this module, so building the flow closes
+    the previous pass.
+    """
+
+    def __init__(self, monkeypatch, nan_at):
+        self.nan_at = nan_at
+        self.passes = []
+        self.calls = None
+        spy = self
+
+        class NanOnceMath:
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            def sqrt(self, x):
+                return spy.sqrt(x)
+
+        make_flow, initial_step = m._make_flow, m._initial_step
+
+        def closing_make_flow(*args):
+            self.calls = None
+            return make_flow(*args)
+
+        def opening_initial_step(*args):
+            self.calls = []
+            self.passes.append(self.calls)
+            return initial_step(*args)
+
+        monkeypatch.setattr(m, "math", NanOnceMath())
+        monkeypatch.setattr(m, "_make_flow", closing_make_flow)
+        monkeypatch.setattr(m, "_initial_step", opening_initial_step)
+
+    def sqrt(self, x):
+        if self.calls is None:
+            return math.sqrt(x)
+        self.calls.append(x)
+        return math.nan if len(self.calls) == self.nan_at else math.sqrt(x)
+
+
+@pytest.mark.parametrize("nan_at", [20, 200])
+@pytest.mark.parametrize("find_period", [False, True])
+def test_a_nan_error_norm_rejects_the_attempt_and_retries_the_same_step(monkeypatch, find_period, nan_at):
+    """The controller's NaN rule: a NaN err_norm is not <= 1, and the builtin
+    min/max order turns its NaN factor into 1.0, so the attempt is rejected
+    and retried with the same h.  The retry redoes the same arithmetic, so
+    the pass keeps every bit and only its counters show the extra attempt."""
+    ivp = preset("case-V")
+    clean = solve(ivp, STRICT, find_period)
+    spy = _SqrtSpy(monkeypatch, nan_at)
+    hit = assert_same_pass(ivp, STRICT, find_period)
+    assert len(spy.passes) == 2 and spy.passes[0] == spy.passes[1]
+    calls = spy.passes[0]
+    # At most three roots size the first step, so call 20 already lies in the
+    # step loop; the retry's error estimate is the one that read NaN.
+    assert calls[nan_at] == calls[nan_at - 1]
+    for name in ("t", "w", "q", "states"):
+        assert getattr(hit, name).tobytes() == getattr(clean, name).tobytes(), name
+    assert hit.period == clean.period
+    want = m.IntegratorStats(
+        clean.stats.accepted, clean.stats.rejected + 1, clean.stats.nonfinite_rejected, clean.stats.rhs_evals + 6
+    )
+    assert hit.stats == want
