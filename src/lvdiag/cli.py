@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -143,6 +144,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.set_defaults(handler=cmd_verify)
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reads, built on the first call and shared by the later ones.
+
+    Parsing leaves the parser as it was, since each call fills a fresh
+    namespace, so a process that calls ``main`` many times (the tests, the
+    benchmark, a scripted sweep) builds the tree once.  ``build_parser``
+    still returns a new parser for callers that change theirs.
+    """
+    return build_parser()
 
 
 def _resolve_problem(args):
@@ -313,9 +326,8 @@ def cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code is None else int(exc.code)
     try:

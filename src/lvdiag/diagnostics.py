@@ -225,13 +225,16 @@ def _closes(sample, period: float) -> bool:
 
     The curve closes when its polyline over the closure window, the points
     t >= 0.5*T of a uniform grid over [0, 1.2*T], passes within 1e-6 of the
-    start.  Only the start and the window are sampled, in one call.
+    start and some window sample lies 1e-6 or more from it: a curve that
+    never leaves that ball, such as an order-0 approximant, does not close.
+    Only the start and the window are sampled, in one call.
     """
     grid = np.linspace(0.0, _CLOSURE_SPAN * period, _CLOSURE_GRID_POINTS)
     traj = sample(np.concatenate((grid[:1], grid[grid >= 0.5 * period])))
     px, py = traj.x[0], traj.y[0]
     x, y = traj.x[1:], traj.y[1:]
     ax, ay = x[:-1], y[:-1]
+    eps_sq = _CLOSED_ORBIT_EPS * _CLOSED_ORBIT_EPS
     # Huge but finite samples may overflow to non-finite distances, which are dropped.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         dx, dy = np.diff(x), np.diff(y)
@@ -239,8 +242,8 @@ def _closes(sample, period: float) -> bool:
         s = np.where(length_sq > 0.0, ((px - ax) * dx + (py - ay) * dy) / length_sq, 0.0)
         s = np.clip(s, 0.0, 1.0)
         dist_sq = (ax + s * dx - px) ** 2 + (ay + s * dy - py) ** 2
-    best = float(np.min(dist_sq[np.isfinite(dist_sq)], initial=math.inf))
-    return best < _CLOSED_ORBIT_EPS * _CLOSED_ORBIT_EPS
+        best = float(np.min(dist_sq[np.isfinite(dist_sq)], initial=math.inf))
+        return best < eps_sq and bool(np.any((x - px) ** 2 + (y - py) ** 2 >= eps_sq))
 
 
 @contextlib.contextmanager

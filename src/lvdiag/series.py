@@ -96,18 +96,30 @@ def taylor_coefficients(ivp: InitialValueProblem, order: int) -> SeriesSolution:
     although the coefficient does not (d*conv past the double range with
     Y[n+1] inside it), the expression is evaluated once more on X[n] or
     Y[n] and conv scaled by 2**-64 and the result scaled back: a power of
-    two scales every rounding exactly, so the bound above still holds.
-    A coefficient that is not finite either way raises ``NonFiniteError``.
+    two scales every rounding exactly, so the bound above still holds.  The
+    first-order pair is retried the same way, with the bracket's operands
+    (a and y0, or x0 and c) scaled.  A coefficient that is not finite
+    either way raises ``NonFiniteError``.
     """
     order = _check_order(order)
     p = ivp.params
     a, b, c, d = p.a, p.b, p.c, p.d
     x0, y0 = ivp.initial.x, ivp.initial.y
     X, Y = [x0], [y0]
-    if order >= 1:
-        X.append(x0 * (a - b * y0))
-        Y.append(y0 * (d * x0 - c))
     fsum, isfinite, mul = math.fsum, math.isfinite, operator.mul
+    if order >= 1:
+        x1 = x0 * (a - b * y0)
+        y1 = y0 * (d * x0 - c)
+        # Retried as in the loop below, on the bracket's operands: b*y0 or
+        # d*x0 may overflow where the coefficient does not.
+        if not isfinite(x1):
+            x1 = x0 * (a * _DOWN - b * (y0 * _DOWN)) * _UP
+        if not isfinite(y1):
+            y1 = y0 * (d * (x0 * _DOWN) - c * _DOWN) * _UP
+        if not (isfinite(x1) and isfinite(y1)):
+            raise NonFiniteError("series coefficient 1 overflows")
+        X.append(x1)
+        Y.append(y1)
     for n in range(1, order):
         try:
             conv = fsum(map(mul, X, reversed(Y)))

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, schemas, exit codes, verification."""
 
+import argparse
 import csv
 import json
 import math
@@ -8,8 +9,8 @@ import warnings
 import pytest
 
 from lvdiag import InitialValueProblem, MethodKind, SeriesSolution, failure_report, preset, preset_names, solve
-from lvdiag import diagnostics
-from lvdiag.cli import _verification_groups, main
+from lvdiag import cli, diagnostics
+from lvdiag.cli import _verification_groups, build_parser, main
 from lvdiag.output import PHASE_HEADER, TIMESERIES_HEADER
 
 # The CSV cell format, as lvdiag.output writes it.
@@ -513,3 +514,80 @@ def test_verify_fails_a_series_that_never_diverges(monkeypatch, capsys):
     rows = [line for line in out.splitlines() if "diverge before t=10" in line]
     assert len(rows) == 2 and all(row.endswith("  FAIL  t_div none/none/none/none/none") for row in rows)
     assert out.count("FAIL") == 2
+
+
+# ``main`` parses with one parser per process; these calls share it.
+
+
+def _files(directory):
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+def test_verify_twice_in_one_process_prints_the_same_table(capsys):
+    outs = []
+    for _ in range(2):
+        assert main(["verify"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and outs[0].endswith("10/10 checks passed\n")
+
+
+def test_identical_runs_in_one_process_write_identical_files(tmp_path, capsys):
+    for out in ("first", "second"):
+        assert _run(tmp_path / out, "--preset", "case-V", "--points", "201", "--format", "all") == 0
+    first = _files(tmp_path / "first")
+    assert len(first) == 4 and first == _files(tmp_path / "second")
+
+
+def test_a_flag_of_one_call_does_not_leak_into_the_next(tmp_path, capsys):
+    assert _run(tmp_path / "seven", "--preset", "decoupled", "--points", "51", "--order", "7") == 0
+    assert _run(tmp_path / "default", "--preset", "decoupled", "--points", "51", "--method", "vim") == 0
+    assert sorted(_files(tmp_path / "default")) == [
+        "decoupled_vim_order5_phase.csv",
+        "decoupled_vim_order5_report.json",
+        "decoupled_vim_order5_timeseries.csv",
+    ]
+    assert all("_taylor_order7_" in name for name in _files(tmp_path / "seven"))
+
+
+def test_a_usage_error_leaves_the_next_call_working(tmp_path, capsys):
+    assert main(["run", "--order", "x"]) == 2
+    assert "argument --order:" in capsys.readouterr().err
+    assert _run(tmp_path, "--preset", "decoupled", "--points", "51", "--format", "json") == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_run_help_is_the_same_text_every_time(capsys):
+    helps = []
+    for _ in range(2):
+        assert main(["run", "--help"]) == 0
+        helps.append(capsys.readouterr())
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["run", "--help"])
+    assert exc.value.code == 0
+    fresh = capsys.readouterr()
+    assert helps[0] == helps[1] == fresh
+    assert fresh.out.startswith("usage: lvdiag run ") and fresh.err == ""
+
+
+def test_a_second_call_builds_no_parser(monkeypatch, capsys):
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["verify", "--orders", "x"]) == 2
+    assert built == ["lvdiag", "lvdiag run", "lvdiag verify"]
+    assert main(["verify", "--orders", "y"]) == 2
+    assert main(["run", "--order", "x"]) == 2
+    assert len(built) == 3
+
+
+def test_build_parser_returns_a_new_parser_every_call():
+    first, second = build_parser(), build_parser()
+    assert first is not second and cli._parser() not in (first, second)
+    first.set_defaults(handler=None)
+    assert second.parse_args(["verify"]).handler is cli.cmd_verify

@@ -68,6 +68,15 @@ def test_divergence_time_monotone_in_delta():
     assert times[0] <= times[1] <= times[2]
 
 
+def test_a_deviation_of_exactly_delta_does_not_diverge():
+    # |3 - 1| / (1 + max(1, 1)) is exactly 1: the approximant stays within delta = 1.
+    t = np.array([0.0, 1.0])
+    reference = Trajectory(t, np.ones(2), np.ones(2))
+    approx = Trajectory(t, np.full(2, 3.0), np.ones(2))
+    assert divergence_time(approx, reference, 1.0) is None
+    assert divergence_time(approx, reference, 0.5) == 0.0
+
+
 def test_divergence_time_validation():
     solution = solve(_ivp(CASE_V, 10.0))
     ref = solution.sample(GRID_10)

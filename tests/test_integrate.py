@@ -15,6 +15,7 @@ from lvdiag import (
     MethodKind,
     ModelParams,
     PopulationState,
+    Trajectory,
     conservation_drift,
     failure_report,
     preset,
@@ -222,6 +223,11 @@ def test_tiny_couplings_still_get_a_section():
     assert _start_section(p, 2e200, 1e200) is not None
 
 
+def test_tied_log_rates_take_the_predator_section():
+    # Unit rates from (2, 2): a - b*y0 = -1 and d*x0 - c = 1 tie, and a tie takes y.
+    assert _start_section(ModelParams(1.0, 1.0, 1.0, 1.0), 2.0, 2.0) == (1, 2.0, 1.0)
+
+
 def test_no_period_when_the_return_is_too_far():
     # This orbit's period exceeds the pass, max(t_end, 100/sqrt(a*c)).
     assert solve(_ivp(CASE_I, 10.0), find_period=True).period is None
@@ -262,6 +268,32 @@ def test_a_horizon_past_the_return_finds_the_period():
 def test_closure_accepts_the_reference_orbit():
     solution = solve(_ivp(CASE_V, 10.0), find_period=True)
     assert _closes(solution.sample, solution.period) is True
+
+
+def _window_curve(x, y):
+    """A ``_closes`` sampler: the start (0, 0), then (x(t), y(t)) on the closure window."""
+
+    def sample(grid):
+        xs, ys = x(grid), y(grid)
+        xs[0] = ys[0] = 0.0
+        return Trajectory(grid, xs, ys)
+
+    return sample
+
+
+def test_closure_needs_a_return_strictly_inside_the_ball():
+    # The window runs up x = 1e-6 through a vertex at (1e-6, 0): its nearest
+    # approach to the start is exactly 1e-6, which does not close.
+    curve = _window_curve(lambda grid: np.full(grid.size, 1e-6), lambda grid: grid - grid[grid.size // 2])
+    assert _closes(curve, 1.0) is False
+
+
+def test_closure_needs_a_curve_that_leaves_the_ball():
+    # Constant at its start, as an order-0 approximant is, or wandering 1e-7
+    # from it: the curve never leaves the 1e-6 ball, so it does not close.
+    for wobble in (0.0, 1e-7):
+        curve = _window_curve(lambda grid: wobble * np.cos(grid), lambda grid: wobble * np.sin(grid))
+        assert _closes(curve, 1.0) is False
 
 
 def test_closure_rejects_a_runaway_series():

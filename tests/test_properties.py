@@ -432,7 +432,8 @@ def test_self_intersection_bounds_its_work_when_every_pair_overlaps_in_x():
 
 def _full_grid_closes(sample, period):
     """``_closes`` as it read before it sampled only its window: the whole
-    2401-point grid over [0, 1.2 T] is sampled and the window is masked out."""
+    2401-point grid over [0, 1.2 T] is sampled and the window is masked out.
+    A window that never leaves the 1e-6 ball around the start does not close."""
     grid = np.linspace(0.0, CLOSURE_SPAN * period, 2401)
     traj = sample(grid)
     window = grid >= 0.5 * period
@@ -440,6 +441,8 @@ def _full_grid_closes(sample, period):
     x, y = traj.x[window], traj.y[window]
     ax, ay = x[:-1], y[:-1]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if np.all(np.hypot(x - px, y - py) < 1e-6):
+            return False
         dx, dy = np.diff(x), np.diff(y)
         length_sq = dx * dx + dy * dy
         s = np.where(length_sq > 0.0, ((px - ax) * dx + (py - ay) * dy) / length_sq, 0.0)
@@ -488,12 +491,14 @@ SMALL_ORBIT = InitialValueProblem(ModelParams(1.0, 1.0, 1.0, 1.0), PopulationSta
     "ivp, order, verdicts",
     [
         (preset("case-V"), 5, (True, False)),
+        # Constant at its start: it never leaves the 1e-6 ball, so it does not close.
+        (preset("case-V"), 0, (True, False)),
         (replace(preset("case-I"), t_end=400.0), 5, (True, False)),
         (SMALL_ORBIT, 40, (True, True)),
         # Finite over [0, 1]; it overflows at t = 7.83, inside the window [3.80, 9.12].
         (replace(preset("case-V"), t_end=1.0), 300, (True, False)),
     ],
-    ids=["case-V", "case-I-400", "small-orbit", "case-V-order-300"],
+    ids=["case-V", "case-V-order-0", "case-I-400", "small-orbit", "case-V-order-300"],
 )
 def test_closure_window_keeps_the_full_grid_verdict_on_presets(ivp, order, verdicts):
     for method in MethodKind if order <= 40 else [MethodKind.TAYLOR]:

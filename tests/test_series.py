@@ -23,7 +23,7 @@ from lvdiag import (
     sample_series,
     taylor_coefficients,
 )
-from lvdiag.methods import _vim_iterates
+from lvdiag.methods import MethodKind, _vim_iterates, method_series
 
 CASE_V = preset("case-V")
 CASE_I = preset("case-I")
@@ -159,8 +159,8 @@ def test_overflowing_coefficients_raise_nonfinite():
     with pytest.raises(NonFiniteError, match="series coefficient 305 overflows"):
         taylor_coefficients(IVP_I, 400)  # the partial sums overflow
     huge = InitialValueProblem(CASE_V.params, PopulationState(1e200, 1e200), 1.0)
-    with pytest.raises(NonFiniteError, match="series coefficient 2 overflows"):
-        taylor_coefficients(huge, 3)  # the products are inf and -inf
+    with pytest.raises(NonFiniteError, match="series coefficient 1 overflows"):
+        taylor_coefficients(huge, 3)  # b * y0 and x0 * (a - b * y0) overflow
 
 
 # Coefficient 149 of this problem is finite, but d * conv is not.
@@ -204,6 +204,42 @@ def test_a_coefficient_past_an_overflowing_term_is_retried_within_its_bound():
             assert abs(coeffs[n + 1] - exact) <= 2 * EPS * (abs(lin) + abs(coef) * magnitude) / (n + 1)
 
 
+@pytest.mark.parametrize("method", list(MethodKind), ids=lambda m: m.value)
+@pytest.mark.parametrize("order", [1, 2])
+def test_an_overflowing_first_coefficient_is_named_by_every_scheme(method, order):
+    """From (1e200, 1e200) on unit rates, b * y0 and d * x0 overflow and so do
+    the coefficients themselves: every scheme names coefficient 1."""
+    huge = InitialValueProblem(ModelParams(1.0, 1.0, 1.0, 1.0), PopulationState(1e200, 1e200), 1.0)
+    with pytest.raises(NonFiniteError, match="^series coefficient 1 overflows$"):
+        method_series(huge, method, order)
+
+
+@pytest.mark.parametrize(
+    "params, start",
+    [((1.0, 1e110, 1.0, 1.0), (1e-10, 1e200)), ((1.0, 1.0, 1.0, 1e110), (1e200, 1e-10))],
+    ids=["b-y0", "d-x0"],
+)
+def test_a_first_coefficient_past_an_overflowing_term_is_retried_within_its_bound(params, start):
+    """b * y0 (or d * x0) overflows but x0 * (a - b * y0) (or y0 * (d * x0 - c))
+    does not: retried on operands scaled by 2**-64, the pair is within the
+    docstring's 2*eps bound of the rational values, and every scheme names
+    coefficient 2, past the double range, at order 2."""
+    ivp = InitialValueProblem(ModelParams(*params), PopulationState(*start), 1.0)
+    p = ivp.params
+    assert math.isinf(max(p.b * start[1], p.d * start[0]))
+    sol = taylor_coefficients(ivp, 1)
+    X = [Fraction(v) for v in sol.x_coeffs.tolist()]
+    Y = [Fraction(v) for v in sol.y_coeffs.tolist()]
+    a, b, c, d = (Fraction(v) for v in (p.a, p.b, p.c, p.d))
+    product = X[0] * Y[0]
+    for got, lin, coef in ((X[1], a * X[0], -b), (Y[1], -c * Y[0], d)):
+        assert abs(got - (lin + coef * product)) <= 2 * EPS * (abs(lin) + abs(coef) * abs(product))
+    for method in MethodKind:
+        assert method_series(ivp, method, 1).x_coeffs.tolist() == pytest.approx(sol.x_coeffs.tolist())
+        with pytest.raises(NonFiniteError, match="^series coefficient 2 overflows$"):
+            method_series(ivp, method, 2)
+
+
 def _numpy_scalar_taylor(ivp, order):
     """``taylor_coefficients`` as a loop over numpy float64 scalars in
     preallocated arrays, scaled retry included: the bytes of both arrays, or
@@ -216,6 +252,12 @@ def _numpy_scalar_taylor(ivp, order):
     if order >= 1:
         X[1] = x0 * (p.a - p.b * y0)
         Y[1] = y0 * (p.d * x0 - p.c)
+        if not math.isfinite(X[1]):
+            X[1] = x0 * (p.a * 2.0**-64 - p.b * (y0 * 2.0**-64)) * 2.0**64
+        if not math.isfinite(Y[1]):
+            Y[1] = y0 * (p.d * (x0 * 2.0**-64) - p.c * 2.0**-64) * 2.0**64
+        if not (math.isfinite(X[1]) and math.isfinite(Y[1])):
+            return NonFiniteError, "series coefficient 1 overflows"
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, order):
             try:
