@@ -54,36 +54,6 @@ class MethodKind(enum.Enum):
     VIM = "vim"
 
 
-# Polynomial kernels of the variational iteration over plain float arrays,
-# lowest degree first.  The iteration fixes the degree of every polynomial it
-# builds, so an array's length is its degree plus one and sums and
-# differences are plain array arithmetic.
-
-
-def _pmul(c1, c2, degree):
-    """c1*c2 through ``degree``.
-
-    Each operand is taken at its own degree: np.convolve's dot products group
-    their terms by operand length, so zero padding could move the last bits.
-    """
-    return np.convolve(c1, c2)[: degree + 1]
-
-
-def _pint(c):
-    """Antiderivative vanishing at 0, one degree higher than c."""
-    out = np.empty(c.size + 1)
-    out[0] = 0.0
-    out[1:] = c / np.arange(1, c.size + 1)
-    return out
-
-
-def _padded(c, length):
-    """c with zeros appended up to ``length`` entries."""
-    out = np.zeros(length)
-    out[: c.size] = c
-    return out
-
-
 def _cascade(ivp: InitialValueProblem, order: int) -> np.ndarray:
     """The (2, order + 1) coefficients of the decomposition approximant of ``order``.
 
@@ -125,7 +95,7 @@ def _cascade(ivp: InitialValueProblem, order: int) -> np.ndarray:
     return np.array((U, V)) + 0.0
 
 
-def _vim_iterates(ivp: InitialValueProblem, iterations: int) -> list[tuple[np.ndarray, np.ndarray]]:
+def _vim_iterates(ivp: InitialValueProblem, iterations: int) -> list[np.ndarray]:
     """Variational iterates with Lagrange multiplier -1.
 
     The correction functional
@@ -133,34 +103,46 @@ def _vim_iterates(ivp: InitialValueProblem, iterations: int) -> list[tuple[np.nd
         x_{k+1}(t) = x_k(t) - integral_0^t [x_k'(s) - x_k(s)*(a - b*y_k(s))] ds
         y_{k+1}(t) = y_k(t) - integral_0^t [y_k'(s) + y_k(s)*(c - d*x_k(s))] ds
 
-    is evaluated on polynomials; the result lists the (x, y) pairs of iterates
-    0..iterations.  Iterate k agrees with the solution series through order k.
-    Each step would double the degree and add one, so the new iterate is cut
-    to degree max(k, min(2k, 64)) to keep that growth bounded; both x_k and
-    y_k hold exactly
+    is evaluated on polynomials, coefficients lowest degree first; the result
+    lists iterates 0..iterations, each one (2, degree + 1) array with x_k in
+    row 0 and y_k in row 1.  Iterate k agrees with the solution series
+    through order k.  Each step would double the degree and add one, so the
+    new iterate is cut to degree max(k, min(2k, 64)) to keep that growth
+    bounded; both rows hold exactly
 
         min(2**k - 1, max(k, min(2k, 64))) + 1
 
     coefficients, trailing zeros included: 1, 2, 4, 7, 9, ... up to 65 from
     iterate 32 on, then k + 1 from iterate 65 on.
+
+    The product x_k*y_k is formed from the rows before they are padded to the
+    new degree: np.convolve's dot products group their terms by operand
+    length, so zero padding could move the last bits.  Both rows share one residual expression, so the y row is
+    formed as -c*y - (-d)*xy.  That rounds exactly as -c*y + d*xy: negation
+    is exact and round-to-nearest symmetric, so (-d)*xy is -(d*xy), and
+    p - (-q) is p + q in IEEE arithmetic, signed zeros included.  A NaN
+    product is the same NaN in both forms, and either form passes it on.
     """
     iterations = _check_order(iterations, "iterations")
     p = ivp.params
-    xp = np.array([ivp.initial.x])
-    yp = np.array([ivp.initial.y])
-    iterates = [(xp, yp)]
+    linear = np.array([[p.a], [-p.c]])
+    coupling = np.array([[p.b], [-p.d]])
+    iterate = np.array([[ivp.initial.x], [ivp.initial.y]])
+    iterates = [iterate]
     # Coefficients past the double range become inf or NaN, which sampling refuses.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, iterations + 1):
-            degree = min(2 * xp.size - 1, max(k, min(2 * k, _VIM_DEGREE_CAP)))
-            xy = _pmul(xp, yp, degree - 1)
-            x, y = _padded(xp, degree + 1), _padded(yp, degree + 1)
+            degree = min(2 * iterate.shape[1] - 1, max(k, min(2 * k, _VIM_DEGREE_CAP)))
+            xy = np.convolve(iterate[0], iterate[1])[:degree]
+            padded = np.zeros((2, degree + 1))
+            padded[:, : iterate.shape[1]] = iterate
             n = np.arange(1, degree + 1)
-            # The residuals x' - x*(a - b*y) and y' + y*(c - d*x), through degree - 1.
-            residual_x = n * x[1:] - (p.a * x[:-1] - p.b * xy)
-            residual_y = n * y[1:] - (-p.c * y[:-1] + p.d * xy)
-            xp, yp = x - _pint(residual_x), y - _pint(residual_y)
-            iterates.append((xp, yp))
+            # The residuals x' - x*(a - b*y) and y' + y*(c - d*x), through degree - 1,
+            # integrated from 0 and subtracted: coefficient 0 stays the start.
+            residual = n * padded[:, 1:] - (linear * padded[:, :-1] - coupling * xy)
+            padded[:, 1:] -= residual / n
+            iterate = padded
+            iterates.append(iterate)
     return iterates
 
 
@@ -205,8 +187,7 @@ def methods_agree(ivp: InitialValueProblem, order: int) -> list[AgreementReport]
     candidates = np.zeros((2, size, 2, size))
     candidates[0] = np.where(within, _cascade(ivp, order), 0.0)
     for k, iterate in enumerate(_vim_iterates(ivp, order)):
-        for c, coeffs in enumerate(iterate):
-            candidates[1, k, c, : k + 1] = coeffs[: k + 1]
+        candidates[1, k, :, : k + 1] = iterate[:, : k + 1]
     reference = np.where(within, np.stack((taylor.x_coeffs, taylor.y_coeffs)), 0.0)
     deviation = np.abs(candidates - reference)
     deviation /= 1.0 + np.abs(reference)

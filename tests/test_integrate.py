@@ -296,6 +296,22 @@ def test_closure_needs_a_curve_that_leaves_the_ball():
         assert _closes(curve, 1.0) is False
 
 
+def test_closure_window_starts_at_half_the_period():
+    # Along the x axis, through the start at t = 0.45 T only: before the window.
+    curve = _window_curve(lambda grid: grid - 0.45, lambda grid: np.zeros(grid.size))
+    assert _closes(curve, 1.0) is False
+
+
+def test_closure_measures_the_segments_not_their_extensions():
+    # Along the x axis towards the start, stopping 0.4 grid steps short of it:
+    # half a step past its end, the last segment would run through the start.
+    def x(grid):
+        step = grid[-1] - grid[-2]
+        return grid[-1] - grid + 0.4 * step
+
+    assert _closes(_window_curve(x, lambda grid: np.zeros(grid.size)), 1.0) is False
+
+
 def test_closure_rejects_a_runaway_series():
     ivp = _ivp(CASE_V, 10.0)
     period = solve(ivp, find_period=True).period

@@ -29,7 +29,7 @@ from lvdiag import (
     taylor_coefficients,
 )
 import lvdiag.methods as methods_module
-from lvdiag.methods import _cascade, _pint, _pmul, _vim_iterates
+from lvdiag.methods import _cascade, _vim_iterates
 from test_series import problems
 
 CASE_V = preset("case-V")
@@ -179,6 +179,7 @@ def test_adomian_approximant_at_order_1000_stays_under_a_megabyte():
 def test_vim_iterate_sequence_shape():
     iterates = _vim_iterates(IVP_V, 4)
     assert len(iterates) == 5
+    assert [iterate.shape for iterate in iterates] == [(2, 1), (2, 2), (2, 4), (2, 7), (2, 9)]
     x0, y0 = iterates[0]
     assert x0.tolist() == [3.0]
     assert y0.tolist() == [2.0]
@@ -233,6 +234,27 @@ def test_every_polynomial_has_the_length_of_its_degree_rule(ivp):
         assert adm.x_coeffs.size == adm.y_coeffs.size == n + 1
     for k, (xk, yk) in enumerate(_vim_iterates(ivp, 70)):
         assert xk.size == yk.size == _vim_length(k)
+
+
+# The polynomial kernels of the oracles below, over plain float arrays,
+# lowest degree first.
+
+
+def _pmul(c1, c2, degree):
+    """c1*c2 through ``degree``.
+
+    Each operand is taken at its own degree: np.convolve's dot products group
+    their terms by operand length, so zero padding could move the last bits.
+    """
+    return np.convolve(c1, c2)[: degree + 1]
+
+
+def _pint(c):
+    """Antiderivative vanishing at 0, one degree higher than c."""
+    out = np.empty(c.size + 1)
+    out[0] = 0.0
+    out[1:] = c / np.arange(1, c.size + 1)
+    return out
 
 
 def _convolve_cascade(ivp, order):
@@ -367,14 +389,62 @@ def test_adomian_components_are_the_convolve_cascade_on_drawn_problems(ivp, orde
     _assert_convolve_cascade_bits(ivp, order)
 
 
+def _row_vim_iterates(ivp, iterations):
+    """The variational iteration one row at a time, (x, y) pairs of separate
+    arrays, each padded, multiplied and integrated through the kernels above.
+    The bitwise oracle of ``_vim_iterates``, which holds both rows in one array."""
+    p = ivp.params
+    xp, yp = np.array([ivp.initial.x]), np.array([ivp.initial.y])
+    iterates = [(xp, yp)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, iterations + 1):
+            degree = min(2 * xp.size - 1, max(k, min(2 * k, 64)))
+            xy = _pmul(xp, yp, degree - 1)
+            x, y = np.zeros(degree + 1), np.zeros(degree + 1)
+            x[: xp.size], y[: yp.size] = xp, yp
+            n = np.arange(1, degree + 1)
+            residual_x = n * x[1:] - (p.a * x[:-1] - p.b * xy)
+            residual_y = n * y[1:] - (-p.c * y[:-1] + p.d * xy)
+            xp, yp = x - _pint(residual_x), y - _pint(residual_y)
+            iterates.append((xp, yp))
+    return iterates
+
+
+def _assert_vim_is_the_row_iteration(ivp, iterations):
+    """Every iterate holds the oracle's two rows bit for bit: signed zeros, inf and NaN included."""
+    iterates, oracle = _vim_iterates(ivp, iterations), _row_vim_iterates(ivp, iterations)
+    assert len(iterates) == len(oracle) == iterations + 1
+    for k, (iterate, pair) in enumerate(zip(iterates, oracle)):
+        want = np.stack(pair)
+        assert iterate.dtype == np.float64 and iterate.shape == want.shape == (2, _vim_length(k)), k
+        assert np.array_equal(iterate.view(np.uint64), want.view(np.uint64)), k
+
+
+@pytest.mark.parametrize(
+    "ivp, iterations",
+    [(ivp, 100) for ivp in CASCADE_STARTS.values()] + [(IVP_I, 320)],
+    ids=[*CASCADE_STARTS, "case-I-overflow"],
+)
+def test_vim_is_the_row_by_row_iteration_bitwise(ivp, iterations):
+    """Iterates 0..100 run past the degree cap at 64; case-I's iterates
+    overflow from iterate and coefficient 305 on, to inf and then NaN."""
+    _assert_vim_is_the_row_iteration(ivp, iterations)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(cascade_problems(), st.integers(0, 100))
+def test_vim_is_the_row_by_row_iteration_on_drawn_problems(ivp, iterations):
+    _assert_vim_is_the_row_iteration(ivp, iterations)
+
+
 @pytest.mark.parametrize("method", [MethodKind.ADOMIAN, MethodKind.HPM], ids=lambda m: m.value)
 def test_the_cascade_multiplies_no_polynomials(monkeypatch, method):
     """Order 1000 without a polynomial product: the cascade is O(order**2) scalar work."""
 
-    def refuse(*args):
-        raise AssertionError("_pmul called")
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.convolve called")
 
-    monkeypatch.setattr(methods_module, "_pmul", refuse)
+    monkeypatch.setattr(methods_module.np, "convolve", refuse)
     assert _cascade(IVP_V, 1000).shape == (2, 1001)
     series = method_series(IVP_V, method, 1000)
     assert series.x_coeffs.size == series.y_coeffs.size == 1001
@@ -407,8 +477,8 @@ def test_methods_agree_within_round_off():
     assert report_d.worst() <= 1e-14
 
 
-def _copied(pairs):
-    return [tuple(c.copy() for c in pair) for pair in pairs]
+def _copied(arrays):
+    return [array.copy() for array in arrays]
 
 
 def test_a_nan_deviation_is_the_worst_in_either_place(monkeypatch):

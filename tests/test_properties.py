@@ -218,6 +218,36 @@ def test_power_of_two_scalings_map_series_and_reports_exactly(ivp, method, order
         assert abs(scaled_period - period) <= 1e-9 * period
 
 
+def _verdicts(ivp, method, order, rel_tol):
+    """What ``failure_report`` concludes, apart from the drifts and the period's
+    digits, at one reference tolerance; an error is kept with its text."""
+    try:
+        report = failure_report(ivp, method, order, cfg=IntegratorConfig(rel_tol=rel_tol))
+    except (DivergenceError, NonFiniteError) as exc:
+        return type(exc), str(exc)
+    crossing = report.self_intersection
+    return (
+        report.divergence_time,
+        None if crossing is None else (crossing.i, crossing.j),
+        report.closed_orbit,
+        report.closed_orbit_ref,
+        report.period_estimate is None,
+        report.excluded_samples,
+    )
+
+
+@PROPERTY_SETTINGS
+@given(problems(), st.sampled_from(list(MethodKind)), st.integers(2, 20))
+def test_verdicts_do_not_depend_on_the_reference_tolerance(ivp, method, order):
+    """A looser (1e-8) or tighter (1e-13) reference than the default 1e-10
+    moves the reference by far less than any verdict's margin: the same
+    divergence time, self-crossing, closure flags, period found or not and
+    excluded samples."""
+    verdicts = _verdicts(ivp, method, order, IntegratorConfig().rel_tol)
+    for rel_tol in (1e-8, 1e-13):
+        assert _verdicts(ivp, method, order, rel_tol) == verdicts, rel_tol
+
+
 def _cross(u, v):
     return u[0] * v[1] - u[1] * v[0]
 

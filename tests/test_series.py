@@ -107,6 +107,79 @@ def test_swapping_the_populations_reverses_time_bitwise(ivp, order):
     assert (mirrored.y_coeffs + 0.0).tobytes() == (sign * series.x_coeffs + 0.0).tobytes()
 
 
+UNIT_ROUNDOFF = 2.0**-53
+
+
+def _cascade_error_bounds(ivp, order):
+    """Bounds on |X_n - exact| and |Y_n - exact| for the ADM/HPM coefficients,
+    carried through the recurrence: step n + 1 rounds within
+    (n + 4) u (a|X_n| + b S_n) / (n + 1), S_n = sum_k |X_k Y_{n-k}|, and
+    passes on (a E_n + b sum_k (E_k |Y_{n-k}| + |X_k| F_{n-k})) / (n + 1)
+    of the errors E, F already in X, Y (c and d for Y)."""
+    p = ivp.params
+    series = method_series(ivp, MethodKind.ADOMIAN, order)
+    x, y = np.abs(series.x_coeffs), np.abs(series.y_coeffs)
+    ex, ey = np.zeros((2, order + 1))
+    for n in range(order):
+        products = x[: n + 1] @ y[n::-1]
+        passed_on = ex[: n + 1] @ y[n::-1] + x[: n + 1] @ ey[n::-1]
+        rounding = (n + 4) * UNIT_ROUNDOFF
+        ex[n + 1] = (p.a * ex[n] + p.b * passed_on + rounding * (p.a * x[n] + p.b * products)) / (n + 1)
+        ey[n + 1] = (p.c * ey[n] + p.d * passed_on + rounding * (p.c * y[n] + p.d * products)) / (n + 1)
+    return ex, ey
+
+
+def _vim_error_bounds(ivp, iterations):
+    """Bounds on |x_k[j] - exact| and |y_k[j] - exact| for the last VIM iterate,
+    carried through the iteration: entry j >= 1 of a step rounds within
+    (j + 5) u (|x[j]| + (a|x[j-1]| + b sum_i |x[i] y[j-1-i]|) / j), and the
+    step passes on (a E[j-1] + b sum_i (E[i] |y[j-1-i]| + |x[i]| F[j-1-i])) / j
+    of the errors E, F already in x, y, for x[j] cancels out of
+    x[j] - (j x[j] - ...) / j; entry 0 is the start (c and d for y)."""
+    p = ivp.params
+    rates, couplings = np.array([[p.a], [p.c]]), np.array([[p.b], [p.d]])
+    iterates = _vim_iterates(ivp, iterations)
+    errors = np.zeros((2, 1))
+    for previous, iterate in zip(iterates, iterates[1:]):
+        size, degree = previous.shape[1], iterate.shape[1] - 1
+        magnitude, error = np.zeros((2, 2, degree + 1))
+        magnitude[:, :size], error[:, :size] = np.abs(previous), errors
+        x, y, ex, ey = magnitude[0, :size], magnitude[1, :size], error[0, :size], error[1, :size]
+        products = np.convolve(x, y)[:degree]
+        passed_on = np.convolve(ex, y) + np.convolve(x, ey)
+        j = np.arange(1, degree + 1)
+        rounding = (j + 5) * UNIT_ROUNDOFF * (magnitude[:, 1:] + (rates * magnitude[:, :-1] + couplings * products) / j)
+        error[:, 1:] = (rates * error[:, :-1] + couplings * passed_on[:degree]) / j + rounding
+        errors = error
+    return errors
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(problems(), st.integers(0, 30))
+def test_swapping_the_populations_reverses_time_within_rounding(ivp, order):
+    """The swap (x, y, a, b, c, d) -> (y, x, c, d, a, b) maps the exact ADM/HPM
+    sums and VIM iterates onto their time reversals, as it maps the series,
+    and keeps every array's length.  Their float sums depend on the order of
+    their terms, so x coefficient n of the swapped problem is (-1)**n times
+    y coefficient n of the original (and the reverse) only to within the sum
+    of the two coefficients' error bounds, each carried through its scheme's
+    steps from the magnitudes that enter it (``_cascade_error_bounds``,
+    ``_vim_error_bounds``).  The bounds are first order in u = 2**-53, like
+    the step bounds of ``test_methods.py``; the measured gaps stay under a
+    tenth of them."""
+    p, start = ivp.params, ivp.initial
+    swapped = InitialValueProblem(ModelParams(p.c, p.d, p.a, p.b), PopulationState(start.y, start.x), 1.0)
+    schemes = [(method, _cascade_error_bounds) for method in (MethodKind.ADOMIAN, MethodKind.HPM)]
+    for method, error_bounds in [*schemes, (MethodKind.VIM, _vim_error_bounds)]:
+        series, mirrored = method_series(ivp, method, order), method_series(swapped, method, order)
+        size = series.x_coeffs.size
+        assert series.y_coeffs.size == mirrored.x_coeffs.size == mirrored.y_coeffs.size == size
+        (ex, ey), (mirrored_ex, mirrored_ey) = error_bounds(ivp, order), error_bounds(swapped, order)
+        sign = (-1.0) ** np.arange(size)
+        assert np.all(np.abs(mirrored.x_coeffs - sign * series.y_coeffs) <= mirrored_ex + ey), method
+        assert np.all(np.abs(mirrored.y_coeffs - sign * series.x_coeffs) <= mirrored_ey + ex), method
+
+
 def test_decoupled_coefficients_are_exponential_series():
     p = ModelParams(0.7, 0.0, 1.3, 0.0)
     ivp = InitialValueProblem(p, PopulationState(2.0, 5.0), 1.0)
