@@ -2,16 +2,34 @@
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import warnings
+from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from lvdiag import InitialValueProblem, MethodKind, SeriesSolution, failure_report, preset, preset_names, solve
+from lvdiag import (
+    InitialValueProblem,
+    MethodKind,
+    NonFiniteError,
+    SeriesSolution,
+    divergence_time,
+    failure_report,
+    method_series,
+    preset,
+    preset_names,
+    sample_series,
+    solve,
+)
 from lvdiag import cli, diagnostics
 from lvdiag.cli import _verification_groups, build_parser, main
 from lvdiag.output import PHASE_HEADER, TIMESERIES_HEADER
+from test_series import problems
 
 # The CSV cell format, as lvdiag.output writes it.
 CELL_FORMAT = "%.17g"
@@ -392,12 +410,17 @@ def test_run_evaluates_the_first_integral_once_per_trajectory(tmp_path, monkeypa
 
 
 def test_verify_overflowing_order_is_a_usage_error(capsys):
-    """Both overflows, in the recurrence (400) and on the grid (200), name the preset and order."""
+    """Both overflows, in the recurrence (400) and on the grid (200, past the
+    series' departure at t = 0.105), name the preset and order; the first
+    overflowing order is the one named."""
     assert main(["verify", "--orders", "400"]) == 2
     want = "error: case-I: taylor order 400: series coefficient 305 overflows"
     assert capsys.readouterr().err.splitlines()[-1] == want
     assert main(["verify", "--orders", "200"]) == 2
     want = "error: case-I: taylor order 200: series overflows at t=3.4250000000000003"
+    assert capsys.readouterr().err.splitlines()[-1] == want
+    assert main(["verify", "--orders", "310,400"]) == 2
+    want = "error: case-I: taylor order 310: series coefficient 305 overflows"
     assert capsys.readouterr().err.splitlines()[-1] == want
 
 
@@ -514,6 +537,119 @@ def test_verify_fails_a_series_that_never_diverges(monkeypatch, capsys):
     rows = [line for line in out.splitlines() if "diverge before t=10" in line]
     assert len(rows) == 2 and all(row.endswith("  FAIL  t_div none/none/none/none/none") for row in rows)
     assert out.count("FAIL") == 2
+
+
+def _full_grid_divergence(passes, orders):
+    """The divergence rows as every order on the whole grid gives them, next to
+    a full-grid reference: the oracle of ``cli._check_divergence``."""
+    grid = np.linspace(0.0, 10.0, 2001)
+    for name, (ivp, solution) in passes.items():
+        reference = solution.sample(grid)
+        ok = True
+        details = []
+        for order in orders:
+            with diagnostics._named_overflow(f"{name}: taylor order {order}"):
+                approx = sample_series(method_series(ivp, MethodKind.TAYLOR, order), grid)
+            t_div = divergence_time(approx, reference, 1.0)
+            details.append("none" if t_div is None else f"{t_div:.3f}")
+            if t_div is None or not t_div < 10.0:
+                ok = False
+        yield (
+            f"{name}: taylor orders {','.join(map(str, orders))} diverge before t=10",
+            ok,
+            "t_div " + "/".join(details),
+        )
+
+
+def _rows_or_error(check, passes, orders):
+    try:
+        return list(check(passes, orders))
+    except NonFiniteError as exc:
+        return str(exc)
+
+
+def _assert_same_divergence_rows(passes, orders):
+    want = _rows_or_error(_full_grid_divergence, passes, orders)
+    assert _rows_or_error(cli._check_divergence, passes, orders) == want
+
+
+@pytest.fixture(scope="module")
+def preset_passes():
+    """verify's two reference passes: case-I over [0, 10], case-V over [0, 50]."""
+    long_i = dataclasses.replace(preset("case-I"), t_end=10.0)
+    long_v = dataclasses.replace(preset("case-V"), t_end=50.0)
+    return {"case-I": (long_i, solve(long_i)), "case-V": (long_v, solve(long_v, find_period=True))}
+
+
+# Order 0 departs at t = 9.215 on case-I and 1.620 on case-V, past the first
+# chunk.  case-I's order-150 coefficients bound the series at 1.5e301, so it
+# is sampled to the end of the grid, as is order 200, which overflows there
+# at t = 3.425; the coefficients of orders 310 and 400 overflow.
+@pytest.mark.parametrize(
+    "orders",
+    [
+        (4, 8, 12, 16, 20), (4, 8, 12), (0, 20), (0, 150), (60, 120), (0,), (150,), (0, 1, 2, 3),
+        (200,), (400,), (310, 400), (4, 8, 200),
+    ],
+    ids=lambda orders: ",".join(map(str, orders)),
+)
+def test_divergence_rows_keep_the_full_grid_bits_on_the_presets(preset_passes, orders):
+    _assert_same_divergence_rows(preset_passes, orders)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(problems(), st.lists(st.integers(0, 40), min_size=1, max_size=3))
+def test_divergence_rows_keep_the_full_grid_bits_on_drawn_problems(ivp, orders):
+    """Each drawn problem, with its own reference pass over [0, 10]."""
+    long = dataclasses.replace(ivp, t_end=10.0)
+    _assert_same_divergence_rows({"drawn": (long, solve(long))}, tuple(orders))
+
+
+CERTIFIED_BELOW = Fraction(1e300)
+
+
+@st.composite
+def bounded_series(draw):
+    """A series whose bound B = sum_k max(|X_k|, |Y_k|) * 10**k sits near 1e300.
+
+    Term k of B starts as a drawn share of 1, one of them at least 1/2, and
+    the pair is then scaled to 1e300 * 10**offset, the offset within 1e-11
+    of 0 (B just under or just over 1e300) or anywhere in [-3, 8].  Returns
+    the series and its B, summed exactly."""
+    terms = draw(st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=1, max_size=61))
+    terms[draw(st.integers(0, len(terms) - 1))] = (draw(st.floats(0.5, 1.0)), draw(st.floats(-1.0, 1.0)))
+    offset = draw(st.one_of(st.floats(-1e-11, 1e-11), st.floats(-3.0, 8.0)))
+    x = np.array([m * 10.0**-k for k, (m, _) in enumerate(terms)])
+    y = np.array([m * 10.0**-k for k, (_, m) in enumerate(terms)])
+    scale = 1e300 * 10.0**offset / float(_exact_bound(x, y))
+    x, y = x * scale, y * scale
+    return SeriesSolution(x, y), _exact_bound(x, y)
+
+
+def _exact_bound(x, y):
+    return sum(Fraction(max(abs(p), abs(q))) * 10**k for k, (p, q) in enumerate(zip(x.tolist(), y.tolist())))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(bounded_series())
+@example((SeriesSolution([1e300], [-1e300]), Fraction(1e300)))
+@example((SeriesSolution([0.0, 9.999999999e298], [0.0, 0.0]), Fraction(9.999999999e298) * 10))
+@example((SeriesSolution([0.0, 1.0000000001e299], [0.0, 0.0]), Fraction(1.0000000001e299) * 10))
+def test_a_certified_series_is_finite_on_the_whole_grid(drawn):
+    """The coefficient bound decides as the exact B does wherever B is more
+    than 2**-40 from 1e300, and a certified series stays within B, times its
+    rounding factor, at every grid point: it cannot overflow there."""
+    series, bound = drawn
+    certified = cli._overflow_free(series, 10.0)
+    if bound < CERTIFIED_BELOW * (1 - Fraction(1, 2**40)):
+        assert certified
+    if bound > CERTIFIED_BELOW * (1 + Fraction(1, 2**40)):
+        assert not certified
+    if certified:
+        traj = sample_series(series, np.linspace(0.0, 10.0, 2001))
+        n = series.x_coeffs.size - 1
+        limit = 1e300 * (1.0 + 2.0**-53) ** (4 * n + 4)
+        assert np.max(np.abs(traj.x)) <= limit and np.max(np.abs(traj.y)) <= limit
 
 
 # ``main`` parses with one parser per process; these calls share it.
