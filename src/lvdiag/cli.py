@@ -29,13 +29,13 @@ from .diagnostics import (
     divergence_time,
     self_intersection,
 )
-from .exceptions import IntegrationError
+from .exceptions import IntegrationError, NonFiniteError
 from .integrate import IntegratorConfig, solve
 from .methods import MethodKind, method_series, methods_agree
 from .model import ModelParams, PopulationState
 from .output import write_csv_tables, write_phase_svg, write_report_json
 from .presets import preset, preset_names
-from .series import InitialValueProblem, sample_series
+from .series import InitialValueProblem, SeriesSolution, sample_series
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -272,15 +272,28 @@ def _check_divergence(passes, orders):
     # to the end, so an overflow anywhere on the grid still names its first
     # time.  A sub-grid samples the full grid's bits, both from the series
     # and from the reference, so every row keeps them.
+    #
+    # Each preset's series is built once, to the highest order, and order k
+    # read as its first k + 1 coefficients: the recurrence computes each
+    # coefficient from the lower ones only, so that prefix has the bits of a
+    # build to k.  Where the one build overflows, each order is built on its
+    # own, so the error names the first order, in list order, that overflows.
     chunks = np.split(grid, (256, 768, 1792))
     for name, (ivp, solution) in passes.items():
         references = []  # this preset's reference on each chunk, sampled once
         ok = True
         details = []
+        try:
+            full = method_series(ivp, MethodKind.TAYLOR, max(orders))
+        except NonFiniteError:
+            full = None
         for order in orders:
             t_div = None
             with _named_overflow(f"{name}: taylor order {order}"):
-                series = method_series(ivp, MethodKind.TAYLOR, order)
+                if full is None:
+                    series = method_series(ivp, MethodKind.TAYLOR, order)
+                else:
+                    series = SeriesSolution(full.x_coeffs[: order + 1], full.y_coeffs[: order + 1])
                 certified = _overflow_free(series, t_end)
                 for k, chunk in enumerate(chunks):
                     approx = sample_series(series, chunk)

@@ -335,7 +335,10 @@ def solve(
         )
     floor = _MIN_STEP_FRACTION * ivp.t_end
     rtol, atol = cfg.rel_tol, cfg.abs_tol
-    a, b, c, d = p.a, p.b, p.c, p.d
+    a, b, d = p.a, p.b, p.d
+    # -c is negated once here: negation is exact, so nc + d*e^u rounds as
+    # -c + d*e^u does in every stage.
+    nc = -p.c
     exp, isfinite, sqrt, pack = math.exp, math.isfinite, math.sqrt, _STEP_RECORD.pack
     # The tableau and the controller's constants, bound as locals like the
     # functions above; -alpha is an exact negation, so safe**neg_alpha is
@@ -374,38 +377,40 @@ def solve(
             w = u + h * (a21 * fu)
             z = v + h * (a21 * fv)
             k2u = a - b * exp(z)
-            k2v = -c + d * exp(w)
+            k2v = nc + d * exp(w)
             w = u + h * (a31 * fu + a32 * k2u)
             z = v + h * (a31 * fv + a32 * k2v)
             k3u = a - b * exp(z)
-            k3v = -c + d * exp(w)
+            k3v = nc + d * exp(w)
             w = u + h * (a41 * fu + a42 * k2u + a43 * k3u)
             z = v + h * (a41 * fv + a42 * k2v + a43 * k3v)
             k4u = a - b * exp(z)
-            k4v = -c + d * exp(w)
+            k4v = nc + d * exp(w)
             w = u + h * (a51 * fu + a52 * k2u + a53 * k3u + a54 * k4u)
             z = v + h * (a51 * fv + a52 * k2v + a53 * k3v + a54 * k4v)
             k5u = a - b * exp(z)
-            k5v = -c + d * exp(w)
+            k5v = nc + d * exp(w)
             w = u + h * (a61 * fu + a62 * k2u + a63 * k3u + a64 * k4u + a65 * k5u)
             z = v + h * (a61 * fv + a62 * k2v + a63 * k3v + a64 * k4v + a65 * k5v)
             k6u = a - b * exp(z)
-            k6v = -c + d * exp(w)
+            k6v = nc + d * exp(w)
             u1 = u + h * (b1 * fu + b3 * k3u + b4 * k4u + b5 * k5u + b6 * k6u)
             v1 = v + h * (b1 * fv + b3 * k3v + b4 * k4v + b5 * k5v + b6 * k6v)
             x1 = exp(u1)
             y1 = exp(v1)
             k7u = a - b * y1
-            k7v = -c + d * x1
-            # Any inf or NaN among the stored values makes their sum inf or
-            # NaN, and a sum of finite floats is finite unless it overflows,
-            # so the exact per-value test runs only when this sum is not finite.
+            k7v = nc + d * x1
+            # fu and fv are finite already: the start's field, or the k7 of an
+            # accepted attempt.  Any inf or NaN among the other stored values
+            # makes their sum inf or NaN, and a sum of finite floats is finite
+            # unless it overflows, so the exact per-value test runs only when
+            # this sum is not finite.  total - total is 0.0 for a finite total
+            # and NaN for an inf or NaN one, so the comparison is isfinite's.
             total = (
-                u1 + v1 + fu + fv + k2u + k2v + k3u + k3v + k4u + k4v + k5u + k5v
-                + k6u + k6v + k7u + k7v
+                u1 + v1 + k2u + k2v + k3u + k3v + k4u + k4v + k5u + k5v + k6u + k6v + k7u + k7v
             )
-            finite = isfinite(total) or all(map(isfinite, (
-                u1, v1, fu, fv, k2u, k2v, k3u, k3v, k4u, k4v, k5u, k5v, k6u, k6v, k7u, k7v,
+            finite = total - total == 0.0 or all(map(isfinite, (
+                u1, v1, k2u, k2v, k3u, k3v, k4u, k4v, k5u, k5v, k6u, k6v, k7u, k7v,
             )))
         except OverflowError:
             finite = False
@@ -444,7 +449,13 @@ def solve(
             safe = 1e-10 if 1e-10 > err_norm else err_norm
             factor = safety * safe**neg_alpha * err_prev**beta
             err_prev = safe
-            t, u, v, fu, fv, su, sv = t1, u1, v1, k7u, k7v, su1, sv1
+            t = t1
+            u = u1
+            v = v1
+            fu = k7u
+            fv = k7v
+            su = su1
+            sv = sv1
             rejected_nonfinite = False
         else:
             rejected += 1

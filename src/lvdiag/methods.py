@@ -129,6 +129,10 @@ def _vim_iterates(ivp: InitialValueProblem, iterations: int) -> list[np.ndarray]
     coupling = np.array([[p.b], [-p.d]])
     iterate = np.array([[ivp.initial.x], [ivp.initial.y]])
     iterates = [iterate]
+    # Every iterate's divisors 1..degree, sliced from one row built for the
+    # largest degree, the last iterate's.  They are small integers held
+    # exactly as floats, so each product and quotient rounds as with ints.
+    divisors = np.arange(1.0, max(iterations, min(2 * iterations, _VIM_DEGREE_CAP)) + 1.0)
     # Coefficients past the double range become inf or NaN, which sampling refuses.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, iterations + 1):
@@ -136,7 +140,7 @@ def _vim_iterates(ivp: InitialValueProblem, iterations: int) -> list[np.ndarray]
             xy = np.convolve(iterate[0], iterate[1])[:degree]
             padded = np.zeros((2, degree + 1))
             padded[:, : iterate.shape[1]] = iterate
-            n = np.arange(1, degree + 1)
+            n = divisors[:degree]
             # The residuals x' - x*(a - b*y) and y' + y*(c - d*x), through degree - 1,
             # integrated from 0 and subtracted: coefficient 0 stays the start.
             residual = n * padded[:, 1:] - (linear * padded[:, :-1] - coupling * xy)

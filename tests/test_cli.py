@@ -412,7 +412,9 @@ def test_run_evaluates_the_first_integral_once_per_trajectory(tmp_path, monkeypa
 def test_verify_overflowing_order_is_a_usage_error(capsys):
     """Both overflows, in the recurrence (400) and on the grid (200, past the
     series' departure at t = 0.105), name the preset and order; the first
-    overflowing order is the one named."""
+    overflowing order, in list order, is the one named, also where the
+    series built once to the highest order overflows and each order is then
+    built on its own."""
     assert main(["verify", "--orders", "400"]) == 2
     want = "error: case-I: taylor order 400: series coefficient 305 overflows"
     assert capsys.readouterr().err.splitlines()[-1] == want
@@ -420,6 +422,12 @@ def test_verify_overflowing_order_is_a_usage_error(capsys):
     want = "error: case-I: taylor order 200: series overflows at t=3.4250000000000003"
     assert capsys.readouterr().err.splitlines()[-1] == want
     assert main(["verify", "--orders", "310,400"]) == 2
+    want = "error: case-I: taylor order 310: series coefficient 305 overflows"
+    assert capsys.readouterr().err.splitlines()[-1] == want
+    assert main(["verify", "--orders", "400,310"]) == 2
+    want = "error: case-I: taylor order 400: series coefficient 305 overflows"
+    assert capsys.readouterr().err.splitlines()[-1] == want
+    assert main(["verify", "--orders", "4,310,8"]) == 2
     want = "error: case-I: taylor order 310: series coefficient 305 overflows"
     assert capsys.readouterr().err.splitlines()[-1] == want
 

@@ -277,6 +277,29 @@ def test_a_coefficient_past_an_overflowing_term_is_retried_within_its_bound():
             assert abs(coeffs[n + 1] - exact) <= 2 * EPS * (abs(lin) + abs(coef) * magnitude) / (n + 1)
 
 
+def _assert_prefixes_are_lower_orders(ivp, top):
+    full = taylor_coefficients(ivp, top)
+    for order in range(top + 1):
+        sol = taylor_coefficients(ivp, order)
+        for got, want in ((sol.x_coeffs, full.x_coeffs), (sol.y_coeffs, full.y_coeffs)):
+            assert got.view(np.uint64).tolist() == want[: order + 1].view(np.uint64).tolist()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(problems(), st.integers(0, 60))
+def test_a_lower_order_is_a_prefix_bitwise(ivp, top):
+    """The recurrence computes coefficient n from the lower ones only, so the
+    series to any order k <= K is the first k + 1 coefficients of the series
+    to K, bit for bit; ``verify`` reads its divergence orders that way."""
+    _assert_prefixes_are_lower_orders(ivp, top)
+
+
+def test_a_lower_order_is_a_prefix_through_the_scaled_retry():
+    """Coefficients 149 and 150 of the d = 1000 problem come from the scaled
+    retry, and a build to 150 still holds every lower order's bits."""
+    _assert_prefixes_are_lower_orders(D_1000, 150)
+
+
 @pytest.mark.parametrize("method", list(MethodKind), ids=lambda m: m.value)
 @pytest.mark.parametrize("order", [1, 2])
 def test_an_overflowing_first_coefficient_is_named_by_every_scheme(method, order):

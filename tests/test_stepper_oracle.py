@@ -210,6 +210,45 @@ def test_solve_matches_the_readable_loop_on_a_blow_up():
         assert kind is DivergenceError and text.startswith("state left the finite range near t=")
 
 
+# Rates, start and horizon far from any orbit, found by a search over extreme
+# problems: one attempt per pass has stages whose sum is not finite although
+# it is not made of finite values only, so ``solve`` decides it value by value.
+EXTREME = InitialValueProblem(
+    ModelParams(1.0087363033896022e76, 6.346639121339529e90, 2.897377752126963e29, 3.059928539546681e170),
+    PopulationState(3.67426742110333e-87, 2.866832884927296e-245),
+    2.0143908009016624e-79,
+)
+EXTREME_CFG = IntegratorConfig(1.1214189961236912e-09, 1.2959796738025918e-09)
+
+
+@pytest.mark.parametrize("find_period", [False, True])
+def test_solve_matches_the_readable_loop_where_the_stage_sum_is_not_finite(monkeypatch, find_period):
+    """``solve`` tests finiteness on the sum of an attempt's stages, and only
+    where that sum is not finite on each value.  This problem reaches that
+    per-value test once per pass and finishes.
+
+    A search over 60,000 extreme draws (rates, x0 and y0 log-uniform in
+    1e-300..1e300, t_end in 1e-305..1e3, both tolerances in 1e-12..1e-2,
+    each pass cut at 20,000 attempts) reached the per-value test in 201
+    passes, 1,081,324 times in all, and every time it decided "not finite":
+    a stage sum that was not finite always held an inf or NaN.  So a
+    ``solve`` that skipped the per-value test and rejected every such
+    attempt would still pass this comparison.
+    """
+    decisions = []
+
+    def counting_all(values):
+        decisions.append(all(values))
+        return decisions[-1]
+
+    monkeypatch.setattr(m, "all", counting_all, raising=False)
+    solution = assert_same_pass(EXTREME, EXTREME_CFG, find_period)
+    assert decisions == [False]
+    assert solution.period is None
+    if not find_period:
+        assert solution.stats == m.IntegratorStats(79, 13, 5, 554)
+
+
 class _SqrtSpy:
     """``math`` as ``lvdiag.integrate`` reads it, except that the ``nan_at``-th
     ``sqrt`` call of each pass returns NaN.
