@@ -264,23 +264,25 @@ def _overflow_free(series, t_max):
 def _check_divergence(passes, orders):
     t_end = 10.0
     grid = np.linspace(0.0, t_end, 2001)
-    # Each series is read chunk by chunk (256 grid points, then 512, 1024 and
-    # the rest) up to its departure.  Past it, a series is read no further
-    # when B = sum_k max(|X_k|, |Y_k|) * 10**k < 1e300: B bounds every Horner
+    head = grid[:256]
+    # A series is read on the head, the first 256 grid points, where every
+    # order from 1 to 150 departs on both presets, when it is certified:
+    # B = sum_k max(|X_k|, |Y_k|) * 10**k < 1e300 bounds every Horner
     # intermediate on [0, 10] up to a rounding factor below 1.7e8, so no later
-    # sample can overflow (``_overflow_free``).  Any other series is sampled
-    # to the end, so an overflow anywhere on the grid still names its first
-    # time.  A sub-grid samples the full grid's bits, both from the series
-    # and from the reference, so every row keeps them.
+    # sample can overflow (``_overflow_free``).  A series that has not departed
+    # there, or is not certified, is read on the whole grid, so an overflow
+    # anywhere on it still names its first time.  A sub-grid samples the full
+    # grid's bits, both from the series and from the reference, so every row
+    # keeps them.
     #
     # Each preset's series is built once, to the highest order, and order k
     # read as its first k + 1 coefficients: the recurrence computes each
     # coefficient from the lower ones only, so that prefix has the bits of a
     # build to k.  Where the one build overflows, each order is built on its
     # own, so the error names the first order, in list order, that overflows.
-    chunks = np.split(grid, (256, 768, 1792))
     for name, (ivp, solution) in passes.items():
-        references = []  # this preset's reference on each chunk, sampled once
+        head_reference = solution.sample(head)
+        reference = None  # this preset's whole-grid reference, sampled when first needed
         ok = True
         details = []
         try:
@@ -294,15 +296,12 @@ def _check_divergence(passes, orders):
                     series = method_series(ivp, MethodKind.TAYLOR, order)
                 else:
                     series = SeriesSolution(full.x_coeffs[: order + 1], full.y_coeffs[: order + 1])
-                certified = _overflow_free(series, t_end)
-                for k, chunk in enumerate(chunks):
-                    approx = sample_series(series, chunk)
-                    if t_div is None:
-                        if k == len(references):
-                            references.append(solution.sample(chunk))
-                        t_div = divergence_time(approx, references[k], 1.0)
-                    if t_div is not None and certified:
-                        break
+                if _overflow_free(series, t_end):
+                    t_div = divergence_time(sample_series(series, head), head_reference, 1.0)
+                if t_div is None:
+                    if reference is None:
+                        reference = solution.sample(grid)
+                    t_div = divergence_time(sample_series(series, grid), reference, 1.0)
             details.append("none" if t_div is None else f"{t_div:.3f}")
             if t_div is None or not t_div < 10.0:
                 ok = False

@@ -589,15 +589,18 @@ def preset_passes():
     return {"case-I": (long_i, solve(long_i)), "case-V": (long_v, solve(long_v, find_period=True))}
 
 
-# Order 0 departs at t = 9.215 on case-I and 1.620 on case-V, past the first
-# chunk.  case-I's order-150 coefficients bound the series at 1.5e301, so it
-# is sampled to the end of the grid, as is order 200, which overflows there
-# at t = 3.425; the coefficients of orders 310 and 400 overflow.
+# Every order from 1 to 150 departs on the head, the first 256 grid points.
+# Order 0 departs at t = 9.215 on case-I and 1.620 on case-V, past the head,
+# so it is read on the whole grid, as with 20,4,0, where it comes last.
+# case-I's order-150 coefficients bound the series at 1.5e301, so it is read
+# on the whole grid, as in 4,150 and 150,4, next to an order 4 read on the
+# head; so is order 200, which overflows there at t = 3.425.  The
+# coefficients of orders 310 and 400 overflow.
 @pytest.mark.parametrize(
     "orders",
     [
         (4, 8, 12, 16, 20), (4, 8, 12), (0, 20), (0, 150), (60, 120), (0,), (150,), (0, 1, 2, 3),
-        (200,), (400,), (310, 400), (4, 8, 200),
+        (200,), (400,), (310, 400), (4, 8, 200), (4, 150), (150, 4), (20, 4, 0),
     ],
     ids=lambda orders: ",".join(map(str, orders)),
 )
