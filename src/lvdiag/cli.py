@@ -88,7 +88,14 @@ def _order_list(text):
     return values
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reads, built on the first call and shared by the later ones.
+
+    Parsing leaves the parser as it was, since each call fills a fresh
+    namespace, so a process that calls ``main`` many times (the tests, the
+    benchmark, a scripted sweep) builds the tree once.
+    """
     parser = argparse.ArgumentParser(
         prog="lvdiag",
         description="Series approximations of prey-predator dynamics and their failure modes.",
@@ -123,8 +130,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--points", type=_nonnegative_int, default=2001,
         help="grid samples (default: 2001); the self-crossing scan costs O(points^2) at worst",
     )
-    run.add_argument("--rel-tol", type=_positive_float, help="reference relative tolerance")
-    run.add_argument("--abs-tol", type=_positive_float, help="reference absolute tolerance")
+    run.add_argument(
+        "--rel-tol", type=_positive_float,
+        help=f"reference relative tolerance (default: {IntegratorConfig.rel_tol:g})",
+    )
+    run.add_argument(
+        "--abs-tol", type=_positive_float,
+        help=f"reference absolute tolerance (default: {IntegratorConfig.abs_tol:g})",
+    )
     run.add_argument("--delta", type=_positive_float, default=1.0, help="divergence threshold (default: 1)")
     run.add_argument(
         "--format",
@@ -140,22 +153,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--orders",
         type=_order_list,
         default=_DEFAULT_SWEEP,
-        help="comma-separated truncation orders for the divergence sweep",
+        help="comma-separated truncation orders for the divergence sweep "
+        f"(default: {','.join(map(str, _DEFAULT_SWEEP))})",
     )
     verify.set_defaults(handler=cmd_verify)
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` reads, built on the first call and shared by the later ones.
-
-    Parsing leaves the parser as it was, since each call fills a fresh
-    namespace, so a process that calls ``main`` many times (the tests, the
-    benchmark, a scripted sweep) builds the tree once.  ``build_parser``
-    still returns a new parser for callers that change theirs.
-    """
-    return build_parser()
 
 
 def _resolve_problem(args):

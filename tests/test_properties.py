@@ -218,6 +218,44 @@ def test_power_of_two_scalings_map_series_and_reports_exactly(ivp, method, order
         assert abs(scaled_period - period) <= 1e-9 * period
 
 
+@pytest.mark.parametrize("name", ["case-I", "case-V"])
+@pytest.mark.parametrize("j", [3, -2, 7])
+def test_power_of_two_time_scalings_map_series_and_reports_exactly(name, j):
+    """Rates times s = 2**j over [0, t_end / s] is the same orbit at s times
+    the speed.  Coefficient n scales by s**n and the grid by 1/s, both
+    exactly, and each Horner step of a sample then carries one power of s, so
+    every scheme's samples keep their bytes, and so do the self-crossing, the
+    excluded samples and the closure verdicts; ``divergence_time`` scales by
+    1/s exactly.  The reference's first step takes a fifth root, so its pass
+    does not scale exactly: the period agrees to 1e-10 relative (4.5e-11
+    measured on case-V; case-I's default window finds none)."""
+    ivp, s = preset(name), 2.0**j
+    p = ivp.params
+    scaled = InitialValueProblem(ModelParams(s * p.a, s * p.b, s * p.c, s * p.d), ivp.initial, ivp.t_end / s)
+    grid = np.linspace(0.0, ivp.t_end, 2001)
+    assert np.linspace(0.0, scaled.t_end, 2001).tobytes() == (grid / s).tobytes()
+    for kind in MethodKind:
+        for order in (5, 20):
+            mine, theirs = method_series(ivp, kind, order), method_series(scaled, kind, order)
+            powers = s ** np.arange(float(mine.x_coeffs.size))
+            assert theirs.x_coeffs.tobytes() == (powers * mine.x_coeffs).tobytes(), (kind, order)
+            assert theirs.y_coeffs.tobytes() == (powers * mine.y_coeffs).tobytes(), (kind, order)
+            approx, scaled_approx = sample_series(mine, grid), sample_series(theirs, grid / s)
+            assert scaled_approx.x.tobytes() == approx.x.tobytes(), (kind, order)
+            assert scaled_approx.y.tobytes() == approx.y.tobytes(), (kind, order)
+        report, scaled_report = (failure_report(problem, kind, 5) for problem in (ivp, scaled))
+        t_div = report.divergence_time
+        assert scaled_report.divergence_time == (None if t_div is None else t_div / s)
+        assert scaled_report.self_intersection == report.self_intersection
+        assert scaled_report.excluded_samples == report.excluded_samples
+        assert scaled_report.closed_orbit_ref is report.closed_orbit_ref
+        assert scaled_report.closed_orbit is report.closed_orbit
+        period, scaled_period = report.period_estimate, scaled_report.period_estimate
+        assert (scaled_period is None) == (period is None)
+        if period is not None:
+            assert abs(scaled_period * s - period) <= 1e-10 * period
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(problems())
 @example(preset("case-I"))
