@@ -183,6 +183,22 @@ def test_verify_without_a_reference_period_is_a_numeric_failure(monkeypatch, cap
     assert "numeric failure: case-V: no return to the start section" in capsys.readouterr().err
 
 
+def test_verify_passes(capsys):
+    assert main(["verify"]) == 0
+    out = capsys.readouterr().out
+    assert out.strip().endswith("checks passed")
+    assert "FAIL" not in out
+    assert out.count("PASS") == 10
+
+
+def test_verify_twice_in_one_process_prints_the_same_table(capsys):
+    outs = []
+    for _ in range(2):
+        assert main(["verify"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and outs[0].endswith("10/10 checks passed\n")
+
+
 def test_verify_times_each_group_on_stderr_only(capsys):
     runs = []
     for _ in range(2):
