@@ -37,7 +37,6 @@ from .series import (
     InitialValueProblem,
     SeriesSolution,
     sample_series,
-    taylor_coefficients,
 )
 from .trajectory import Trajectory
 
@@ -70,5 +69,4 @@ __all__ = [
     "sample_series",
     "self_intersection",
     "solve",
-    "taylor_coefficients",
 ]

@@ -3,10 +3,12 @@
 Each test covers one headline claim at its stated tolerance and prints a
 single PASS/FAIL line with the measured numbers (visible under pytest -s),
 then asserts it.  Pinned regression values come from independent runs noted
-next to each constant.
+next to each constant.  Criterion 9, identical bytes from identical flags, and
+the green ``lvdiag verify`` are rows of ``tests/test_cli_cases.py``.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -23,10 +25,9 @@ from lvdiag import (
     sample_series,
     self_intersection,
     solve,
-    taylor_coefficients,
 )
-from lvdiag.cli import main as cli_main
 from lvdiag.diagnostics import _closes
+from lvdiag.series import taylor_coefficients
 
 CASE_V = preset("case-V")
 CASE_I = preset("case-I")
@@ -39,18 +40,14 @@ DRIFT_RATIO_V_ORDER_5 = 4586243571955.37
 SWEEP_ORDERS = (4, 8, 12, 16, 20)
 
 
-def _ivp(case, t_end):
-    return InitialValueProblem(case.params, case.initial, t_end)
-
-
 def _report(number, name, ok, detail):
     print(f"[{number}] {name}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"{name}: {detail}"
 
 
 def test_criterion_1_first_order_coefficients_bitwise():
-    sol_i = taylor_coefficients(_ivp(CASE_I, 10.0), 1)
-    sol_v = taylor_coefficients(_ivp(CASE_V, 10.0), 1)
+    sol_i = taylor_coefficients(replace(CASE_I, t_end=10.0), 1)
+    sol_v = taylor_coefficients(replace(CASE_V, t_end=10.0), 1)
     ok = (
         sol_i.x_coeffs[1] == 14.0 * (1.0 - 1.0 * 18.0) == -238.0
         and sol_i.y_coeffs[1] == 18.0 * (1.0 * 14.0 - 0.1) == 250.20000000000002
@@ -71,7 +68,7 @@ def test_criterion_2_method_equivalence_orders_1_to_20():
     worst_overall = 0.0
     ok = True
     for case in (CASE_I, CASE_V):
-        ivp = _ivp(case, 10.0)
+        ivp = replace(case, t_end=10.0)
         for order in range(1, 21):
             agreement = methods_agree(ivp, order)[-1]
             worst_overall = max(worst_overall, agreement.worst())
@@ -93,7 +90,7 @@ def test_criterion_2_method_equivalence_orders_1_to_20():
 def test_criterion_3_reference_conserves_the_invariant():
     drifts = {}
     for name, case, horizon in (("case-V", CASE_V, 50.0), ("case-I", CASE_I, 10.0)):
-        window = _ivp(case, horizon)
+        window = replace(case, t_end=horizon)
         traj = solve(window).sample(np.linspace(0.0, horizon, 5001))
         drifts[name] = conservation_drift(traj, case.params)
     ok = all(d <= 1e-8 for d in drifts.values())
@@ -106,10 +103,10 @@ def test_criterion_3_reference_conserves_the_invariant():
 
 
 def test_criterion_4_closed_orbit_and_pinned_period():
-    ivp = _ivp(CASE_V, 10.0)
+    ivp = replace(CASE_V, t_end=10.0)
     period = solve(ivp, find_period=True).period
-    closes = _closes(solve(_ivp(CASE_V, 1.2 * period)).sample, period)
-    one_period = solve(_ivp(CASE_V, period)).sample(np.linspace(0.0, period, 2001))
+    closes = _closes(solve(replace(CASE_V, t_end=1.2 * period)).sample, period)
+    one_period = solve(replace(CASE_V, t_end=period)).sample(np.linspace(0.0, period, 2001))
     crossing = self_intersection(one_period)
     ok = closes and crossing is None and abs(period - PERIOD_V) <= 1e-8
     _report(
@@ -122,7 +119,7 @@ def test_criterion_4_closed_orbit_and_pinned_period():
 
 
 def test_criterion_5_series_diverges_on_the_large_orbit():
-    ivp = _ivp(CASE_I, 10.0)
+    ivp = replace(CASE_I, t_end=10.0)
     grid = np.linspace(0.0, 10.0, 2001)
     reference = solve(ivp).sample(grid)
     times = {}
@@ -136,13 +133,13 @@ def test_criterion_5_series_diverges_on_the_large_orbit():
 
 def test_criterion_6_series_phase_curve_crosses_itself():
     order = 5
-    ivp = _ivp(CASE_V, 10.0)
+    ivp = replace(CASE_V, t_end=10.0)
     grid = np.linspace(0.0, 10.0, 2001)
     crossing = self_intersection(sample_series(taylor_coefficients(ivp, order), grid))
     period = solve(ivp, find_period=True).period
-    reference_loop = solve(_ivp(CASE_V, period)).sample(np.linspace(0.0, period, 2001))
+    reference_loop = solve(replace(CASE_V, t_end=period)).sample(np.linspace(0.0, period, 2001))
     ref_crossing = self_intersection(reference_loop)
-    short = _ivp(CASE_V, 3.0)
+    short = replace(CASE_V, t_end=3.0)
     grid3 = np.linspace(0.0, 3.0, 601)
     ref_drift = conservation_drift(solve(short).sample(grid3), CASE_V.params)
     series_drift = conservation_drift(
@@ -192,34 +189,3 @@ def test_criterion_8_decoupled_case_is_exact():
         ok,
         f"endpoint error {end_gap:.3e}, coefficient error {coeff_gap:.3e}",
     )
-
-
-def test_criterion_9_runs_are_deterministic(tmp_path, capsys):
-    out = tmp_path / "run"
-    flags = [
-        "run", "--preset", "case-V", "--format", "all", "--points", "501",
-        "--out", str(out),
-    ]
-    assert cli_main(flags) == 0
-    first = {f.name: f.read_bytes() for f in out.iterdir()}
-    assert cli_main(flags) == 0
-    second = {f.name: f.read_bytes() for f in out.iterdir()}
-    capsys.readouterr()
-    identical = first == second
-    _report(
-        9,
-        "repeated runs are byte-identical",
-        identical and len(first) == 4,
-        f"{len(first)} files compared",
-    )
-
-
-def _verify_gate(capsys):
-    code = cli_main(["verify"])
-    out = capsys.readouterr().out
-    print(out)
-    return code
-
-
-def test_verification_command_is_green(capsys):
-    assert _verify_gate(capsys) == 0

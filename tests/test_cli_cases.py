@@ -55,6 +55,7 @@ METHODS = [kind.value for kind in MethodKind]
 UNIT_RATES = ("--a", "1", "--b", "1", "--c", "1", "--d", "1")
 D_1000 = ("--a", "2", "--b", "8", "--c", "1", "--d", "1000", "--x0", "0.5", "--y0", "2")
 NO_PERIOD = {"period_estimate": None, "closed_orbit_ref": False}
+DECOUPLED_NULLS = {**NO_PERIOD, "divergence_time": None, "self_intersection": None}
 
 VERIFY_CASES = [
     Case(
@@ -115,13 +116,13 @@ SCHEME_CASES = [
     *(
         Case(
             f"{case}-{method}", ("run", "--preset", case, "--method", method, "--format", "all"), why,
-            writes=_files(f"{case}_{method}_order5", "all"),
+            writes=_files(f"{case}_{method}_order5", "all"), report=report,
         )
         for method in METHODS
-        for case, why in (
-            ("case-I", "the series leaves the invariant's domain, so its tables also hold empty cells"),
-            ("case-V", "the periodic preset"),
-            ("decoupled", "no period is found, so the report holds nulls"),
+        for case, why, report in (
+            ("case-I", "the series leaves the invariant's domain, so its tables also hold empty cells", {}),
+            ("case-V", "the periodic preset", {}),
+            ("decoupled", "no period is found, so the report holds nulls", DECOUPLED_NULLS),
         )
     ),
     *(

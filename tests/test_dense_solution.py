@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,21 +27,17 @@ from lvdiag import (
     preset,
     sample_series,
     solve,
-    taylor_coefficients,
 )
 from lvdiag.cli import main
-from lvdiag.series import _validated_grid
+from lvdiag.series import _validated_grid, taylor_coefficients
 from lvdiag.trajectory import Trajectory
 import lvdiag.integrate as integrate_module
+from test_properties import problems
 
 CASE_V = preset("case-V")
 CASE_I = preset("case-I")
 # Populations far out on a unit-rate orbit: an early trial stage overflows.
 FAR_OUT = InitialValueProblem(ModelParams(1, 1, 1, 1), PopulationState(1000, 10000), 10.0)
-
-
-def _ivp(case, t_end):
-    return InitialValueProblem(case.params, case.initial, t_end)
 
 
 class _FlowSpy:
@@ -85,7 +82,7 @@ def test_lvdiag_integrate_is_the_module_that_solve_runs_in(monkeypatch):
         return real(p, x0, y0)
 
     monkeypatch.setattr(m, "_make_flow", make_flow)
-    solve(_ivp(CASE_V, 1.0))
+    solve(replace(CASE_V, t_end=1.0))
     assert flows == [(3.0, 2.0)]
 
 
@@ -100,7 +97,7 @@ def test_a_start_on_an_axis_raises_before_any_rhs_evaluation(monkeypatch, x0, y0
 
 
 def test_sampling_past_the_last_step_raises():
-    solution = solve(_ivp(CASE_V, 5.0))
+    solution = solve(replace(CASE_V, t_end=5.0))
     assert solution.t[-1] == 5.0
     assert len(solution.sample([0.0, 5.0])) == 2
     with pytest.raises(ValueError, match="past the last step"):
@@ -172,16 +169,6 @@ def assert_samples_like_the_masked_body(solution, grid):
     return got
 
 
-# The sweep's problems: rates in [1/2, 2], the start 1/3 to 3 times the
-# equilibrium in each coordinate, reported over [0, 10].
-@st.composite
-def sweep_problems(draw):
-    a, b, c, d = (draw(st.floats(0.5, 2.0)) for _ in range(4))
-    x0 = draw(st.floats(1.0 / 3.0, 3.0)) * c / d
-    y0 = draw(st.floats(1.0 / 3.0, 3.0)) * a / b
-    return InitialValueProblem(ModelParams(a, b, c, d), PopulationState(x0, y0), 10.0)
-
-
 def _oracle_grids(solution, t_end):
     t = solution.t
     for points in (2001, 2401, 5001):
@@ -195,7 +182,7 @@ def _oracle_grids(solution, t_end):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(sweep_problems(), st.booleans(), st.integers(0, 2**32 - 1))
+@given(problems(), st.booleans(), st.integers(0, 2**32 - 1))
 def test_sample_matches_the_masked_body_bitwise(ivp, find_period, seed):
     solution = solve(ivp, find_period=find_period)
     for grid in _oracle_grids(solution, ivp.t_end):
@@ -210,7 +197,7 @@ def test_sample_matches_the_masked_body_bitwise(ivp, find_period, seed):
 
 
 def test_sample_errors_match_the_masked_body():
-    solution = solve(_ivp(CASE_V, 5.0))
+    solution = solve(replace(CASE_V, t_end=5.0))
     past = assert_samples_like_the_masked_body(solution, [0.0, math.nextafter(5.0, math.inf)])
     assert past[0] is ValueError
     assert assert_samples_like_the_masked_body(solution, np.linspace(0.0, 6.0, 7))[0] is ValueError
@@ -230,7 +217,7 @@ def test_the_step_budget_is_a_numeric_failure(monkeypatch, tmp_path, capsys):
 
 
 def test_step_boundaries_sample_their_stored_states_bitwise():
-    solution = solve(_ivp(CASE_V, 10.0))
+    solution = solve(replace(CASE_V, t_end=10.0))
     picks = np.arange(0, solution.t.size, 7)
     traj = solution.sample(solution.t[picks])
     assert np.array_equal(traj.x, solution.states[picks, 0])
@@ -239,19 +226,19 @@ def test_step_boundaries_sample_their_stored_states_bitwise():
 
 
 def test_period_event_sets_the_end_of_the_pass():
-    period = solve(_ivp(CASE_V, 10.0), find_period=True).period
-    short = solve(_ivp(CASE_V, 1.0), find_period=True)
+    period = solve(replace(CASE_V, t_end=10.0), find_period=True).period
+    short = solve(replace(CASE_V, t_end=1.0), find_period=True)
     assert short.period == period
     assert short.t[-1] == 1.2 * period
-    long = solve(_ivp(CASE_V, 10.0), find_period=True)
+    long = solve(replace(CASE_V, t_end=10.0), find_period=True)
     assert long.period == period and long.t[-1] == 10.0
 
 
 def test_pass_without_a_return_ends_at_the_search_horizon():
-    solution = solve(_ivp(CASE_I, 10.0), find_period=True)
+    solution = solve(replace(CASE_I, t_end=10.0), find_period=True)
     assert solution.period is None
     assert solution.t[-1] == 100.0 / math.sqrt(CASE_I.params.a * CASE_I.params.c)
-    assert solve(_ivp(CASE_I, 10.0)).period is None
+    assert solve(replace(CASE_I, t_end=10.0)).period is None
 
 
 @pytest.mark.parametrize(
@@ -264,7 +251,7 @@ def test_pass_without_a_return_ends_at_the_search_horizon():
 )
 def test_rhs_evaluations_match_step_attempts(monkeypatch, case, cfg, trial_evals):
     spy = _FlowSpy(monkeypatch)
-    stats = solve(_ivp(case, 10.0), cfg).stats
+    stats = solve(replace(case, t_end=10.0), cfg).stats
     attempts = stats.accepted + stats.rejected
     assert spy.exp_calls == 2 * stats.rhs_evals == 2 * (1 + trial_evals + 6 * attempts)
     assert 0 <= stats.nonfinite_rejected <= stats.rejected
@@ -273,24 +260,24 @@ def test_rhs_evaluations_match_step_attempts(monkeypatch, case, cfg, trial_evals
 
 
 def test_stats_count_the_accepted_steps():
-    solution = solve(_ivp(CASE_V, 10.0))
+    solution = solve(replace(CASE_V, t_end=10.0))
     assert solution.stats.accepted == solution.t.size - 1 == solution.q.shape[0]
 
 
 def test_step_size_range_and_final_time():
-    solution = solve(_ivp(CASE_V, 10.0), find_period=True)
+    solution = solve(replace(CASE_V, t_end=10.0), find_period=True)
     assert 0.0 < solution.h_min < solution.h_max <= solution.t[-1]
     assert solution.t_final == solution.t[-1] >= 10.0
     assert solution.t_final >= 1.2 * solution.period
     # The shortest horizon is still one step, cut to end on it.
-    tiny = solve(_ivp(CASE_V, 1e-9))
+    tiny = solve(replace(CASE_V, t_end=1e-9))
     assert (tiny.stats.accepted, tiny.h_min, tiny.h_max, tiny.t_final) == (1, 1e-9, 1e-9, 1e-9)
 
 
 @pytest.mark.parametrize("case", [CASE_V, CASE_I], ids=["case-V", "case-I"])
 def test_failure_report_makes_one_stepping_pass(monkeypatch, case):
     spy = _FlowSpy(monkeypatch)
-    report = failure_report(_ivp(case, 10.0), MethodKind.TAYLOR, 5)
+    report = failure_report(replace(case, t_end=10.0), MethodKind.TAYLOR, 5)
     assert spy.passes == 1
     assert (report.period_estimate is None) == (case is CASE_I)
 
@@ -366,10 +353,10 @@ def _custom(a, b, c, d, x0, y0, t_end):
 
 # Every preset at its own horizon, and the custom problems of CI's identical-flags step.
 CI_PROBLEMS = [preset(name) for name in ("case-I", "case-V", "decoupled")] + [
-    _ivp(CASE_V, 25.0),
-    _ivp(CASE_V, 1.0),
-    _ivp(CASE_V, 3.0),
-    _ivp(CASE_I, 400.0),
+    replace(CASE_V, t_end=25.0),
+    replace(CASE_V, t_end=1.0),
+    replace(CASE_V, t_end=3.0),
+    replace(CASE_I, t_end=400.0),
     _custom(1.5, 0.75, 2, 0.5, 3, 1.25, 10.0),
     _custom(1, 0, 1, 1, 2, 1, 1.0),
     _custom(1, 1, 1, 0, 2, 1, 1.0),
@@ -461,7 +448,7 @@ BAD_GRIDS = [
 
 @pytest.mark.parametrize("grid, error, message", BAD_GRIDS)
 def test_public_samplers_check_their_grids(grid, error, message):
-    samplers = (solve(_ivp(CASE_V, 5.0)).sample, lambda g: sample_series(taylor_coefficients(CASE_V, 5), g))
+    samplers = (solve(replace(CASE_V, t_end=5.0)).sample, lambda g: sample_series(taylor_coefficients(CASE_V, 5), g))
     for sample in samplers:
         with pytest.raises(error) as excinfo:
             sample(grid)
@@ -471,7 +458,7 @@ def test_public_samplers_check_their_grids(grid, error, message):
 def test_sampled_trajectories_are_what_the_checked_constructor_builds():
     """The samplers skip ``Trajectory``'s second check; what they return passes it unchanged."""
     grid = np.linspace(0.0, 5.0, 11)
-    for traj in (solve(_ivp(CASE_V, 5.0)).sample(grid), sample_series(taylor_coefficients(CASE_V, 5), grid)):
+    for traj in (solve(replace(CASE_V, t_end=5.0)).sample(grid), sample_series(taylor_coefficients(CASE_V, 5), grid)):
         checked = Trajectory(traj.t, traj.x, traj.y)
         for name in ("t", "x", "y"):
             got, want = getattr(traj, name), getattr(checked, name)
@@ -502,13 +489,13 @@ def _time_reversal_gap(ivp):
 # dips to 1e-84; at most 2.2e-9 over 100 sweep-like problems drawn with
 # random.Random, and 1.2e-9 over the 100 drawn here.
 @pytest.mark.parametrize(
-    "ivp, tol", [(CASE_V, 1e-9), (_ivp(CASE_I, 400.0), 1e-6)], ids=["case-V", "case-I-400"]
+    "ivp, tol", [(CASE_V, 1e-9), (replace(CASE_I, t_end=400.0), 1e-6)], ids=["case-V", "case-I-400"]
 )
 def test_the_swapped_problem_runs_the_orbit_backwards(ivp, tol):
     assert _time_reversal_gap(ivp) <= tol
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(sweep_problems())
+@given(problems())
 def test_the_swapped_problem_runs_drawn_orbits_backwards(ivp):
     assert _time_reversal_gap(ivp) <= 1e-8

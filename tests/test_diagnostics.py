@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,9 +23,9 @@ from lvdiag import (
     sample_series,
     self_intersection,
     solve,
-    taylor_coefficients,
 )
 from lvdiag.diagnostics import _invariant_column
+from lvdiag.series import taylor_coefficients
 
 CASE_V = preset("case-V")
 CASE_I = preset("case-I")
@@ -38,17 +39,13 @@ T_DIV_V_ORDER_10 = 0.86
 CROSSING_V_ORDER_5 = (15, 173, 2.738777975372945, 2.317415878824727)
 
 
-def _ivp(case, t_end):
-    return InitialValueProblem(case.params, case.initial, t_end)
-
-
 def _series_trajectory(case, order, grid=GRID_10):
-    ivp = _ivp(case, float(grid[-1]))
+    ivp = replace(case, t_end=float(grid[-1]))
     return ivp, sample_series(taylor_coefficients(ivp, order), grid)
 
 
 def test_divergence_time_none_for_identical_trajectories():
-    ivp = _ivp(CASE_V, 10.0)
+    ivp = replace(CASE_V, t_end=10.0)
     ref = solve(ivp).sample(GRID_10)
     assert divergence_time(ref, ref) is None
 
@@ -78,7 +75,7 @@ def test_a_deviation_of_exactly_delta_does_not_diverge():
 
 
 def test_divergence_time_validation():
-    solution = solve(_ivp(CASE_V, 10.0))
+    solution = solve(replace(CASE_V, t_end=10.0))
     ref = solution.sample(GRID_10)
     other = solution.sample(np.linspace(0.0, 10.0, 1001))
     with pytest.raises(ValueError):
@@ -129,7 +126,7 @@ def test_self_intersection_collinear_gap_is_simple():
 def test_self_intersection_straight_line_is_simple():
     # The order-1 decomposition draws a straight line; segments 0 and 15 are
     # collinear but disjoint, and rounding must not make them meet.
-    ivp = _ivp(CASE_I, 20.0)
+    ivp = replace(CASE_I, t_end=20.0)
     line = sample_series(method_series(ivp, MethodKind.ADOMIAN, 1), np.linspace(0.0, 20.0, 2001))
     assert self_intersection(line) is None
 
@@ -152,7 +149,7 @@ def test_self_intersection_pinned_crossing():
 
 
 def test_reference_orbit_is_simple_over_one_period():
-    ivp = _ivp(CASE_V, 10.0)
+    ivp = replace(CASE_V, t_end=10.0)
     period = solve(ivp, find_period=True).period
     window = InitialValueProblem(CASE_V.params, CASE_V.initial, period)
     traj = solve(window).sample(np.linspace(0.0, period, 2001))
@@ -236,7 +233,7 @@ def test_a_drift_past_the_double_range_names_its_time():
 
 
 def test_series_drift_dwarfs_the_reference_drift():
-    short = _ivp(CASE_V, 3.0)
+    short = replace(CASE_V, t_end=3.0)
     grid = np.linspace(0.0, 3.0, 601)
     ref_drift = conservation_drift(solve(short).sample(grid), CASE_V.params)
     series_drift = conservation_drift(
@@ -246,7 +243,7 @@ def test_series_drift_dwarfs_the_reference_drift():
 
 
 def test_failure_report_unit_case_order_5():
-    report = failure_report(_ivp(CASE_V, 10.0), MethodKind.TAYLOR, 5)
+    report = failure_report(replace(CASE_V, t_end=10.0), MethodKind.TAYLOR, 5)
     assert report.method is MethodKind.TAYLOR
     assert report.order == 5
     assert report.divergence_time == 1.0050000000000001
@@ -260,7 +257,7 @@ def test_failure_report_unit_case_order_5():
 
 
 def test_failure_report_large_amplitude_case_order_5():
-    report = failure_report(_ivp(CASE_I, 10.0), MethodKind.TAYLOR, 5)
+    report = failure_report(replace(CASE_I, t_end=10.0), MethodKind.TAYLOR, 5)
     assert report.divergence_time == 0.12
     assert report.period_estimate is None
     assert report.closed_orbit_ref is False
@@ -303,15 +300,15 @@ def test_failure_report_decoupled_high_order_is_clean():
 
 def test_failure_report_on_huge_finite_approximants_raises_no_warning():
     """Overflowing closure distances are dropped; overflowing samples are non-finite."""
-    report = failure_report(_ivp(CASE_V, 10.0), MethodKind.TAYLOR, 150)
+    report = failure_report(replace(CASE_V, t_end=10.0), MethodKind.TAYLOR, 150)
     assert report.closed_orbit_ref is True
     assert report.closed_orbit is False
     with pytest.raises(NonFiniteError):
-        failure_report(_ivp(CASE_I, 10.0), MethodKind.TAYLOR, 160)
+        failure_report(replace(CASE_I, t_end=10.0), MethodKind.TAYLOR, 160)
 
 
 def test_failure_report_validation():
-    ivp = _ivp(CASE_V, 10.0)
+    ivp = replace(CASE_V, t_end=10.0)
     with pytest.raises(ValueError):
         failure_report(ivp, MethodKind.TAYLOR, 5, points=1)
     with pytest.raises(ValueError, match="need at least 4 grid points, got 3"):

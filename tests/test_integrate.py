@@ -21,10 +21,10 @@ from lvdiag import (
     preset,
     sample_series,
     solve,
-    taylor_coefficients,
 )
 from lvdiag.diagnostics import _closes
 from lvdiag.integrate import _start_section
+from lvdiag.series import taylor_coefficients
 from test_series import problems
 
 CASE_V = preset("case-V")
@@ -38,10 +38,6 @@ CASE_I_MIN_X = 1.271428665778048e-84
 TIGHT = IntegratorConfig(rel_tol=1e-13, abs_tol=1e-15)
 
 
-def _ivp(case, t_end):
-    return InitialValueProblem(case.params, case.initial, t_end)
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(rel_tol=0.0)
@@ -50,7 +46,7 @@ def test_config_validation():
 
 
 def test_decoupled_case_is_exact_exponentials():
-    ivp = _ivp(preset("decoupled"), 1.0)
+    ivp = replace(preset("decoupled"), t_end=1.0)
     traj = solve(ivp).sample(np.linspace(0.0, 1.0, 11))
     assert abs(traj.x[-1] - math.e) <= 1e-9
     assert abs(traj.y[-1] - 1.0 / math.e) <= 1e-9
@@ -59,13 +55,13 @@ def test_decoupled_case_is_exact_exponentials():
 
 
 def test_initial_sample_is_bitwise_the_initial_state():
-    traj = solve(_ivp(CASE_V, 10.0)).sample(np.linspace(0.0, 10.0, 21))
+    traj = solve(replace(CASE_V, t_end=10.0)).sample(np.linspace(0.0, 10.0, 21))
     assert traj.x[0] == 3.0
     assert traj.y[0] == 2.0
 
 
 def test_invariant_residuals_stay_small_over_long_window():
-    ivp = _ivp(CASE_V, 20.0)
+    ivp = replace(CASE_V, t_end=20.0)
     traj = solve(ivp).sample(np.linspace(0.0, 20.0, 2001))
     assert conservation_drift(traj, CASE_V.params) <= 1e-8
 
@@ -93,14 +89,14 @@ def test_drift_over_one_period_scales_with_rel_tol(ivp):
 
 def test_large_amplitude_case_stays_positive_and_resolved():
     """The prey dips below 1e-84 on this window; samples must stay positive."""
-    traj = solve(_ivp(CASE_I, 10.0)).sample(np.linspace(0.0, 10.0, 2001))
+    traj = solve(replace(CASE_I, t_end=10.0)).sample(np.linspace(0.0, 10.0, 2001))
     assert bool(np.all(traj.x > 0.0)) and bool(np.all(traj.y > 0.0))
     assert float(np.min(traj.x)) == pytest.approx(CASE_I_MIN_X, rel=1e-6)
     assert conservation_drift(traj, CASE_I.params) <= 1e-8
 
 
 def test_grid_validation():
-    solution = solve(_ivp(CASE_V, 10.0))
+    solution = solve(replace(CASE_V, t_end=10.0))
     with pytest.raises(ValueError):
         solution.sample([0.0, 11.0])
     with pytest.raises(ValueError):
@@ -110,23 +106,23 @@ def test_grid_validation():
 
 
 def test_degenerate_grid_returns_the_initial_state():
-    traj = solve(_ivp(CASE_V, 10.0)).sample([0.0])
+    traj = solve(replace(CASE_V, t_end=10.0)).sample([0.0])
     assert len(traj) == 1
     assert (traj.x[0], traj.y[0]) == (3.0, 2.0)
 
 
 def test_resampling_on_step_boundaries_is_bitwise_stable():
     """Dense output at a step endpoint must return that endpoint."""
-    ivp = _ivp(CASE_V, 10.0)
+    ivp = replace(CASE_V, t_end=10.0)
     solution = solve(ivp)
     natural = solution.sample(solution.t)
-    regrid = solve(_ivp(CASE_V, natural.t[-1])).sample(natural.t)
+    regrid = solve(replace(CASE_V, t_end=natural.t[-1])).sample(natural.t)
     assert np.array_equal(natural.x, regrid.x)
     assert np.array_equal(natural.y, regrid.y)
 
 
 def test_dense_output_consistent_with_tight_reference():
-    ivp = _ivp(CASE_V, 5.0)
+    ivp = replace(CASE_V, t_end=5.0)
     grid = np.linspace(0.0, 5.0, 501)
     coarse = solve(ivp).sample(grid)
     tight = solve(ivp, TIGHT).sample(grid)
@@ -141,7 +137,7 @@ def test_dense_output_consistent_with_tight_reference():
 
 
 def test_error_shrinks_with_tolerance():
-    ivp = _ivp(CASE_V, 5.0)
+    ivp = replace(CASE_V, t_end=5.0)
     endpoint = np.array([0.0, 5.0])
     tight = solve(ivp, TIGHT).sample(endpoint)
     errors = []
@@ -164,7 +160,7 @@ def test_agrees_with_independent_integrator():
         rhs, (0.0, 10.0), [math.log(3.0), math.log(2.0)],
         method="DOP853", rtol=1e-12, atol=1e-12, t_eval=grid,
     )
-    mine = solve(_ivp(CASE_V, 10.0)).sample(grid)
+    mine = solve(replace(CASE_V, t_end=10.0)).sample(grid)
     np.testing.assert_allclose(mine.x, np.exp(oracle.y[0]), rtol=1e-8)
     np.testing.assert_allclose(mine.y, np.exp(oracle.y[1]), rtol=1e-8)
 
@@ -177,10 +173,10 @@ def test_unbounded_growth_raises_divergence_error():
 
 
 def test_period_pinned_value():
-    period = solve(_ivp(CASE_V, 10.0), find_period=True).period
+    period = solve(replace(CASE_V, t_end=10.0), find_period=True).period
     assert abs(period - PERIOD_V) <= 1e-8
     tight = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
-    assert abs(solve(_ivp(CASE_V, 10.0), tight, find_period=True).period - PERIOD_V) <= 1e-9
+    assert abs(solve(replace(CASE_V, t_end=10.0), tight, find_period=True).period - PERIOD_V) <= 1e-9
 
 
 def test_near_centre_period_approaches_the_linearised_value():
@@ -230,13 +226,13 @@ def test_tied_log_rates_take_the_predator_section():
 
 def test_no_period_when_the_return_is_too_far():
     # This orbit's period exceeds the pass, max(t_end, 100/sqrt(a*c)).
-    assert solve(_ivp(CASE_I, 10.0), find_period=True).period is None
+    assert solve(replace(CASE_I, t_end=10.0), find_period=True).period is None
 
 
 def test_a_horizon_past_the_return_finds_the_period():
     """Case-I returns at T = 326.8, past 100/sqrt(a*c) = 316.2; over [0, 400]
     the event fires, matches scipy's DOP853 event and the orbit reads closed."""
-    ivp = _ivp(CASE_I, 400.0)
+    ivp = replace(CASE_I, t_end=400.0)
     solution = solve(ivp, find_period=True)
     assert solution.t_final == 400.0 >= 1.2 * solution.period
     p = ivp.params
@@ -266,7 +262,7 @@ def test_a_horizon_past_the_return_finds_the_period():
 
 
 def test_closure_accepts_the_reference_orbit():
-    solution = solve(_ivp(CASE_V, 10.0), find_period=True)
+    solution = solve(replace(CASE_V, t_end=10.0), find_period=True)
     assert _closes(solution.sample, solution.period) is True
 
 
@@ -313,7 +309,7 @@ def test_closure_measures_the_segments_not_their_extensions():
 
 
 def test_closure_rejects_a_runaway_series():
-    ivp = _ivp(CASE_V, 10.0)
+    ivp = replace(CASE_V, t_end=10.0)
     period = solve(ivp, find_period=True).period
     series = taylor_coefficients(ivp, 5)
     assert _closes(lambda grid: sample_series(series, grid), period) is False

@@ -26,10 +26,10 @@ from lvdiag import (
     preset_names,
     sample_series,
     solve,
-    taylor_coefficients,
 )
 import lvdiag.methods as methods_module
 from lvdiag.methods import _cascade, _vim_iterates
+from lvdiag.series import taylor_coefficients
 from test_series import problems
 
 CASE_V = preset("case-V")

@@ -38,9 +38,9 @@ from lvdiag import (
     sample_series,
     self_intersection,
     solve,
-    taylor_coefficients,
 )
 from lvdiag.diagnostics import _closes, _compare_with_reference, _invariant_column
+from lvdiag.series import taylor_coefficients
 
 T_END = 10.0
 # The report's closure window, in periods, restated so that the standalone

@@ -21,9 +21,9 @@ from lvdiag import (
     SeriesSolution,
     preset,
     sample_series,
-    taylor_coefficients,
 )
 from lvdiag.methods import MethodKind, _vim_iterates, method_series
+from lvdiag.series import taylor_coefficients
 
 CASE_V = preset("case-V")
 CASE_I = preset("case-I")

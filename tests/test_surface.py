@@ -1,5 +1,6 @@
 """The public surface: the names ``lvdiag`` exports, the README's library example
-and the code's hygiene (no unused import, no private function that nothing calls)."""
+and the code's hygiene (no unused import, no private function that nothing calls,
+no test helper written out in two test modules)."""
 
 import ast
 import dataclasses
@@ -43,7 +44,6 @@ PUBLIC_NAMES = [
     "sample_series",
     "self_intersection",
     "solve",
-    "taylor_coefficients",
 ]
 
 
@@ -51,7 +51,7 @@ def test_public_names_are_pinned_and_resolve():
     assert sorted(lvdiag.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(lvdiag, name) is not None, name
-    assert len(PUBLIC_NAMES) == 27
+    assert len(PUBLIC_NAMES) == 26
 
 
 def test_agreement_report_has_one_field_per_cascade():
@@ -135,6 +135,18 @@ def test_every_private_function_is_called_from_src():
     callers = _src_callers()
     unused = [f"{module}:{name}" for name, module in defined.items() if not callers.get(name, set()) - {name}]
     assert sorted(unused) == []
+
+
+def test_no_test_helper_is_defined_twice():
+    """A top-level helper (any function not named ``test_*``) whose arguments
+    and body another test module repeats belongs in one module, imported by the other."""
+    homes = {}
+    for path in TESTS:
+        for node in _parse(path).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("test_"):
+                code = ast.dump(node.args), tuple(map(ast.dump, node.body))
+                homes.setdefault(code, {})[path.name] = node.name
+    assert [modules for modules in homes.values() if len(modules) > 1] == []
 
 
 def test_every_public_function_is_used_by_src_or_the_readme():
