@@ -3,8 +3,7 @@
 Each test covers one headline claim at its stated tolerance and prints a
 single PASS/FAIL line with the measured numbers (visible under pytest -s),
 then asserts it.  Pinned regression values come from independent runs noted
-next to each constant.  Criterion 9, identical bytes from identical flags, and
-the green ``lvdiag verify`` are rows of ``tests/test_cli_cases.py``.
+next to each constant.
 """
 
 import math
@@ -26,6 +25,7 @@ from lvdiag import (
     self_intersection,
     solve,
 )
+from lvdiag.cli import main as cli_main
 from lvdiag.diagnostics import _closes
 from lvdiag.series import taylor_coefficients
 
@@ -189,3 +189,34 @@ def test_criterion_8_decoupled_case_is_exact():
         ok,
         f"endpoint error {end_gap:.3e}, coefficient error {coeff_gap:.3e}",
     )
+
+
+def test_criterion_9_runs_are_deterministic(tmp_path, capsys):
+    out = tmp_path / "run"
+    flags = [
+        "run", "--preset", "case-V", "--format", "all", "--points", "501",
+        "--out", str(out),
+    ]
+    assert cli_main(flags) == 0
+    first = {f.name: f.read_bytes() for f in out.iterdir()}
+    assert cli_main(flags) == 0
+    second = {f.name: f.read_bytes() for f in out.iterdir()}
+    capsys.readouterr()
+    identical = first == second
+    _report(
+        9,
+        "repeated runs are byte-identical",
+        identical and len(first) == 4,
+        f"{len(first)} files compared",
+    )
+
+
+def _verify_gate(capsys):
+    code = cli_main(["verify"])
+    out = capsys.readouterr().out
+    print(out)
+    return code
+
+
+def test_verification_command_is_green(capsys):
+    assert _verify_gate(capsys) == 0

@@ -54,6 +54,20 @@ def _run(tmp_path, *extra):
     return main(args)
 
 
+def test_run_format_all_adds_the_svg(tmp_path):
+    assert _run(tmp_path, "--preset", "decoupled", "--points", "101", "--format", "all") == 0
+    names = sorted(f.name for f in tmp_path.iterdir())
+    assert names == [
+        "decoupled_taylor_order5_phase.csv",
+        "decoupled_taylor_order5_phase.svg",
+        "decoupled_taylor_order5_report.json",
+        "decoupled_taylor_order5_timeseries.csv",
+    ]
+    svg = (tmp_path / "decoupled_taylor_order5_phase.svg").read_text()
+    assert svg.startswith("<svg ") and svg.rstrip().endswith("</svg>")
+    assert svg.count("<polyline") == 2
+
+
 def test_csv_headers_and_roundtrip(tmp_path):
     _run(tmp_path, "--preset", "decoupled", "--points", "11")
     timeseries = (tmp_path / "decoupled_taylor_order5_timeseries.csv").read_text().splitlines()
@@ -100,6 +114,16 @@ def test_report_json_schema(tmp_path):
     assert payload["period_estimate"] == pytest.approx(7.603020304410167, abs=1e-8)
 
 
+def test_report_json_nulls_for_the_decoupled_case(tmp_path):
+    _run(tmp_path, "--preset", "decoupled", "--points", "101")
+    with open(tmp_path / "decoupled_taylor_order5_report.json") as handle:
+        payload = json.load(handle)
+    assert payload["divergence_time"] is None
+    assert payload["self_intersection"] is None
+    assert payload["period_estimate"] is None
+    assert payload["closed_orbit_ref"] is False
+
+
 @pytest.mark.parametrize("name", preset_names())
 def test_a_preset_runs_as_its_problem_given_in_custom_flags(tmp_path, name):
     """A preset is nothing but its problem: the same six numbers and window write the same files."""
@@ -119,9 +143,12 @@ def test_a_preset_runs_as_its_problem_given_in_custom_flags(tmp_path, name):
     assert preset_report.replace(f'"preset": "{name}"', '"preset": "custom"') == custom_report
 
 
-def test_an_unknown_preset_is_a_value_error():
+def test_an_unknown_preset_is_a_value_error(tmp_path, capsys):
     with pytest.raises(ValueError, match="unknown preset 'nope'"):
         preset("nope")
+    assert _run(tmp_path, "--preset", "nope") == 2
+    want = "error: unknown preset 'nope'; available presets: case-I, case-V, decoupled\n"
+    assert capsys.readouterr().err == want
 
 
 def test_io_errors_exit_4(tmp_path, capsys):
@@ -154,6 +181,22 @@ def test_verify_without_a_reference_period_is_a_numeric_failure(monkeypatch, cap
     monkeypatch.setattr(cli, "solve", lambda ivp, find_period=False: solve(ivp))
     assert main(["verify", "--orders", "4"]) == 3
     assert "numeric failure: case-V: no return to the start section" in capsys.readouterr().err
+
+
+def test_verify_passes(capsys):
+    assert main(["verify"]) == 0
+    out = capsys.readouterr().out
+    assert out.strip().endswith("checks passed")
+    assert "FAIL" not in out
+    assert out.count("PASS") == 10
+
+
+def test_verify_twice_in_one_process_prints_the_same_table(capsys):
+    outs = []
+    for _ in range(2):
+        assert main(["verify"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and outs[0].endswith("10/10 checks passed\n")
 
 
 def test_verify_times_each_group_on_stderr_only(capsys):
