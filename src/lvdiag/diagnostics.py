@@ -12,10 +12,10 @@ import contextlib
 import math
 import numbers
 from functools import partial
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import record
 from .exceptions import NonFiniteError, PositivityError
 from .integrate import _CLOSURE_SPAN, IntegratorConfig, solve
 from .methods import MethodKind, method_series
@@ -33,7 +33,7 @@ _CLOSURE_GRID_POINTS = 2401
 _BLOCK_PAIRS = 1 << 16
 
 
-@dataclass(frozen=True)
+@record
 class SegmentCrossing:
     """Self-intersection between polyline segments i and j (j >= i + 2)."""
 
@@ -42,7 +42,7 @@ class SegmentCrossing:
     point: tuple[float, float]
 
 
-@dataclass(frozen=True)
+@record
 class DiagnosticsReport:
     """Divergence, drift, self-crossing and closure summary for one approximant."""
 

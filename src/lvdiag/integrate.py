@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import record
 from .exceptions import DivergenceError, PositivityError, StepSizeUnderflowError
 from .series import InitialValueProblem, _validated_grid
 from .trajectory import Trajectory
@@ -82,8 +82,15 @@ _CLOSURE_SPAN = 1.2
 _PERIOD_BISECT_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@record
 class IntegratorConfig:
+    """Tolerances of the reference pass, each in (0, 1).
+
+    A step is accepted when the RMS of its error estimates, each log
+    population's scaled by ``abs_tol + rel_tol * max(|start|, |end|)``, is at
+    most 1.
+    """
+
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
 
@@ -94,7 +101,7 @@ class IntegratorConfig:
             )
 
 
-@dataclass(frozen=True)
+@record
 class IntegratorStats:
     """Work done by one pass, after DOPRI5's NACCPT, NREJCT and NFCN counters."""
 
@@ -104,7 +111,7 @@ class IntegratorStats:
     rhs_evals: int
 
 
-@dataclass(frozen=True)
+@record
 class DenseSolution:
     """The accepted steps of one adaptive pass from t=0, with dense output.
 

@@ -35,10 +35,10 @@ variational iterate k is ``method_series(ivp, MethodKind.VIM, k)``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import record
 from .exceptions import NonFiniteError
 from .series import InitialValueProblem, SeriesSolution, _check_order, taylor_coefficients
 
@@ -150,7 +150,7 @@ def _vim_iterates(ivp: InitialValueProblem, iterations: int) -> list[np.ndarray]
     return iterates
 
 
-@dataclass(frozen=True)
+@record
 class AgreementReport:
     """Per-scheme maximum relative coefficient deviation from the Taylor series.
 

@@ -13,10 +13,10 @@ that skips validation: the first integral that closed orbits conserve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import record
 from .exceptions import NonFiniteError
 
 
@@ -27,7 +27,7 @@ def _as_finite_float(value, name):
     return out
 
 
-@dataclass(frozen=True)
+@record
 class ModelParams:
     """Positive rate constants of the model.
 
@@ -50,7 +50,7 @@ class ModelParams:
             raise ValueError(f"couplings b and d must be non-negative, got b={self.b}, d={self.d}")
 
 
-@dataclass(frozen=True)
+@record
 class PopulationState:
     """A point of the phase plane; populations cannot be negative."""
 

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import record
 from .exceptions import NonFiniteError
 from .model import ModelParams, PopulationState, _as_finite_float
 from .trajectory import Trajectory
@@ -37,7 +37,7 @@ def _check_order(order, name="order"):
     return int(order)
 
 
-@dataclass(frozen=True)
+@record
 class InitialValueProblem:
     """The model, its start at t=0 and the window [0, t_end] it is studied on.
 
@@ -55,7 +55,7 @@ class InitialValueProblem:
             raise ValueError(f"t_end must be positive, got {self.t_end}")
 
 
-@dataclass(frozen=True)
+@record
 class SeriesSolution:
     """Polynomial pair (x, y), each stored lowest degree first; their lengths may differ."""
 

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import record
 from .exceptions import NonFiniteError
 
 
-@dataclass(frozen=True)
+@record
 class Trajectory:
     """Samples (t, x, y) of a planar curve on a strictly increasing time grid."""
 

@@ -13,7 +13,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lvdiag import (
-    InitialValueProblem,
     MethodKind,
     NonFiniteError,
     SeriesSolution,
@@ -221,9 +220,7 @@ def test_verify_closure_row_matches_failure_report():
     groups = {group: triples for group, _, triples in _verification_groups((4,))}
     (name, closed, detail), _ = groups["closure"]
     assert name == "case-V: reference orbit returns within 1e-6"
-    case = preset("case-V")
-    ivp = InitialValueProblem(case.params, case.initial, case.t_end)
-    report = failure_report(ivp, MethodKind.TAYLOR, 5)
+    report = failure_report(preset("case-V"), MethodKind.TAYLOR, 5)
     assert detail == f"period {report.period_estimate:.9f}"
     assert closed is report.closed_orbit_ref is True
 

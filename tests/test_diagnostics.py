@@ -151,7 +151,7 @@ def test_self_intersection_pinned_crossing():
 def test_reference_orbit_is_simple_over_one_period():
     ivp = replace(CASE_V, t_end=10.0)
     period = solve(ivp, find_period=True).period
-    window = InitialValueProblem(CASE_V.params, CASE_V.initial, period)
+    window = replace(CASE_V, t_end=period)
     traj = solve(window).sample(np.linspace(0.0, period, 2001))
     assert self_intersection(traj) is None
 

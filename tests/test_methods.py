@@ -3,6 +3,7 @@
 import hashlib
 import math
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -34,8 +35,6 @@ from test_series import problems
 
 CASE_V = preset("case-V")
 CASE_I = preset("case-I")
-IVP_V = InitialValueProblem(CASE_V.params, CASE_V.initial, 10.0)
-IVP_I = InitialValueProblem(CASE_I.params, CASE_I.initial, 10.0)
 
 
 def test_method_kind_wire_names():
@@ -57,9 +56,9 @@ def _components(ivp, order):
 def test_adomian_component_n_is_the_degree_n_term():
     """Component n of the decomposition carries exactly the t**n term: U_n,
     coefficient n of the order-n approximant."""
-    taylor = taylor_coefficients(IVP_V, 6)
+    taylor = taylor_coefficients(CASE_V, 6)
     for n in range(7):
-        adm = method_series(IVP_V, MethodKind.ADOMIAN, n)
+        adm = method_series(CASE_V, MethodKind.ADOMIAN, n)
         # Lower-degree parts cancel; what is left is the series coefficient.
         assert adm.x_coeffs[n] == pytest.approx(taylor.x_coeffs[n], rel=1e-13, abs=1e-13)
         assert adm.y_coeffs[n] == pytest.approx(taylor.y_coeffs[n], rel=1e-13, abs=1e-13)
@@ -84,13 +83,13 @@ def test_hpm_terms_start_at_the_initial_state_and_vanish_at_zero():
     """Term 0 is the start and every later term vanishes at t = 0, so the
     approximant of every order starts exactly there."""
     for n in range(6):
-        hpm = method_series(IVP_V, MethodKind.HPM, n)
+        hpm = method_series(CASE_V, MethodKind.HPM, n)
         assert (hpm.x_coeffs[0], hpm.y_coeffs[0]) == (3.0, 2.0)
 
 
 def test_hpm_cascade_solves_the_order_by_order_equations():
     p = CASE_V.params
-    terms = _components(IVP_V, 6)
+    terms = _components(CASE_V, 6)
     for n in range(1, 7):
         coupling = np.zeros(1)
         for k in range(n):
@@ -106,19 +105,19 @@ def test_hpm_cascade_solves_the_order_by_order_equations():
 
 
 def test_hpm_sum_reproduces_taylor():
-    hpm = method_series(IVP_I, MethodKind.HPM, 12)
-    tay = taylor_coefficients(IVP_I, 12)
+    hpm = method_series(CASE_I, MethodKind.HPM, 12)
+    tay = taylor_coefficients(CASE_I, 12)
     np.testing.assert_allclose(hpm.x_coeffs, tay.x_coeffs, rtol=1e-12)
     np.testing.assert_allclose(hpm.y_coeffs, tay.y_coeffs, rtol=1e-12)
 
 
 def test_adomian_cascade_past_the_double_range_raises_no_warning():
     """Coefficients that overflow come out non-finite; the approximant names the first one."""
-    u, v = _cascade(IVP_I, 305)
+    u, v = _cascade(CASE_I, 305)
     assert not (math.isfinite(u[305]) and math.isfinite(v[305]))
     for method, order in ((MethodKind.ADOMIAN, 305), (MethodKind.HPM, 400), (MethodKind.VIM, 320)):
         with pytest.raises(NonFiniteError, match=r"^series coefficient 305 overflows$"):
-            method_series(IVP_I, method, order)
+            method_series(CASE_I, method, order)
 
 
 def _running_sums(components):
@@ -134,11 +133,11 @@ def _running_sums(components):
 @pytest.mark.parametrize(
     "ivp, order",
     [
-        (IVP_V, 30),
+        (CASE_V, 30),
         # A start of -0.0: the running sum's first entry is 0.0 + -0.0 = 0.0.
         (InitialValueProblem(ModelParams(1.0, 0.5, 1.0, 2.0), PopulationState(-0.0, 1.0), 1.0), 12),
         # Components from 305 on are inf or NaN.
-        (IVP_I, 305),
+        (CASE_I, 305),
     ],
     ids=["case-V", "negative-zero-start", "case-I-overflow"],
 )
@@ -168,7 +167,7 @@ def test_adomian_approximant_at_order_1000_stays_under_a_megabyte():
     """The approximant is the recurrence's coefficients: no (order + 1)**2 array is built."""
     tracemalloc.start()
     try:
-        series = method_series(IVP_V, MethodKind.ADOMIAN, 1000)
+        series = method_series(CASE_V, MethodKind.ADOMIAN, 1000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -177,7 +176,7 @@ def test_adomian_approximant_at_order_1000_stays_under_a_megabyte():
 
 
 def test_vim_iterate_sequence_shape():
-    iterates = _vim_iterates(IVP_V, 4)
+    iterates = _vim_iterates(CASE_V, 4)
     assert len(iterates) == 5
     assert [iterate.shape for iterate in iterates] == [(2, 1), (2, 2), (2, 4), (2, 7), (2, 9)]
     x0, y0 = iterates[0]
@@ -186,19 +185,19 @@ def test_vim_iterate_sequence_shape():
 
 
 def test_vim_first_iterate_is_the_linear_correction():
-    first = method_series(IVP_V, MethodKind.VIM, 1)
+    first = method_series(CASE_V, MethodKind.VIM, 1)
     assert first.x_coeffs.tolist() == [3.0, -3.0]
     assert first.y_coeffs.tolist() == [2.0, 4.0]
 
 
 def test_vim_iterate_k_matches_series_through_order_k():
     """Iterate k is the order-k approximant, bit for bit, and agrees with the series through order k."""
-    iterates = _vim_iterates(IVP_V, 10)
+    iterates = _vim_iterates(CASE_V, 10)
     for k in (3, 6, 10):
         xk, yk = iterates[k]
-        approx = method_series(IVP_V, MethodKind.VIM, k)
+        approx = method_series(CASE_V, MethodKind.VIM, k)
         assert (approx.x_coeffs.tobytes(), approx.y_coeffs.tobytes()) == (xk.tobytes(), yk.tobytes())
-        tay = taylor_coefficients(IVP_V, k)
+        tay = taylor_coefficients(CASE_V, k)
         np.testing.assert_allclose(xk[: k + 1], tay.x_coeffs, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(yk[: k + 1], tay.y_coeffs, rtol=1e-12, atol=1e-12)
 
@@ -209,7 +208,7 @@ def _vim_length(k):
 
 
 def test_vim_degree_is_capped():
-    iterates = _vim_iterates(IVP_V, 100)
+    iterates = _vim_iterates(CASE_V, 100)
     for k, (xk, yk) in enumerate(iterates):
         assert xk.size == yk.size == _vim_length(k)
     assert iterates[40][0].size == 65
@@ -349,11 +348,11 @@ def test_overflowing_cascade_keeps_its_top_entries():
     on the convolve cascade holds NaN (inf * 0) below them, where the
     recurrence's components U_n t**n hold +0.0; those entries sit where the
     running sums are already NaN."""
-    oracle = _convolve_cascade(IVP_I, 307)
+    oracle = _convolve_cascade(CASE_I, 307)
     assert [_is_finite(oracle[:n]) for n in (305, 306)] == [True, False]
     assert [any(np.isnan(c[:-1]).any() for c in pair) for pair in oracle[305:]] == [False, False, True]
-    _assert_convolve_cascade_bits(IVP_I, 307)
-    _assert_same_approximant(IVP_I, 307, oracle)
+    _assert_convolve_cascade_bits(CASE_I, 307)
+    _assert_same_approximant(CASE_I, 307, oracle)
 
 
 def test_a_negative_zero_coupling_leaves_positive_zeros_below_the_tops():
@@ -422,7 +421,7 @@ def _assert_vim_is_the_row_iteration(ivp, iterations):
 
 @pytest.mark.parametrize(
     "ivp, iterations",
-    [(ivp, 100) for ivp in CASCADE_STARTS.values()] + [(IVP_I, 320)],
+    [(ivp, 100) for ivp in CASCADE_STARTS.values()] + [(CASE_I, 320)],
     ids=[*CASCADE_STARTS, "case-I-overflow"],
 )
 def test_vim_is_the_row_by_row_iteration_bitwise(ivp, iterations):
@@ -445,12 +444,12 @@ def test_the_cascade_multiplies_no_polynomials(monkeypatch, method):
         raise AssertionError("np.convolve called")
 
     monkeypatch.setattr(methods_module.np, "convolve", refuse)
-    assert _cascade(IVP_V, 1000).shape == (2, 1001)
-    series = method_series(IVP_V, method, 1000)
+    assert _cascade(CASE_V, 1000).shape == (2, 1001)
+    series = method_series(CASE_V, method, 1000)
     assert series.x_coeffs.size == series.y_coeffs.size == 1001
 
 
-@pytest.mark.parametrize("ivp", [IVP_I, IVP_V], ids=["case-I", "case-V"])
+@pytest.mark.parametrize("ivp", [CASE_I, CASE_V], ids=["case-I", "case-V"])
 def test_vim_past_the_degree_cap_still_reproduces_the_series(ivp):
     """Iterate 80 keeps its terms through degree 80, so it agrees like the ADM sum."""
     report = methods_agree(ivp, 80)[-1]
@@ -460,16 +459,16 @@ def test_vim_past_the_degree_cap_still_reproduces_the_series(ivp):
 
 def test_all_methods_start_exactly_at_the_initial_state():
     for method in MethodKind:
-        sol = method_series(IVP_I, method, 6)
+        sol = method_series(CASE_I, method, 6)
         assert sol.x_coeffs[0] == 14.0
         assert sol.y_coeffs[0] == 18.0
 
 
 def test_methods_agree_within_round_off():
-    reports_v = methods_agree(IVP_V, 10)
+    reports_v = methods_agree(CASE_V, 10)
     assert len(reports_v) == 11
     assert reports_v[-1].worst() <= 1e-12
-    report_i = methods_agree(IVP_I, 10)[-1]
+    report_i = methods_agree(CASE_I, 10)[-1]
     assert report_i.worst() <= 1e-12
     assert report_i.worst() == max(report_i.adomian, report_i.vim)
     decoupled = preset("decoupled")
@@ -485,7 +484,7 @@ def test_a_nan_deviation_is_the_worst_in_either_place(monkeypatch):
     """A NaN in a scheme's x or y coefficients, or in the Taylor reference, is a NaN row field."""
     assert math.isnan(AgreementReport(1e-16, math.nan).worst())
     assert math.isnan(AgreementReport(math.nan, 1e-16).worst())
-    clean = methods_agree(IVP_V, 6)
+    clean = methods_agree(CASE_V, 6)
     for component in (0, 1):
 
         def poisoned_vim(ivp, iterations):
@@ -495,7 +494,7 @@ def test_a_nan_deviation_is_the_worst_in_either_place(monkeypatch):
 
         # Row k reads VIM iterate k only, and iterate 4's degree-3 entry lies inside it.
         monkeypatch.setattr(methods_module, "_vim_iterates", poisoned_vim)
-        rows = methods_agree(IVP_V, 6)
+        rows = methods_agree(CASE_V, 6)
         assert [math.isnan(r.vim) for r in rows] == [k == 4 for k in range(7)]
         assert [math.isnan(r.worst()) for r in rows] == [k == 4 for k in range(7)]
         assert [r.adomian for r in rows] == [r.adomian for r in clean]
@@ -508,7 +507,7 @@ def test_a_nan_deviation_is_the_worst_in_either_place(monkeypatch):
 
         # Every running sum from component 2 on holds the NaN.
         monkeypatch.setattr(methods_module, "_cascade", poisoned_cascade)
-        rows = methods_agree(IVP_V, 6)
+        rows = methods_agree(CASE_V, 6)
         assert [math.isnan(r.adomian) for r in rows] == [k >= 2 for k in range(7)]
         assert [math.isnan(r.worst()) for r in rows] == [k >= 2 for k in range(7)]
         assert [r.vim for r in rows] == [r.vim for r in clean]
@@ -522,7 +521,7 @@ def test_a_nan_deviation_is_the_worst_in_either_place(monkeypatch):
 
         # The reference: rows from order 3 on compare both schemes with the NaN.
         monkeypatch.setattr(methods_module, "taylor_coefficients", poisoned_taylor)
-        rows = methods_agree(IVP_V, 6)
+        rows = methods_agree(CASE_V, 6)
         assert [math.isnan(r.adomian) and math.isnan(r.vim) for r in rows] == [k >= 3 for k in range(7)]
         assert rows[:3] == clean[:3]
         monkeypatch.undo()
@@ -530,18 +529,17 @@ def test_a_nan_deviation_is_the_worst_in_either_place(monkeypatch):
 
 def test_methods_agree_validates_order():
     with pytest.raises(ValueError):
-        methods_agree(IVP_V, -3)
+        methods_agree(CASE_V, -3)
 
 
 def test_method_series_rejects_unknown_method():
     with pytest.raises(ValueError):
-        method_series(IVP_V, "taylor", 4)
+        method_series(CASE_V, "taylor", 4)
 
 
 def test_methods_agree_on_every_preset_through_order_20():
     for name in preset_names():
-        case = preset(name)
-        ivp = InitialValueProblem(case.params, case.initial, 1.0)
+        ivp = replace(preset(name), t_end=1.0)
         for report in methods_agree(ivp, 20):
             assert report.worst() <= 1e-10, (name, report)
 
@@ -572,8 +570,7 @@ def _assert_sweep_matches_per_order_reports(ivp, top):
 
 @pytest.mark.parametrize("name", preset_names())
 def test_agreement_sweep_matches_per_order_construction_on_presets(name):
-    case = preset(name)
-    _assert_sweep_matches_per_order_reports(InitialValueProblem(case.params, case.initial, case.t_end), 40)
+    _assert_sweep_matches_per_order_reports(preset(name), 40)
 
 
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)
@@ -730,8 +727,7 @@ def test_adomian_and_vim_steps_meet_their_rounding_bound(name):
     the exact cascades above, which equal the Taylor polynomials, this rests
     the schemes' agreement on proof plus rounding, not on a tolerance.
     """
-    case = preset(name)
-    ivp = InitialValueProblem(case.params, case.initial, case.t_end)
+    ivp = preset(name)
     a, b, c, d = (Fraction(v) for v in (ivp.params.a, ivp.params.b, ivp.params.c, ivp.params.d))
     components = _components(ivp, 20)
     u = [_fractions(u_n) for u_n, _ in components]

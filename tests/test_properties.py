@@ -490,8 +490,7 @@ def test_self_intersection_matches_an_all_pairs_scan_bitwise(points):
 
 @pytest.mark.parametrize("name", preset_names())
 def test_self_intersection_matches_an_all_pairs_scan_on_the_presets(name):
-    case = preset(name)
-    ivp = InitialValueProblem(case.params, case.initial, case.t_end)
+    ivp = preset(name)
     grid = np.linspace(0.0, ivp.t_end, 2001)
     for method in MethodKind:
         for order in range(2, 21):

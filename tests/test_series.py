@@ -28,9 +28,6 @@ from lvdiag.series import taylor_coefficients
 CASE_V = preset("case-V")
 CASE_I = preset("case-I")
 
-IVP_V = InitialValueProblem(CASE_V.params, CASE_V.initial, 10.0)
-IVP_I = InitialValueProblem(CASE_I.params, CASE_I.initial, 10.0)
-
 # Coefficients for (a,b,c,d) = (1,1,1,1), (x0,y0) = (3,2) are rational; these
 # are the exact values through order 8, computed with fraction arithmetic.
 X_EXACT_V = (3, -3, -9 / 2, 9 / 2, 71 / 8, -183 / 40, -4207 / 240, 947 / 1680, 427673 / 13440)
@@ -40,24 +37,24 @@ EPS = Fraction(2) ** -52
 
 
 def test_order_zero_is_the_initial_state():
-    sol = taylor_coefficients(IVP_V, 0)
+    sol = taylor_coefficients(CASE_V, 0)
     assert sol.x_coeffs.tolist() == [3.0]
     assert sol.y_coeffs.tolist() == [2.0]
 
 
 def test_first_order_coefficients_match_closed_forms_bitwise():
-    sol = taylor_coefficients(IVP_I, 1)
+    sol = taylor_coefficients(CASE_I, 1)
     assert sol.x_coeffs[1] == 14.0 * (1.0 - 1.0 * 18.0)
     assert sol.y_coeffs[1] == 18.0 * (1.0 * 14.0 - 0.1)
     assert sol.x_coeffs[1] == -238.0
     assert sol.y_coeffs[1] == 250.20000000000002
-    sol_v = taylor_coefficients(IVP_V, 1)
+    sol_v = taylor_coefficients(CASE_V, 1)
     assert sol_v.x_coeffs[1] == -3.0
     assert sol_v.y_coeffs[1] == 4.0
 
 
 def test_unit_case_coefficients_match_exact_fractions():
-    sol = taylor_coefficients(IVP_V, 8)
+    sol = taylor_coefficients(CASE_V, 8)
     np.testing.assert_allclose(sol.x_coeffs, X_EXACT_V, rtol=1e-13)
     np.testing.assert_allclose(sol.y_coeffs, Y_EXACT_V, rtol=1e-13)
 
@@ -216,21 +213,21 @@ def test_series_satisfies_the_differential_equations():
 
 def test_order_validation():
     with pytest.raises(ValueError):
-        taylor_coefficients(IVP_V, -1)
+        taylor_coefficients(CASE_V, -1)
     with pytest.raises(ValueError):
-        taylor_coefficients(IVP_V, 2.5)
+        taylor_coefficients(CASE_V, 2.5)
     # int() of these raises OverflowError or ValueError in numpy's or Python's words.
     with pytest.raises(ValueError, match="^order must be a non-negative integer, got inf$"):
-        taylor_coefficients(IVP_V, math.inf)
+        taylor_coefficients(CASE_V, math.inf)
     for bad in (math.nan, np.float64("inf")):
         with pytest.raises(ValueError, match="^order must be a non-negative integer, got "):
-            taylor_coefficients(IVP_V, bad)
+            taylor_coefficients(CASE_V, bad)
 
 
 def test_overflowing_coefficients_raise_nonfinite():
     """A coefficient past the double range is refused, whichever way fsum fails."""
     with pytest.raises(NonFiniteError, match="series coefficient 305 overflows"):
-        taylor_coefficients(IVP_I, 400)  # the partial sums overflow
+        taylor_coefficients(CASE_I, 400)  # the partial sums overflow
     huge = InitialValueProblem(CASE_V.params, PopulationState(1e200, 1e200), 1.0)
     with pytest.raises(NonFiniteError, match="series coefficient 1 overflows"):
         taylor_coefficients(huge, 3)  # b * y0 and x0 * (a - b * y0) overflow
@@ -420,7 +417,7 @@ def test_taylor_is_the_numpy_scalar_loop_on_wide_problems(ivp, order):
 
 def test_sample_series_overflow_is_nonfinite_not_a_warning():
     with pytest.raises(NonFiniteError):
-        sample_series(taylor_coefficients(IVP_I, 160), np.linspace(0.0, 10.0, 11))
+        sample_series(taylor_coefficients(CASE_I, 160), np.linspace(0.0, 10.0, 11))
 
 
 def test_problem_validation():
@@ -444,7 +441,7 @@ def test_solution_shape_validation():
 
 
 def test_sample_series_quadratic_truncation():
-    sol = taylor_coefficients(IVP_V, 2)
+    sol = taylor_coefficients(CASE_V, 2)
     traj = sample_series(sol, [0.0, 1.0])
     assert traj.x.tolist() == [3.0, -4.5]
     assert traj.y.tolist() == [2.0, 7.0]
@@ -453,7 +450,7 @@ def test_sample_series_quadratic_truncation():
 
 
 def test_sample_series_matches_pointwise_evaluation():
-    sol = taylor_coefficients(IVP_V, 7)
+    sol = taylor_coefficients(CASE_V, 7)
     grid = np.linspace(0.0, 2.0, 9)
     traj = sample_series(sol, grid)
     assert traj.t.tolist() == grid.tolist()
@@ -463,14 +460,14 @@ def test_sample_series_matches_pointwise_evaluation():
 
 
 def test_sample_series_single_point_grid():
-    sol = taylor_coefficients(IVP_V, 3)
+    sol = taylor_coefficients(CASE_V, 3)
     traj = sample_series(sol, [0.0])
     assert len(traj) == 1
     assert (traj.x[0], traj.y[0]) == (3.0, 2.0)
 
 
 def test_sample_series_grid_validation():
-    sol = taylor_coefficients(IVP_V, 3)
+    sol = taylor_coefficients(CASE_V, 3)
     with pytest.raises(ValueError):
         sample_series(sol, [])
     with pytest.raises(ValueError):

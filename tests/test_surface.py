@@ -1,12 +1,16 @@
-"""The public surface: the names ``lvdiag`` exports, the README's library example
-and the code's hygiene (no unused import, no private function that nothing calls,
-no test helper written out in two test modules)."""
+"""The public surface: the names ``lvdiag`` exports, the README's library example,
+what importing the command line loads, and the code's hygiene (no unused import,
+no private function that nothing calls, no test helper written out in two test
+modules, one module that makes the record classes)."""
 
 import ast
 import dataclasses
 import inspect
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -161,3 +165,33 @@ def test_every_public_function_is_used_by_src_or_the_readme():
     functions = [name for name in lvdiag.__all__ if inspect.isfunction(getattr(lvdiag, name))]
     unused = [name for name in functions if not callers.get(name, set()) - {name} and name not in example]
     assert unused == []
+
+
+def test_importing_the_cli_loads_no_writer():
+    """``verify`` writes no file, so ``import lvdiag.cli`` leaves ``lvdiag.output`` and ``json`` unloaded."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    code = "import sys, lvdiag.cli; print(sorted({'json', 'lvdiag.output'} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert out.stdout == "[]\n"
+
+
+def test_only_the_record_module_applies_dataclass():
+    """Every record class is made by ``_record.record``, which shares one set of
+    methods; ``dataclasses.dataclass`` anywhere else would compile its own."""
+    applied = [
+        path.name
+        for path in SOURCES
+        if path.name != "_record.py"
+        for node in ast.walk(_parse(path))
+        if (isinstance(node, ast.Name) and node.id == "dataclass")
+        or (isinstance(node, ast.Attribute) and node.attr == "dataclass")
+        or (isinstance(node, ast.ImportFrom) and any(alias.name == "dataclass" for alias in node.names))
+    ]
+    assert applied == []
